@@ -24,7 +24,6 @@ from repro.annealer.compile import (
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
 from repro.annealer.batched import BatchedAnnealer, BlockResult
 from repro.annealer.fusion import FusionGroup, FusionWindow, fused_sample_block_states
-from repro.annealer.gauge import GaugeTransform, random_gauge
 from repro.annealer.noise import NoiseModel
 from repro.annealer.device import DWaveSamplerSimulator, ProgrammedAnneal
 from repro.annealer.numba_kernels import HAVE_NUMBA
@@ -45,8 +44,6 @@ __all__ = [
     "FusionGroup",
     "FusionWindow",
     "fused_sample_block_states",
-    "GaugeTransform",
-    "random_gauge",
     "NoiseModel",
     "DWaveSamplerSimulator",
     "ProgrammedAnneal",

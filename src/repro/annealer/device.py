@@ -8,6 +8,8 @@ the D-Wave 2X annealer used in the paper:
   (anything else raises :class:`DeviceError`),
 * reads are partitioned into gauge batches; each batch programs the
   (noisy) problem once and performs a block of annealing reads,
+* one request's data stays in numpy arrays from gauge programming to
+  the read-out: no per-term or per-read dictionaries are built,
 * reported *device time* follows the paper's constants — 129 us anneal
   plus 247 us read-out per read (376 us per sample) — independently of
   how long the software simulation takes on the host.
@@ -20,21 +22,19 @@ substitution preserves the experiments' structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, List
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.annealer.batched import BatchedAnnealer
-from repro.annealer.gauge import GaugeTransform, random_gauge
 from repro.annealer.noise import NoiseModel
-from repro.annealer.sampleset import Sample, SampleSet
+from repro.annealer.sampleset import SampleSet
 from repro.annealer.schedule import AnnealingSchedule
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
 from repro.chimera.hardware import DWAVE_2X, DWaveSpec
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import DeviceCapacityError, DeviceError
 from repro.obs.metrics import get_registry
-from repro.qubo.ising import ising_to_qubo, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
 
@@ -48,7 +48,10 @@ _GAUGES_TOTAL = get_registry().counter(
 
 __all__ = ["DWaveSamplerSimulator", "ProgrammedAnneal"]
 
-Variable = Hashable
+
+def _running_sum(*parts: np.ndarray) -> float:
+    """Left-to-right float sum, equal bit for bit to a Python ``+=`` loop."""
+    return float(np.cumsum(np.concatenate(parts))[-1])
 
 
 @dataclass
@@ -66,9 +69,13 @@ class ProgrammedAnneal:
     ----------
     qubo:
         The original (noiseless) physical QUBO energies are read under.
-    gauges / programmed_qubos:
-        Per gauge batch: the gauge transform and the programmed
-        (gauged, noise-perturbed) QUBO handed to the annealer.
+    gauges:
+        ``(num_gauges, n)`` matrix of +/-1 gauge factors, one row per
+        gauge batch, columns in ``qubo.variables`` order.
+    programmed_qubos:
+        Per gauge batch, the programmed (gauged, noise-perturbed) QUBO
+        handed to the annealer.  All share ``qubo``'s variable order and
+        one edge list.
     batch_sizes:
         Reads of each gauge batch (sums to ``num_reads``).
     num_reads:
@@ -79,7 +86,7 @@ class ProgrammedAnneal:
     """
 
     qubo: QUBOModel
-    gauges: List[GaugeTransform]
+    gauges: np.ndarray
     programmed_qubos: List[QUBOModel]
     batch_sizes: List[int]
     num_reads: int
@@ -137,7 +144,10 @@ class DWaveSamplerSimulator:
         self.batched_sampler = BatchedAnnealer(num_sweeps=num_sweeps, schedule=schedule)
         self.batch_gauges = batch_gauges
         self.programming_time_ms = programming_time_ms
-        self._static_bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
+        bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
+        #: Static bias per qubit index (broken qubits keep 0.0).
+        self._static_bias = np.zeros(self.topology.num_qubits_total)
+        self._static_bias[list(bias)] = list(bias.values())
 
     # ------------------------------------------------------------------ #
     # Device properties
@@ -224,6 +234,16 @@ class DWaveSamplerSimulator:
     ) -> ProgrammedAnneal:
         """Validate a request and program its gauge batches.
 
+        The QUBO is converted to Ising form once (``x = (s + 1) / 2``).
+        Each gauge batch then draws a uniform +/-1 factor ``g`` per
+        variable (a spin-reversal transform: ``h'_i = g_i h_i``,
+        ``J'_ij = g_i g_j J_ij``), adds the device's static bias and fresh
+        programming noise (:meth:`NoiseModel.perturb`) and converts back
+        to the QUBO the annealer runs.  Every step works on whole arrays,
+        yet sums in the order the term-by-term conversion did (each
+        edge's two endpoints in turn, smaller qubit first), so the
+        programmed weights are the same floats.
+
         All gauge and noise draws happen here, in batch order, leaving
         the returned :attr:`ProgrammedAnneal.rng` positioned exactly
         where the annealing stage expects it — whether the sweeps then
@@ -240,19 +260,42 @@ class DWaveSamplerSimulator:
         self.validate_problem(qubo)
 
         rng = ensure_rng(seed) if seed is not None else self._rng
-        variables = qubo.variables
-        ising = qubo_to_ising(qubo)
-        scale = ising.max_abs_weight()
+        variables, linear, edges, weights = qubo.to_arrays()
+        qubits = np.asarray(variables, dtype=np.int64)
+        flipped = qubits[edges[:, 0]] > qubits[edges[:, 1]]
+        edges[flipped] = edges[flipped, ::-1]
+        endpoints = edges.ravel()  # u0, v0, u1, v1, ...: per-edge accumulation order
+        u, v = edges[:, 0], edges[:, 1]
+
+        # Ising form: h = w_ii / 2 + sum w_ij / 4 over incident edges, J = w_ij / 4.
+        half, quarter = linear / 2.0, weights / 4.0
+        field = 0.0 + half
+        np.add.at(field, endpoints, np.repeat(quarter, 2))
+        coupling = 0.0 + quarter
+        ising_offset = _running_sum([qubo.offset], half, quarter)
+        scale = max(np.abs(field).max(initial=0.0), np.abs(coupling).max(initial=0.0))
+        static_bias = self._static_bias[qubits]
 
         batch_sizes = self._batch_sizes(num_reads, num_gauges)
-        gauges: List[GaugeTransform] = []
+        gauges = np.empty((num_gauges, len(variables)), dtype=np.int8)
         programmed_qubos: List[QUBOModel] = []
-        for _ in batch_sizes:
-            gauge = random_gauge(variables, seed=rng)
-            gauged = gauge.apply_to_ising(ising)
-            noisy = self.noise.perturb_ising(gauged, self._static_bias, scale, seed=rng)
-            gauges.append(gauge)
-            programmed_qubos.append(ising_to_qubo(noisy))
+        for gauge in gauges:
+            gauge[:] = rng.integers(0, 2, size=len(variables)) * 2 - 1
+            h, j = self.noise.perturb(
+                gauge * field, gauge[u] * gauge[v] * coupling, static_bias, scale, rng
+            )
+            # Back to QUBO form: w_ii = 2 h_i - 2 sum J_ij, w_ij = 4 J_ij.
+            programmed_linear = 0.0 + 2.0 * h
+            np.add.at(programmed_linear, endpoints, np.repeat(-2.0 * j, 2))
+            programmed_qubos.append(
+                QUBOModel.from_arrays(
+                    variables,
+                    programmed_linear,
+                    edges,
+                    0.0 + 4.0 * j,
+                    offset=_running_sum([ising_offset], -h, j),
+                )
+            )
         return ProgrammedAnneal(
             qubo=qubo,
             gauges=gauges,
@@ -262,91 +305,74 @@ class DWaveSamplerSimulator:
             rng=rng,
         )
 
-    def anneal_programmed(
-        self, programmed: ProgrammedAnneal
-    ) -> List[List[Dict[Variable, int]]]:
-        """Anneal a programmed request, returning per-batch assignments.
+    def anneal_programmed(self, programmed: ProgrammedAnneal) -> np.ndarray:
+        """Anneal a programmed request into its read-out state matrix.
 
         Fused in one block-diagonal problem when gauge batching is on,
-        sequentially otherwise.
+        sequentially otherwise; either way :meth:`batch_assignments`
+        turns the per-gauge blocks into the ``(num_reads, n)`` matrix.
         """
         batch_sizes = programmed.batch_sizes
         rng = programmed.rng
         if self.batch_gauges and len(batch_sizes) > 1:
             # Fused blocks share one read count; anneal the maximum and let
-            # each batch keep only its first batch_size reads.  The raw
-            # state matrices are consumed directly — energies are evaluated
-            # during assembly on the noiseless problem anyway.
-            block_states, block_compiled = self.batched_sampler.sample_block_states(
+            # each batch keep only its first batch_size reads.
+            block_states, _compiled = self.batched_sampler.sample_block_states(
                 programmed.programmed_qubos, num_reads=max(batch_sizes), seed=rng
             )
-            return self.batch_assignments(block_states, block_compiled, batch_sizes)
-        return [
-            self.sampler.sample(programmed_qubo, num_reads=batch_size, seed=rng)[0]
-            for programmed_qubo, batch_size in zip(programmed.programmed_qubos, batch_sizes)
-        ]
+        else:
+            block_states = [
+                self.sampler.sample_states(programmed_qubo, num_reads=batch_size, seed=rng)[0]
+                for programmed_qubo, batch_size in zip(programmed.programmed_qubos, batch_sizes)
+            ]
+        return self.batch_assignments(programmed, block_states)
 
     @staticmethod
     def batch_assignments(
-        block_states: List[np.ndarray],
-        block_compiled: List[object],
-        batch_sizes: List[int],
-    ) -> List[List[Dict[Variable, int]]]:
-        """Per-batch assignment dicts from raw block state matrices.
+        programmed: ProgrammedAnneal, block_states: Sequence[np.ndarray]
+    ) -> np.ndarray:
+        """The request's reads, in the original frame, from annealed blocks.
 
-        Shared by the solo batched path and the cross-request fusion
-        path so both decode fused states identically (each batch keeps
-        only its first ``batch_size`` reads).
+        ``block_states[k]`` holds gauge batch ``k``'s reads in the gauged
+        frame; its first ``batch_sizes[k]`` rows are kept and undone on
+        the gauge's -1 columns (``x = 1 - x'``).  Returns the
+        ``(num_reads, n)`` int8 matrix in gauge order.  Shared by the solo
+        path and the cross-request fusion path so both read out fused
+        states identically.
         """
-        return [
+        return np.concatenate(
             [
-                {var: int(states[r, i]) for i, var in enumerate(block.variables)}
-                for r in range(batch_size)
+                np.where(gauge < 0, 1.0 - states[:batch_size], states[:batch_size])
+                for gauge, states, batch_size in zip(
+                    programmed.gauges, block_states, programmed.batch_sizes
+                )
             ]
-            for states, block, batch_size in zip(block_states, block_compiled, batch_sizes)
-        ]
+        ).astype(np.int8)
 
-    def assemble_samples(
-        self,
-        programmed: ProgrammedAnneal,
-        per_batch_assignments: List[List[Dict[Variable, int]]],
-    ) -> SampleSet:
-        """Undo the gauges and account the reads into a :class:`SampleSet`.
+    def assemble_samples(self, programmed: ProgrammedAnneal, states: np.ndarray) -> SampleSet:
+        """Account the original-frame reads into a :class:`SampleSet`.
 
-        Energies are evaluated under the original (noiseless) QUBO;
-        device time follows the spec's per-read constant regardless of
-        how long the simulation took on the host.
+        Energies are evaluated in one pass under the original
+        (noiseless) QUBO; device time follows the spec's per-read
+        constant regardless of how long the simulation took on the host.
         """
         qubo = programmed.qubo
-        samples: List[Sample] = []
-        read_index = 0
-        for gauge_index, (gauge, assignments) in enumerate(
-            zip(programmed.gauges, per_batch_assignments)
-        ):
-            for assignment in assignments:
-                original = gauge.apply_to_binary(assignment)
-                energy = qubo.energy(original)
-                samples.append(
-                    Sample(
-                        assignment=original,
-                        energy=energy,
-                        read_index=read_index,
-                        gauge_index=gauge_index,
-                    )
-                )
-                read_index += 1
-
+        variables = qubo.variables
+        num_gauges = len(programmed.batch_sizes)
         _READS_TOTAL.inc(programmed.num_reads)
-        _GAUGES_TOTAL.inc(len(programmed.batch_sizes))
+        _GAUGES_TOTAL.inc(num_gauges)
         return SampleSet(
-            samples=samples,
+            states=states,
+            variables=variables,
+            read_energies=qubo.energies(states, variables),
+            gauge_indices=np.repeat(np.arange(num_gauges), programmed.batch_sizes),
             per_read_time_ms=self.time_per_read_ms,
-            programming_time_ms=self.programming_time_ms * len(programmed.batch_sizes),
+            programming_time_ms=self.programming_time_ms * num_gauges,
             info={
                 "device": self.spec.name,
                 "num_reads": programmed.num_reads,
-                "num_gauges": len(programmed.batch_sizes),
-                "num_problem_qubits": len(qubo.variables),
+                "num_gauges": num_gauges,
+                "num_problem_qubits": len(variables),
             },
         )
 

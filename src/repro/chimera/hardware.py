@@ -10,6 +10,7 @@ case split into 10 gauge batches of 100 runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import TopologyError
@@ -91,15 +92,26 @@ class DWaveSpec:
         perfect:
             Build the defect-free topology regardless of
             ``functional_qubits``.
+
+        The defect-free graph is built once per device shape and shared
+        by every caller: a :class:`ChimeraGraph` is never mutated after
+        construction (:meth:`~ChimeraGraph.with_defects` returns a new
+        graph), so sharing it is safe.
         """
         from repro.chimera.defects import sample_broken_qubits
 
         if perfect or self.num_broken_qubits == 0:
-            return ChimeraGraph(self.cell_rows, self.cell_cols, self.shore)
+            return _defect_free_topology(self.cell_rows, self.cell_cols, self.shore)
         broken = sample_broken_qubits(self.total_qubits, self.num_broken_qubits, seed=seed)
         return ChimeraGraph(
             self.cell_rows, self.cell_cols, self.shore, broken_qubits=broken
         )
+
+
+@lru_cache(maxsize=16)
+def _defect_free_topology(rows: int, cols: int, shore: int) -> ChimeraGraph:
+    """The shared defect-free Chimera graph of one device shape."""
+    return ChimeraGraph(rows, cols, shore)
 
 
 #: The machine evaluated in the paper: 1152 qubit sites, 1097 functional.

@@ -24,11 +24,12 @@ or equivalently by :class:`ChimeraCoordinate` tuples
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
 
 from repro.exceptions import TopologyError
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is an optional dependency
+    import networkx as nx
 
 __all__ = ["ChimeraCoordinate", "ChimeraGraph"]
 
@@ -251,8 +252,13 @@ class ChimeraGraph:
             return 0
         return max(len(p) for p in self._adjacency.values())
 
-    def to_networkx(self) -> nx.Graph:
-        """The usable topology as a :class:`networkx.Graph` (with coordinates)."""
+    def to_networkx(self) -> "nx.Graph":
+        """The usable topology as a :class:`networkx.Graph` (with coordinates).
+
+        Requires the optional networkx package.
+        """
+        import networkx as nx
+
         graph = nx.Graph()
         for q in self.qubits:
             graph.add_node(q, chimera_coordinate=self.index_to_coordinate(q))

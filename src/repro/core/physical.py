@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.chimera.topology import ChimeraGraph
 from repro.embedding.base import Embedding
-from repro.embedding.unembed import ChainReadout, resolve_chains, resolve_chains_batch
+from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
 from repro.exceptions import EmbeddingError
 from repro.qubo.model import QUBOModel
 
@@ -116,31 +116,21 @@ class PhysicalMapping:
         return resolve_chains(physical_sample, self.embedding, self.config.readout)
 
     def unembed_samples(
-        self, physical_samples: Sequence[Mapping[int, int]]
-    ) -> List[Tuple[Dict[Variable, int], bool]]:
-        """Vectorised chain read-out of a whole batch of physical samples.
+        self, states: np.ndarray, qubit_order: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorised chain read-out of a whole ``(num_reads, num_qubits)`` state matrix.
 
-        Equivalent to calling :meth:`unembed_sample` per sample, but the
-        majority votes of all reads happen in one gather plus one
-        segmented reduction (:class:`~repro.embedding.unembed.ChainGather`),
-        which is what the pipeline uses after a many-read device request.
+        ``qubit_order`` names the qubit of each column.  Returns
+        ``(logical, broken)``: the ``(num_reads, num_variables)`` int8
+        matrix with one column per variable of :attr:`logical_qubo`, in
+        its order, and the per-read broken-chain flags.  Row by row this
+        equals :meth:`unembed_sample` (a discarded read is all zeros
+        rather than an empty assignment), but every read resolves in one
+        gather plus one segmented reduction
+        (:class:`~repro.embedding.unembed.ChainGather`).
         """
-        if not physical_samples:
-            return []
-        qubit_order = list(physical_samples[0])
-        try:
-            states = np.array(
-                [[sample[qubit] for qubit in qubit_order] for sample in physical_samples],
-                dtype=np.int64,
-            )
-        except KeyError as exc:
-            raise EmbeddingError(
-                f"physical sample is missing qubit {exc} required by the embedding"
-            ) from exc
-        assignments, broken = resolve_chains_batch(
-            states, qubit_order, self.embedding, self.config.readout
-        )
-        return list(zip(assignments, broken))
+        gather = ChainGather(self.embedding, qubit_order, self.logical_qubo.variables)
+        return gather.resolve(states, self.config.readout)
 
     def logical_energy(self, logical_assignment: Mapping[Variable, int]) -> float:
         """Energy of a logical assignment under the *logical* QUBO."""

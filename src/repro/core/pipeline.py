@@ -305,16 +305,16 @@ class QuantumMQO:
         num_broken = 0
         num_invalid = 0
 
-        unembedded = physical.unembed_samples([sample.assignment for sample in sample_set])
-        # One batched decode costs/validates every read at once; the loop
-        # below only tracks incumbents and repairs the invalid reads.
-        raw_solutions = mapping.solutions_from_sampleset(
-            [logical_assignment for logical_assignment, _broken in unembedded]
-        )
-        for sample, (logical_assignment, broken), raw_solution in zip(
-            sample_set, unembedded, raw_solutions
+        # The logical QUBO's variables are the plan indices 0..P-1, so the
+        # unembedded matrix is the plan-indicator matrix.  One batched
+        # decode costs/validates every read at once; the loop below only
+        # tracks incumbents and repairs the invalid reads.
+        indicator, broken = physical.unembed_samples(sample_set.states, sample_set.variables)
+        raw_solutions = mapping.solutions_from_sampleset(indicator)
+        for read_index, (read_broken, raw_solution) in enumerate(
+            zip(broken.tolist(), raw_solutions)
         ):
-            if broken:
+            if read_broken:
                 num_broken += 1
             if not raw_solution.is_valid:
                 num_invalid += 1
@@ -323,15 +323,13 @@ class QuantumMQO:
 
             candidate = raw_solution
             if not candidate.is_valid and self.repair_invalid:
-                candidate = mapping.repair(logical_assignment)
+                candidate = mapping.repair(dict(enumerate(indicator[read_index].tolist())))
             if candidate.is_valid and (
                 best_solution is None or candidate.cost < best_solution.cost
             ):
                 best_solution = candidate
             current_best = best_solution.cost if best_solution is not None else float("inf")
-            trajectory.append(
-                (sample_set.device_time_ms(sample.read_index + 1), current_best)
-            )
+            trajectory.append((sample_set.device_time_ms(read_index + 1), current_best))
 
         if best_solution is None:
             # No read produced (or could be repaired into) a valid solution;

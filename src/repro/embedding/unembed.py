@@ -22,7 +22,6 @@ __all__ = [
     "ChainGather",
     "majority_vote",
     "resolve_chains",
-    "resolve_chains_batch",
 ]
 
 Variable = Hashable
@@ -120,11 +119,21 @@ class ChainGather:
     qubit_order:
         The physical qubit corresponding to each column of the state
         matrices that will be resolved.
+    variables:
+        The logical variables to resolve, in output column order (all of
+        the embedding's, in its order, by default).
     """
 
-    def __init__(self, embedding: Embedding, qubit_order: Sequence[int]) -> None:
+    def __init__(
+        self,
+        embedding: Embedding,
+        qubit_order: Sequence[int],
+        variables: Sequence[Variable] | None = None,
+    ) -> None:
         position = {qubit: column for column, qubit in enumerate(qubit_order)}
-        self.variables: List[Variable] = list(embedding.variables)
+        self.variables: List[Variable] = list(
+            embedding.variables if variables is None else variables
+        )
         flat: List[int] = []
         lengths: List[int] = []
         for var in self.variables:
@@ -148,9 +157,9 @@ class ChainGather:
         Returns ``(assignments, broken)`` where ``assignments`` is a
         ``(num_reads, num_variables)`` int8 matrix in the order of
         :attr:`variables` and ``broken`` flags reads with at least one
-        inconsistent chain.  With :attr:`ChainReadout.DISCARD` the
-        assignment rows of broken reads are *not* blanked here — the
-        dictionary-level wrappers implement the discard convention.
+        inconsistent chain.  With :attr:`ChainReadout.DISCARD` the rows
+        of broken reads are blanked to all zeros (the array form of
+        :func:`resolve_chains`' empty assignment).
         """
         states = np.asarray(states)
         if states.ndim != 2:
@@ -167,32 +176,7 @@ class ChainGather:
         else:
             # Majority with ties resolving to 1, matching majority_vote.
             assignments = (2 * ones >= self.lengths).astype(np.int64)
-        return assignments.astype(np.int8), broken
-
-
-def resolve_chains_batch(
-    states: np.ndarray,
-    qubit_order: Sequence[int],
-    embedding: Embedding,
-    readout: ChainReadout = ChainReadout.MAJORITY,
-) -> Tuple[List[Dict[Variable, int]], List[bool]]:
-    """Convert a batch of physical state rows into logical assignments.
-
-    Vectorised equivalent of calling :func:`resolve_chains` on every row
-    of ``states`` (columns ordered by ``qubit_order``): one gather and
-    one segmented reduction resolve all reads at once.  Returns the
-    per-read assignment dictionaries and broken-chain flags; with
-    :attr:`ChainReadout.DISCARD` broken reads get an empty assignment,
-    matching the scalar function.
-    """
-    gather = ChainGather(embedding, qubit_order)
-    matrix, broken = gather.resolve(states, readout)
-    assignments: List[Dict[Variable, int]] = []
-    for row, row_broken in zip(matrix, broken):
-        if readout is ChainReadout.DISCARD and row_broken:
-            assignments.append({})
-        else:
-            assignments.append(
-                {var: int(row[i]) for i, var in enumerate(gather.variables)}
-            )
-    return assignments, [bool(flag) for flag in broken]
+        assignments = assignments.astype(np.int8)
+        if readout is ChainReadout.DISCARD:
+            assignments[broken] = 0
+        return assignments, broken

@@ -36,13 +36,15 @@ and compatibility; the clustering itself no longer builds it.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.exceptions import InvalidProblemError
 from repro.mqo.problem import MQOProblem
+
+if TYPE_CHECKING:  # pragma: no cover - networkx is an optional dependency
+    import networkx as nx
 
 __all__ = [
     "query_sharing_graph",
@@ -56,12 +58,15 @@ __all__ = [
 ]
 
 
-def query_sharing_graph(problem: MQOProblem) -> nx.Graph:
+def query_sharing_graph(problem: MQOProblem) -> "nx.Graph":
     """The weighted query-interaction graph (networkx view, for inspection).
 
     Nodes are query indices; an edge carries the accumulated savings
-    between plans of the two queries.
+    between plans of the two queries.  Requires the optional networkx
+    package.
     """
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(query.index for query in problem.queries)
     q1, q2, weight = problem.arrays().query_edges()

@@ -117,10 +117,8 @@ def execute_fused_requests(
             )
 
         # Pass 3 — per-request assembly and decoding (solo code paths).
-        for member, (block_states, block_compiled) in zip(members, sampled):
-            results[member.index] = _assemble_member(
-                member, block_states, block_compiled, stopwatch
-            )
+        for member, (block_states, _compiled) in zip(members, sampled):
+            results[member.index] = _assemble_member(member, block_states, stopwatch)
 
     assert all(result is not None for result in results)
     return results  # type: ignore[return-value]
@@ -178,7 +176,6 @@ def _prepare_member(
 def _assemble_member(
     member: _FusionMember,
     block_states,
-    block_compiled,
     stopwatch: Stopwatch,
 ) -> SolveResult:
     """Decode one fused member through its solo assembly path."""
@@ -186,10 +183,8 @@ def _assemble_member(
     tracer = get_tracer()
     try:
         device = member.pipeline.device
-        per_batch_assignments = device.batch_assignments(
-            block_states, block_compiled, member.programmed.batch_sizes
-        )
-        sample_set = device.assemble_samples(member.programmed, per_batch_assignments)
+        states = device.batch_assignments(member.programmed, block_states)
+        sample_set = device.assemble_samples(member.programmed, states)
         with tracer.span("mqo.decode") as span:
             mqo_result = member.pipeline._collect_result(
                 request.problem,

@@ -4,8 +4,9 @@ The service registry and the portfolio scheduler speak the
 :class:`~repro.baselines.anytime.AnytimeSolver` interface, so the QA
 pipeline needs a thin adapter that
 
-* translates a wall-clock budget into a number of annealing reads using
-  the device's per-read duration (budget / time-per-read, clamped),
+* translates a *device-time* budget into a number of annealing reads
+  using the device's per-read duration (budget / time-per-read,
+  clamped: 40 ms at 376 us per read is 106 reads),
 * runs :class:`~repro.core.pipeline.QuantumMQO` end to end, and
 * reports the anytime trajectory on the *device time* axis, exactly as
   the paper's Figures 4 and 5 account for the annealer.
@@ -103,7 +104,12 @@ class QuantumAnnealingSolver(AnytimeSolver):
         return DWAVE_2X.total_qubits
 
     def reads_for_budget(self, time_budget_ms: float) -> int:
-        """Translate a wall-clock budget into a clamped read count."""
+        """Translate a device-time budget into a clamped read count.
+
+        The budget buys ``budget / time_per_read`` reads of device time
+        (40 ms -> 106 reads on the D-Wave 2X), clamped to
+        ``[min_reads, max_reads]``; host simulation time is not counted.
+        """
         raw = int(time_budget_ms / self.spec.time_per_read_ms)
         return max(self.min_reads, min(self.max_reads, raw))
 

@@ -1,8 +1,8 @@
-"""Tests for gauge (spin-reversal) transformations."""
+"""Tests for the dictionary gauge transform the array programming is checked against."""
 
 import pytest
+from oracles import GaugeTransform, random_gauge
 
-from repro.annealer.gauge import GaugeTransform, random_gauge
 from repro.exceptions import DeviceError
 from repro.qubo.ising import IsingModel, binary_to_spins
 from repro.qubo.model import QUBOModel

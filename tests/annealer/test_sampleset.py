@@ -1,5 +1,6 @@
 """Tests for the SampleSet container."""
 
+import numpy as np
 import pytest
 
 from repro.annealer.sampleset import Sample, SampleSet
@@ -7,13 +8,14 @@ from repro.exceptions import DeviceError
 
 
 def _make_sampleset():
-    samples = [
-        Sample(assignment={0: 1}, energy=5.0, read_index=0, gauge_index=0),
-        Sample(assignment={0: 0}, energy=3.0, read_index=1, gauge_index=0),
-        Sample(assignment={0: 1}, energy=4.0, read_index=2, gauge_index=1),
-        Sample(assignment={0: 0}, energy=3.0, read_index=3, gauge_index=1),
-    ]
-    return SampleSet(samples=samples, per_read_time_ms=0.376, programming_time_ms=1.0)
+    return SampleSet(
+        states=np.array([[1], [0], [1], [0]]),
+        variables=[0],
+        read_energies=np.array([5.0, 3.0, 4.0, 3.0]),
+        gauge_indices=np.array([0, 0, 1, 1]),
+        per_read_time_ms=0.376,
+        programming_time_ms=1.0,
+    )
 
 
 class TestSampleSet:
@@ -23,6 +25,19 @@ class TestSampleSet:
         assert sampleset.num_reads == 4
         assert [s.read_index for s in sampleset] == [0, 1, 2, 3]
         assert sampleset[2].energy == 4.0
+
+    def test_samples_are_views_of_the_arrays(self):
+        sampleset = _make_sampleset()
+        assert sampleset[2] == Sample(assignment={0: 1}, energy=4.0, read_index=2, gauge_index=1)
+        assert sampleset[-1].read_index == 3
+        with pytest.raises(IndexError):
+            sampleset[4]
+
+    def test_inconsistent_arrays_rejected(self):
+        with pytest.raises(DeviceError):
+            SampleSet(states=np.zeros((2, 1)), variables=[0, 1], read_energies=np.zeros(2))
+        with pytest.raises(DeviceError):
+            SampleSet(states=np.zeros((2, 1)), variables=[0], read_energies=np.zeros(3))
 
     def test_best_breaks_ties_by_read_order(self):
         sampleset = _make_sampleset()

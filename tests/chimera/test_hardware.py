@@ -61,3 +61,15 @@ class TestBuildTopology:
         topo = small_spec.build_topology()
         assert topo.rows == 4 and topo.cols == 4
         assert topo.num_qubits == 128
+
+    def test_defect_free_topology_is_built_once_per_shape(self):
+        from repro.service.qa_adapter import QuantumAnnealingSolver
+
+        shared = DWAVE_2X.build_topology(perfect=True)
+        assert DWAVE_2X.build_topology(perfect=True) is shared
+        renamed = DWaveSpec(name="renamed", cell_rows=12, cell_cols=12)
+        assert renamed.build_topology() is shared
+        solver = QuantumAnnealingSolver()
+        first, second = solver._build_pipeline(seed=1), solver._build_pipeline(seed=2)
+        assert first.device.topology is second.device.topology is shared
+        assert DWAVE_2X.build_topology(seed=5) is not DWAVE_2X.build_topology(seed=5)

@@ -72,13 +72,13 @@ class TestDegreeStructure:
         assert not tiny_chimera.has_coupler(left_col, right_col_next_row)
 
     def test_chimera_graph_is_bipartite(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         graph = ChimeraGraph(3, 3).to_networkx()
         assert nx.is_bipartite(graph)
 
     def test_chimera_graph_is_connected(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         graph = ChimeraGraph(3, 3).to_networkx()
         assert nx.is_connected(graph)

@@ -132,12 +132,14 @@ class TestBatchedDecode:
     def test_accepts_sample_sets_and_matrices(self, small_problem):
         import numpy as np
 
-        from repro.annealer.sampleset import Sample, SampleSet
+        from repro.annealer.sampleset import SampleSet
 
         mapping = LogicalMapping(small_problem)
         assignment = {0: 1, 3: 1, 4: 1, 7: 1}
         sample_set = SampleSet(
-            samples=[Sample(assignment=assignment, energy=0.0, read_index=0)]
+            states=np.array([list(assignment.values())]),
+            variables=list(assignment),
+            read_energies=np.zeros(1),
         )
         from_set = mapping.solutions_from_sampleset(sample_set)
         matrix = np.zeros((1, small_problem.num_plans), dtype=np.int8)

@@ -1,6 +1,5 @@
 """Tests for the general greedy chain-growth embedder."""
 
-import networkx as nx
 import pytest
 
 from repro.chimera.topology import ChimeraGraph
@@ -27,6 +26,7 @@ class TestGreedyEmbedder:
         embedding.validate(small_chimera, interactions)
 
     def test_embeds_random_sparse_graph(self, small_chimera):
+        nx = pytest.importorskip("networkx")
         graph = nx.gnm_random_graph(12, 18, seed=5)
         interactions = list(graph.edges())
         embedding = GreedyEmbedder(small_chimera).embed(

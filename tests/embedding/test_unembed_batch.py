@@ -2,14 +2,10 @@
 
 import numpy as np
 import pytest
+from oracles import resolve_chains_batch
 
 from repro.embedding.base import Embedding
-from repro.embedding.unembed import (
-    ChainGather,
-    ChainReadout,
-    resolve_chains,
-    resolve_chains_batch,
-)
+from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
 from repro.exceptions import EmbeddingError
 
 
@@ -90,16 +86,20 @@ class TestPhysicalMappingBatchReadout:
     def test_unembed_samples_matches_scalar(self):
         physical = _prepared_physical()
         qubits = physical.physical_qubo.variables
-        _states, dicts = _random_samples(qubits, num_reads=16, seed=3)
-        batch = physical.unembed_samples(dicts)
-        for sample_dict, (assignment, broken) in zip(dicts, batch):
+        states, dicts = _random_samples(qubits, num_reads=16, seed=3)
+        logical, broken = physical.unembed_samples(states, qubits)
+        variables = physical.logical_qubo.variables
+        for sample_dict, row, row_broken in zip(dicts, logical, broken):
             expected_assignment, expected_broken = physical.unembed_sample(sample_dict)
-            assert assignment == expected_assignment
-            assert broken == expected_broken
+            assert dict(zip(variables, row.tolist())) == expected_assignment
+            assert row_broken == expected_broken
 
     def test_empty_batch(self):
         physical = _prepared_physical(num_queries=2, seed=0)
-        assert physical.unembed_samples([]) == []
+        qubits = physical.physical_qubo.variables
+        logical, broken = physical.unembed_samples(np.zeros((0, len(qubits))), qubits)
+        assert logical.shape == (0, physical.logical_qubo.num_variables)
+        assert broken.shape == (0,)
 
 
 class TestPreparedMismatchGuard:

@@ -1,0 +1,158 @@
+"""Pinned QA answers: seeded solves must keep their exact outputs.
+
+The annealer's host-side code (gauge programming, read-out, chain
+decoding) may be rewritten for speed, but every seeded request must keep
+returning the same selected plans, best cost and trajectory.  This module
+replays a fixed set of solves covering every QA entry point and compares
+them with ``qa_pinned.json``:
+
+* one Section 7.1 instance per paper class through ``ServiceFrontend.submit``,
+* the same requests as one ``ServiceFrontend.submit_fused`` window,
+* a default (noisy, defective) device through ``QuantumMQO.solve``,
+* a device with sequential gauge batches (``batch_gauges=False``),
+* noisy solves with the ``FIRST`` and ``DISCARD`` chain read-outs.
+
+Regenerate the fixture only when a change is *meant* to alter answers::
+
+    PYTHONPATH=src python tests/integration/test_qa_pinned.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+from typing import Any, Dict, List
+
+import pytest
+
+from repro.annealer.device import DWaveSamplerSimulator
+from repro.chimera.hardware import DWAVE_2X
+from repro.core.physical import PhysicalMappingConfig
+from repro.core.pipeline import QuantumMQO, QuantumMQOResult
+from repro.embedding.unembed import ChainReadout
+from repro.mqo.generator import generate_paper_testcase
+from repro.service.frontend import ServiceFrontend
+from repro.service.jobs import SolveRequest, SolveResult
+from repro.workloads.embedded import generate_embedded_testcase
+
+FIXTURE = Path(__file__).with_name("qa_pinned.json")
+
+#: (plans per query, queries) of the four paper classes, kept small.
+PAPER_CLASSES = ((2, 8), (3, 6), (4, 5), (5, 4))
+
+
+def _class_requests() -> List[SolveRequest]:
+    topology = DWAVE_2X.build_topology(perfect=True)
+    return [
+        SolveRequest(
+            problem=generate_embedded_testcase(
+                num_queries=queries,
+                plans_per_query=plans,
+                topology=topology,
+                seed=100 + plans,
+            ).problem,
+            solver="QA",
+            time_budget_ms=40.0,
+            seed=1000 + plans,
+        )
+        for plans, queries in PAPER_CLASSES
+    ]
+
+
+def _service_record(result: SolveResult) -> Dict[str, Any]:
+    assert result.ok, result.error
+    return {
+        "selected_plans": sorted(result.selected_plans),
+        "best_cost": result.best_cost,
+        "trajectory": [[float(t), float(c)] for t, c in result.trajectory],
+    }
+
+
+def _pipeline_record(result: QuantumMQOResult) -> Dict[str, Any]:
+    return {
+        "selected_plans": sorted(result.best_solution.selected_plans),
+        "best_cost": result.best_solution.cost,
+        "raw_selected_plans": sorted(result.best_raw_solution.selected_plans),
+        "raw_cost": result.best_raw_solution.cost,
+        "trajectory": [[float(t), float(c)] for t, c in result.trajectory],
+        "num_broken_chain_reads": result.num_broken_chain_reads,
+        "num_invalid_reads": result.num_invalid_reads,
+    }
+
+
+def _noisy_solve(readout: ChainReadout = ChainReadout.MAJORITY, **device_kwargs) -> QuantumMQOResult:
+    problem = generate_paper_testcase(5, 4, seed=3)
+    device = DWaveSamplerSimulator(seed=11, **device_kwargs)
+    pipeline = QuantumMQO(
+        device=device, physical_config=PhysicalMappingConfig(readout=readout), seed=11
+    )
+    return pipeline.solve(problem, num_reads=60, num_gauges=6, seed=17)
+
+
+def pinned_outputs() -> Dict[str, Dict[str, Any]]:
+    """Every pinned case, computed by the code under test."""
+    outputs: Dict[str, Dict[str, Any]] = {}
+    requests = _class_requests()
+    for (plans, _queries), request in zip(PAPER_CLASSES, requests):
+        outputs[f"submit/{plans}-plans"] = _service_record(ServiceFrontend().submit(request))
+    fused = ServiceFrontend().submit_fused(requests)
+    for (plans, _queries), result in zip(PAPER_CLASSES, fused):
+        outputs[f"submit_fused/{plans}-plans"] = _service_record(result)
+    outputs["noisy-default-device"] = _pipeline_record(
+        QuantumMQO(seed=21).solve(generate_paper_testcase(6, 3, seed=5), num_reads=50)
+    )
+    outputs["sequential-gauges"] = _pipeline_record(
+        _noisy_solve(num_sweeps=100, batch_gauges=False)
+    )
+    for readout in (ChainReadout.FIRST, ChainReadout.DISCARD):
+        outputs[f"readout/{readout.value}"] = _pipeline_record(
+            _noisy_solve(readout)
+        )
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def computed() -> Dict[str, Dict[str, Any]]:
+    return pinned_outputs()
+
+
+@pytest.fixture(scope="module")
+def pinned() -> Dict[str, Dict[str, Any]]:
+    return json.loads(FIXTURE.read_text())
+
+
+def test_fixture_covers_every_case(computed, pinned):
+    assert sorted(computed) == sorted(pinned)
+
+
+CASES = (
+    [f"submit/{plans}-plans" for plans, _ in PAPER_CLASSES]
+    + [f"submit_fused/{plans}-plans" for plans, _ in PAPER_CLASSES]
+    + ["noisy-default-device", "sequential-gauges", "readout/first", "readout/discard"]
+)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_output_unchanged(case, computed, pinned):
+    assert computed[case] == pinned[case]
+
+
+def test_readout_cases_exercise_broken_chains(pinned):
+    """The read-out cases only pin something if chains actually break."""
+    for case in ("readout/first", "readout/discard"):
+        reads = len(pinned[case]["trajectory"])
+        assert 0 < pinned[case]["num_broken_chain_reads"] < reads
+    assert pinned["readout/first"] != pinned["readout/discard"]
+
+
+def test_fused_window_matches_solo_submits(pinned):
+    for plans, _queries in PAPER_CLASSES:
+        assert pinned[f"submit/{plans}-plans"] == pinned[f"submit_fused/{plans}-plans"]
+
+
+if __name__ == "__main__":
+    outputs = pinned_outputs()
+    assert all(math.isfinite(case["best_cost"]) for case in outputs.values())
+    FIXTURE.write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(outputs)} cases to {FIXTURE}")

@@ -14,6 +14,10 @@ from repro.mqo.problem import MQOProblem
 
 
 class TestQuerySharingGraph:
+    @pytest.fixture(autouse=True)
+    def _needs_networkx(self):
+        pytest.importorskip("networkx")
+
     def test_nodes_are_queries(self, small_problem):
         graph = query_sharing_graph(small_problem)
         assert set(graph.nodes) == {0, 1, 2, 3}
