@@ -5,13 +5,15 @@ gather/CSR kernels makes the simulated annealer ≥5x faster and ≥10x
 smaller in memory than the historical dense ``(n, n)`` implementation on
 Chimera-shaped problems (degree ≤ 6), at equal seeds and sweeps.
 
-Three exhibits:
+Four exhibits, all through the one annealing kernel:
 
-* wall clock of the new sparse backend vs a faithful reimplementation
-  of the pre-PR dense sampler (dense matrix, ``np.where`` Metropolis),
+* wall clock of the sparse kernel vs a faithful reimplementation of
+  the pre-PR dense sampler (dense matrix, ``np.where`` Metropolis),
 * compiled-problem memory: sparse arrays vs the dense coupling matrix,
-* gauge-batch amortisation: the device's fused block-diagonal anneal
-  vs sequentially annealing each gauge batch.
+* gauge-batch amortisation: ten service-sized gauge batches annealed as
+  one group of ten blocks vs ten solo calls,
+* the same comparison at ``paper-classes`` size: ten blocks of 1152
+  variables (the full D-Wave 2X), 11 reads, 100 sweeps.
 
 Results are persisted as JSON (``benchmark_results/sparse_annealer.json``)
 so regressions are machine-checkable; `docs/annealer.md` quotes these
@@ -92,6 +94,21 @@ def _best_of(callable_, repeats=REPEATS):
     return best
 
 
+def _fused_vs_looped(topology, num_reads, num_sweeps, num_blocks=10, repeats=3):
+    """Best-of wall clock: ``num_blocks`` blocks as one group vs one call each."""
+    blocks = [random_chimera_qubo(topology.edges(), topology.qubits, seed=s) for s in range(num_blocks)]
+    sampler = SimulatedAnnealingSampler(num_sweeps=num_sweeps)
+    sampler.sample_block_states(blocks, num_reads=2, seed=0)  # warm up the structure cache
+
+    def run_fused():
+        return sampler.sample_block_states(blocks, num_reads=num_reads, seed=SEED)
+
+    def run_looped():
+        return [sampler.sample_states(block, num_reads=num_reads, seed=SEED) for block in blocks]
+
+    return _best_of(run_fused, repeats=repeats), _best_of(run_looped, repeats=repeats)
+
+
 def bench_sparse_annealer(benchmark, save_exhibit):
     topology = ChimeraGraph(8, 8)  # 512 qubits, degree <= 6
     qubo = random_chimera_qubo(topology.edges(), topology.qubits, seed=7)
@@ -116,47 +133,15 @@ def bench_sparse_annealer(benchmark, save_exhibit):
     benchmark.pedantic(run_sparse, rounds=1, iterations=1)
     speedup = dense_s / sparse_s
 
-    # Optional lane: the native numba sweep kernel (skips cleanly when
-    # the optional dependency is absent, e.g. in CI).
-    from repro.annealer.numba_kernels import HAVE_NUMBA
-
-    numba_s = None
-    if HAVE_NUMBA:
-        native = SimulatedAnnealingSampler(
-            num_sweeps=NUM_SWEEPS, backend="numba", compile_cache=CompileCache(maxsize=0)
-        )
-
-        def run_numba():
-            return native.sample_states(qubo, num_reads=NUM_READS, seed=SEED)
-
-        run_numba()  # warm up (triggers JIT compilation)
-        numba_s = _best_of(run_numba)
-
     compiled = compile_qubo(qubo)
     dense_bytes = compiled.num_variables**2 * 8
     sparse_bytes = compiled.nbytes_sparse()
     memory_ratio = dense_bytes / sparse_bytes
 
     # Gauge-batch amortisation: 10 same-structure blocks fused vs looped.
-    from repro.annealer.batched import BatchedAnnealer
-
     small_topology = ChimeraGraph(3, 3)  # service-sized problems: dispatch-bound
-    blocks = [
-        random_chimera_qubo(small_topology.edges(), small_topology.qubits, seed=s)
-        for s in range(10)
-    ]
-    batched = BatchedAnnealer(num_sweeps=NUM_SWEEPS)
-    looped = SimulatedAnnealingSampler(num_sweeps=NUM_SWEEPS)
-    batched.sample_blocks(blocks, num_reads=4, seed=0)  # warm up
-
-    def run_fused():
-        return batched.sample_blocks(blocks, num_reads=NUM_READS, seed=SEED)
-
-    def run_looped():
-        return [looped.sample(b, num_reads=NUM_READS, seed=SEED) for b in blocks]
-
-    fused_s = _best_of(run_fused, repeats=3)
-    looped_s = _best_of(run_looped, repeats=3)
+    fused_s, looped_s = _fused_vs_looped(small_topology, NUM_READS, NUM_SWEEPS)
+    paper_fused_s, paper_looped_s = _fused_vs_looped(ChimeraGraph(12, 12), 11, 100)
 
     record = {
         "variables": compiled.num_variables,
@@ -172,10 +157,10 @@ def bench_sparse_annealer(benchmark, save_exhibit):
         "gauge_batch_fused_ms": round(fused_s * 1000, 2),
         "gauge_batch_looped_ms": round(looped_s * 1000, 2),
         "gauge_batch_speedup": round(looped_s / fused_s, 2),
+        "paper_batch_fused_ms": round(paper_fused_s * 1000, 2),
+        "paper_batch_looped_ms": round(paper_looped_s * 1000, 2),
+        "paper_batch_speedup": round(paper_looped_s / paper_fused_s, 2),
     }
-    if numba_s is not None:
-        record["numba_ms"] = round(numba_s * 1000, 2)
-        record["numba_speedup_vs_sparse"] = round(sparse_s / numba_s, 2)
     results_dir = Path(__file__).resolve().parent.parent / "benchmark_results"
     results_dir.mkdir(exist_ok=True)
     (results_dir / "sparse_annealer.json").write_text(json.dumps(record, indent=2))

@@ -80,7 +80,6 @@ from repro.core import (
     map_mqo_to_qubo,
 )
 from repro.annealer import (
-    BatchedAnnealer,
     CompileCache,
     CompiledQUBO,
     DWaveSamplerSimulator,
@@ -244,7 +243,6 @@ __all__ = [
     # annealer
     "DWaveSamplerSimulator",
     "SimulatedAnnealingSampler",
-    "BatchedAnnealer",
     "CompileCache",
     "CompiledQUBO",
     "compile_qubo",

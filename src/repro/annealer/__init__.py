@@ -6,6 +6,9 @@ package substitutes that hardware with a software device model:
 * :class:`SimulatedAnnealingSampler` — a vectorised single-flip
   Metropolis annealer over QUBO models (the classical stand-in for the
   quantum annealing dynamics, in the spirit of D-Wave's ``neal``),
+* :class:`FusionWindow` — the one annealing kernel every sample runs
+  through: a fused colour-class sweep over one or many jobs, each a
+  group of one or many QUBO blocks,
 * :class:`DWaveSamplerSimulator` — the device facade: it only accepts
   problems that respect the Chimera topology, models per-qubit bias
   noise, applies gauge (spin-reversal) transforms per batch of reads and
@@ -22,11 +25,9 @@ from repro.annealer.compile import (
     default_compile_cache,
 )
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
-from repro.annealer.batched import BatchedAnnealer, BlockResult
 from repro.annealer.fusion import FusionGroup, FusionWindow, fused_sample_block_states
 from repro.annealer.noise import NoiseModel
 from repro.annealer.device import DWaveSamplerSimulator, ProgrammedAnneal
-from repro.annealer.numba_kernels import HAVE_NUMBA
 
 __all__ = [
     "AnnealingSchedule",
@@ -39,13 +40,10 @@ __all__ = [
     "compile_qubo",
     "default_compile_cache",
     "SimulatedAnnealingSampler",
-    "BatchedAnnealer",
-    "BlockResult",
     "FusionGroup",
     "FusionWindow",
     "fused_sample_block_states",
     "NoiseModel",
     "DWaveSamplerSimulator",
     "ProgrammedAnneal",
-    "HAVE_NUMBA",
 ]

@@ -7,12 +7,14 @@ Chimera-embedded QUBOs have degree at most six, which makes the dense
 form almost entirely zeros at any interesting size.  This module
 replaces it with flat arrays:
 
-* the symmetric adjacency in CSR form (``indptr`` implied by per-class
-  gather plans, ``indices``/``data`` flattened),
-* per colour class a precomputed *gather plan* so the local field of the
-  whole class is one fancy-index + multiply + ``np.add.reduceat`` —
-  cost proportional to the number of non-zeros touching the class,
+* the symmetric adjacency in CSR form, split by colour class: each
+  class's rows (its members' neighbour indices and weights) are one
+  small CSR matrix whose product with the state matrix is the class's
+  local field — cost proportional to the non-zeros touching the class,
 * the interaction list (each edge once) for vectorised energies.
+
+The annealing kernel (:mod:`repro.annealer.fusion`) stitches the
+per-class CSR rows of many compiled blocks into one fused sweep.
 
 Compilation itself (greedy colouring + gather-plan construction) is the
 expensive part, so the *structure* — everything that depends only on
@@ -32,45 +34,6 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-try:  # scipy's CSR matvec is the fastest local-field kernel; the
-    # reduceat gather path below is the pure-numpy fallback.
-    from scipy.sparse import csr_matrix as _csr_matrix
-except ImportError:  # pragma: no cover - scipy is a standard dependency
-    _csr_matrix = None
-
-try:  # the raw C kernel skips scipy's per-call dispatch/validation, which
-    # costs as much as the multiplication itself at annealing-class sizes;
-    # csr_field_kernel() falls back to .dot() when the symbol moves.
-    from scipy.sparse import _sparsetools as _sp_sparsetools
-
-    _csr_matvecs = _sp_sparsetools.csr_matvecs
-except (ImportError, AttributeError):  # pragma: no cover - version drift guard
-    _csr_matvecs = None
-
-
-def csr_field_kernel(matrix):
-    """A ``dense -> matrix @ dense`` callable bound to one CSR matrix.
-
-    ``matrix`` is a scipy ``csr_matrix`` of shape ``(m, n)``; the
-    returned callable maps a C-contiguous ``(n, r)`` float64 array to
-    the ``(m, r)`` product, using scipy's raw ``csr_matvecs`` kernel
-    when available and ``matrix.dot`` otherwise.
-    """
-    if _csr_matvecs is None:
-        return matrix.dot
-    num_rows, num_cols = matrix.shape
-    indptr, indices, data = matrix.indptr, matrix.indices, matrix.data
-
-    def apply(dense: np.ndarray) -> np.ndarray:
-        out = np.zeros((num_rows, dense.shape[1]))
-        _csr_matvecs(
-            num_rows, num_cols, dense.shape[1], indptr, indices, data,
-            dense.ravel(), out.ravel(),
-        )
-        return out
-
-    return apply
-
 from repro.qubo.model import QUBOModel
 
 __all__ = [
@@ -81,7 +44,6 @@ __all__ = [
     "compile_qubo",
     "default_compile_cache",
     "greedy_coloring",
-    "segment_sum",
     "structure_key",
 ]
 
@@ -111,29 +73,6 @@ def greedy_coloring(adjacency: List[List[int]]) -> List[List[int]]:
     return [classes[color] for color in sorted(classes)]
 
 
-def segment_sum(
-    product: np.ndarray,
-    reduce_starts: np.ndarray,
-    num_segments: int,
-    empty_members: Optional[np.ndarray],
-) -> np.ndarray:
-    """Per-segment row sums of ``product`` via ``np.add.reduceat``.
-
-    ``reduce_starts`` covers only the leading segments that begin inside
-    the array (trailing empty segments are zero-padded back in), and
-    ``empty_members`` marks segments of length zero anywhere in the
-    class, whose reduceat slots hold garbage and are zeroed.
-    """
-    reduced = np.add.reduceat(product, reduce_starts, axis=1)
-    if reduced.shape[1] != num_segments:
-        padded = np.zeros((product.shape[0], num_segments))
-        padded[:, : reduced.shape[1]] = reduced
-        reduced = padded
-    if empty_members is not None:
-        reduced[:, empty_members] = 0.0
-    return reduced
-
-
 def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Vectorised ``concat(arange(s, s+l) for s, l in zip(starts, lengths))``."""
     mask = lengths > 0
@@ -152,7 +91,7 @@ def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassUpdatePlan:
-    """Gather plan for the local-field update of one colour class.
+    """CSR rows for the local-field update of one colour class.
 
     Attributes
     ----------
@@ -160,38 +99,22 @@ class ClassUpdatePlan:
         Variable indices of the class.
     neighbor_cols:
         Flat concatenation of every member's neighbour indices (the
-        CSR ``indices`` restricted to the class's rows).
+        CSR ``indices`` restricted to the class's rows), ascending per
+        member.
     data_slots:
         Position of each entry of :attr:`neighbor_cols` in the compiled
         symmetric data array (used to refresh weights cheaply).
-    reduce_starts:
-        Segment starts for ``np.add.reduceat`` over the flat product.
-        Only the leading members whose segment begins inside the flat
-        array are listed (trailing neighbour-less members would index
-        past the end and would corrupt the preceding segment if clipped);
-        :func:`segment_sum` zero-pads the reduction back to one column
-        per member.
-    segment_lengths:
-        Neighbour count per member (the batched annealer rebuilds fused
-        segment boundaries from these).
     indptr:
-        Per-class CSR row pointers (``[0, cumsum(segment_lengths)]``):
-        together with :attr:`neighbor_cols` and the gathered weights they
-        form the ``(len(members), n)`` CSR matrix whose product with the
-        state matrix is the class's coupling field.
-    empty_members:
-        Boolean mask of members without neighbours (their reduceat slot
-        holds garbage and is zeroed), or ``None`` when every member has
-        at least one neighbour.
+        Per-class CSR row pointers: together with :attr:`neighbor_cols`
+        and the gathered weights they form the ``(len(members), n)`` CSR
+        matrix whose product with the state matrix is the class's
+        coupling field.
     """
 
     members: np.ndarray
     neighbor_cols: np.ndarray
     data_slots: np.ndarray
-    reduce_starts: np.ndarray
-    segment_lengths: np.ndarray
     indptr: np.ndarray
-    empty_members: Optional[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -228,11 +151,7 @@ class CompiledQUBO:
     Pairs a (possibly shared) :class:`CompiledStructure` with the
     weight-dependent arrays: linear fields, per-edge weights, the
     symmetric CSR data and, pre-gathered per colour class, the
-    neighbour weights each sweep multiplies against.  When scipy is
-    available, :attr:`class_matrices` additionally holds one
-    ``(len(class), n)`` CSR matrix per colour class (built from the
-    plan's ``indptr``/``neighbor_cols`` and the gathered data) whose
-    matvec against the state matrix is the fastest local-field kernel.
+    neighbour weights of each class's CSR rows.
     """
 
     structure: CompiledStructure
@@ -242,7 +161,6 @@ class CompiledQUBO:
     class_neighbor_data: List[np.ndarray]
     offset: float
     max_abs_weight: float
-    class_matrices: Optional[List[Any]] = None
 
     @property
     def variables(self) -> List[Variable]:
@@ -259,34 +177,6 @@ class CompiledQUBO:
         """Number of colour classes."""
         return len(self.structure.classes)
 
-    def local_field(self, states: np.ndarray, class_index: int) -> np.ndarray:
-        """Local field ``h_i + sum_j J_ij x_rj`` for one colour class.
-
-        ``states`` is the ``(num_reads, n)`` 0/1 state matrix; the
-        result has shape ``(num_reads, len(class))`` and costs
-        ``O(num_reads * nnz(class))`` — independent of ``n``.
-        """
-        return self.local_field_t(np.ascontiguousarray(states.T), class_index).T
-
-    def local_field_t(self, states_t: np.ndarray, class_index: int) -> np.ndarray:
-        """Transposed-layout local field used by the annealing hot loop.
-
-        ``states_t`` is the ``(n, num_reads)`` state matrix (variables
-        as rows, so a colour class is a contiguous row gather); the
-        result has shape ``(len(class), num_reads)``.
-        """
-        plan = self.structure.classes[class_index]
-        base = self.linear[plan.members][:, None]
-        if plan.neighbor_cols.size == 0:
-            return np.broadcast_to(base, (base.shape[0], states_t.shape[1])).copy()
-        if self.class_matrices is not None:
-            return base + self.class_matrices[class_index].dot(states_t)
-        product = states_t[plan.neighbor_cols] * self.class_neighbor_data[class_index][:, None]
-        contribution = segment_sum(
-            product.T, plan.reduce_starts, plan.members.size, plan.empty_members
-        )
-        return base + contribution.T
-
     def energies(self, states: np.ndarray) -> np.ndarray:
         """Vectorised energies of a ``(num_reads, n)`` 0/1 state matrix."""
         total = states @ self.linear + self.offset
@@ -295,20 +185,6 @@ class CompiledQUBO:
             total = total + (states[:, edges[:, 0]] * states[:, edges[:, 1]]) @ self.edge_weights
         return total
 
-    def dense_coupling(self) -> np.ndarray:
-        """Symmetric dense coupling matrix (the pre-sparse representation).
-
-        Only used by the ``dense`` reference backend and the memory
-        benchmark; the sparse hot path never materialises it.
-        """
-        n = self.num_variables
-        coupling = np.zeros((n, n))
-        edges = self.structure.edges
-        if self.edge_weights.size:
-            np.add.at(coupling, (edges[:, 0], edges[:, 1]), self.edge_weights)
-            np.add.at(coupling, (edges[:, 1], edges[:, 0]), self.edge_weights)
-        return coupling
-
     def nbytes_sparse(self) -> int:
         """Bytes held by the sparse arrays (structure + weights)."""
         arrays: List[np.ndarray] = [self.linear, self.edge_weights, self.sym_data]
@@ -316,17 +192,7 @@ class CompiledQUBO:
         arrays.append(self.structure.edges)
         arrays.append(self.structure.sym_perm)
         for plan in self.structure.classes:
-            arrays.extend(
-                [
-                    plan.members,
-                    plan.neighbor_cols,
-                    plan.data_slots,
-                    plan.reduce_starts,
-                    plan.segment_lengths,
-                ]
-            )
-            if plan.empty_members is not None:
-                arrays.append(plan.empty_members)
+            arrays.extend([plan.members, plan.neighbor_cols, plan.data_slots, plan.indptr])
         return int(sum(array.nbytes for array in arrays))
 
 
@@ -444,20 +310,12 @@ def _build_structure(variables: Sequence[Variable], edges: np.ndarray) -> Compil
         members = np.asarray(members_list, dtype=np.int64)
         lengths = counts[members]
         data_slots = _concat_ranges(indptr[members], lengths)
-        neighbor_cols = cols_sorted[data_slots]
-        raw_starts = np.cumsum(lengths) - lengths
-        empty = lengths == 0
-        class_nnz = int(lengths.sum())
-        reduce_starts = raw_starts[raw_starts < class_nnz].astype(np.int64)
         classes.append(
             ClassUpdatePlan(
                 members=members,
-                neighbor_cols=neighbor_cols,
+                neighbor_cols=cols_sorted[data_slots],
                 data_slots=data_slots,
-                reduce_starts=reduce_starts,
-                segment_lengths=lengths,
                 indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
-                empty_members=empty if bool(empty.any()) else None,
             )
         )
     return CompiledStructure(
@@ -501,23 +359,12 @@ def compile_qubo(qubo: QUBOModel, cache: CompileCache | None = None) -> Compiled
     else:
         sym_data = np.empty(0)
         max_abs = float(np.max(np.abs(linear))) if linear.size else 0.0
-    class_neighbor_data = [sym_data[plan.data_slots] for plan in structure.classes]
-    class_matrices: Optional[List[Any]] = None
-    if _csr_matrix is not None:
-        n = len(variables)
-        class_matrices = [
-            _csr_matrix(
-                (data, plan.neighbor_cols, plan.indptr), shape=(plan.members.size, n)
-            )
-            for plan, data in zip(structure.classes, class_neighbor_data)
-        ]
     return CompiledQUBO(
         structure=structure,
         linear=linear,
         edge_weights=weights,
         sym_data=sym_data,
-        class_neighbor_data=class_neighbor_data,
+        class_neighbor_data=[sym_data[plan.data_slots] for plan in structure.classes],
         offset=float(qubo.offset),
         max_abs_weight=max_abs,
-        class_matrices=class_matrices,
     )

@@ -26,7 +26,6 @@ from typing import List, Sequence
 
 import numpy as np
 
-from repro.annealer.batched import BatchedAnnealer
 from repro.annealer.noise import NoiseModel
 from repro.annealer.sampleset import SampleSet
 from repro.annealer.schedule import AnnealingSchedule
@@ -109,18 +108,22 @@ class DWaveSamplerSimulator:
         device.
     num_sweeps:
         Sweeps per annealing read of the internal simulated annealer.
+    schedule:
+        Optional explicit temperature ladder of exactly ``num_sweeps``
+        betas (a contradicting length raises :class:`DeviceError`).
     seed:
         Seed controlling the device's static bias, gauge draws and
         annealing randomness.
     batch_gauges:
         When true (the default) all gauge batches of a request are
         packed into one block-diagonal problem and annealed in a single
-        fused state tensor by :class:`BatchedAnnealer`, amortising the
-        numpy dispatch cost across batches.  Disable to anneal the
-        batches sequentially.  The two modes draw different random
-        streams but sample the same distribution; neither replays the
-        per-seed sample values of pre-sparse-engine releases, because
-        all gauge/noise draws now happen before any annealing.
+        fused state tensor (one group of many blocks in the annealing
+        kernel), amortising the numpy dispatch cost across batches.
+        Disable to anneal the batches one by one, in gauge order.  The
+        two modes draw different random streams but sample the same
+        distribution; neither replays the per-seed sample values of
+        pre-sparse-engine releases, because all gauge/noise draws now
+        happen before any annealing.
     """
 
     def __init__(
@@ -140,8 +143,8 @@ class DWaveSamplerSimulator:
         self._rng = ensure_rng(seed)
         self.topology = topology if topology is not None else spec.build_topology(seed=self._rng)
         self.noise = noise if noise is not None else NoiseModel()
-        self.sampler = SimulatedAnnealingSampler(num_sweeps=num_sweeps, schedule=schedule)
-        self.batched_sampler = BatchedAnnealer(num_sweeps=num_sweeps, schedule=schedule)
+        #: The device's annealer: every gauge batch anneals through it.
+        self.batched_sampler = SimulatedAnnealingSampler(num_sweeps=num_sweeps, schedule=schedule)
         self.batch_gauges = batch_gauges
         self.programming_time_ms = programming_time_ms
         bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
@@ -314,7 +317,7 @@ class DWaveSamplerSimulator:
         """
         batch_sizes = programmed.batch_sizes
         rng = programmed.rng
-        if self.batch_gauges and len(batch_sizes) > 1:
+        if self.batch_gauges:
             # Fused blocks share one read count; anneal the maximum and let
             # each batch keep only its first batch_size reads.
             block_states, _compiled = self.batched_sampler.sample_block_states(
@@ -322,7 +325,7 @@ class DWaveSamplerSimulator:
             )
         else:
             block_states = [
-                self.sampler.sample_states(programmed_qubo, num_reads=batch_size, seed=rng)[0]
+                self.batched_sampler.sample_states(programmed_qubo, num_reads=batch_size, seed=rng)[0]
                 for programmed_qubo, batch_size in zip(programmed.programmed_qubos, batch_sizes)
             ]
         return self.batch_assignments(programmed, block_states)

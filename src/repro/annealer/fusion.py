@@ -1,63 +1,80 @@
-"""Cross-request anneal fusion: many jobs, one block-diagonal sweep.
+"""The annealing kernel: one fused colour-class Metropolis sweep.
 
-:class:`~repro.annealer.batched.BatchedAnnealer` fuses the gauge batches
-*within* one request into a single block-diagonal problem.  This module
-lifts the same trick one level up — the continuous-batching shape of
-modern inference serving: independent jobs that happen to be in flight
-at the same time are packed into **one** fused state tensor and annealed
-together, amortising the per-sweep numpy dispatch cost across requests
-instead of paying it once per request.
+Every anneal in :mod:`repro.annealer` runs through :class:`FusionWindow`.
+A caller hands it one :class:`FusionGroup` per independent job; a group
+holds one or more QUBO *blocks* that share the job's random stream:
 
-The contract is strict bit-identity per job: a job annealed inside a
-fusion window produces exactly the states it would have produced alone
-(same seed, same trajectory, same best read).  That holds because every
-random draw of the sweep loop is *state independent* — per job the
-stream is
+* a solo sample is one group with one block
+  (:meth:`SimulatedAnnealingSampler.sample_states
+  <repro.annealer.simulated_annealing.SimulatedAnnealingSampler.sample_states>`),
+* a gauge batch is one group with many blocks (the device simulator),
+* cross-request fusion is many groups (the server's admission window) —
+  the continuous-batching shape of modern inference serving, amortising
+  the per-sweep numpy dispatch cost across requests.
 
-1. one ``integers(0, 2, (reads, n))`` draw for the initial states,
-2. per sweep, per colour class, one ``random(out=...)`` uniform block of
-   shape ``(class_size, reads)``,
+Blocks never interact (the fused coupling is block-diagonal), so colour
+class ``k`` of every block merges into one fused class ``k``: the union
+of independent sets stays independent.
 
-and the fused loop replays the same calls with the same shapes against
-each job's own generator.  The arithmetic is identical too: blocks never
-interact (block-diagonal coupling), each job keeps its own per-block
-temperature ladder, and read columns evolve independently, so padding a
-job to the window's maximum read count only adds throwaway columns.
+**Layout.**  The fused ``(rows, reads)`` state tensor is permuted so each
+fused class is one contiguous row range — class first, then group, then
+block.  A class update reads and writes its rows as a slice.  The class's
+CSR is built once per call with its column indices remapped to the
+permuted rows; every row keeps its entries in compilation order, so
+scipy's ``csr_matvecs`` accumulates each local field in the same order,
+to the same float.
 
-Jobs may disagree on read counts, sweep counts and schedules:
+**Buffers.**  The field, the tilt ``1 - 2x``, the uniforms and the flips
+are allocated once per call, sized to the largest class; each class
+update works on their leading rows in place.  An accepted flip is
+``x = x xor flip``, exact on 0/1 states.
 
-* **reads** — the tensor is as wide as the largest job; narrower jobs
-  own padding columns that are initialised once (never drawn from the
-  job's stream) and discarded at scatter time,
-* **sweeps** — the sweep loop runs in segments between the distinct
-  sweep horizons; at each horizon the jobs that are done drop out and
-  the remaining blocks re-fuse (per-block early exit),
-* **schedule** — the per-sweep Metropolis factor uses a per-member beta
-  gathered from a per-block ladder, exactly as the within-job fusion
-  does.
+**Draws.**  A group's stream is exactly its solo stream: one
+``integers(0, 2, (reads, n))`` draw for the initial states, then per
+sweep, per colour class, one ``random(out=...)`` block in the group's
+solo shape ``(class rows of the group, reads)``.  The group's rows of a
+class are contiguous, so the draw lands in one slice of the shared
+uniforms; a group narrower than the tensor draws into its own scratch
+and copies into its left columns.  The arithmetic is identical too:
+each block keeps its own temperature ladder through a per-row ``-beta``
+column, and read columns evolve independently, so padding a group to
+the window's widest read count only adds throwaway columns.
 
-When fusion loses: one oversized job stretches every sweep of the
-window to its block size while small co-fused jobs would have finished
-cheaply alone — skewed block sizes waste the amortisation.  The server
-bounds this with its window size and by only fusing jobs that share the
-annealing-backed solver; see ``docs/fusion.md``.
+**Early exit.**  Groups have independent streams, so their order in the
+tensor is free: they are laid out by descending sweep horizon.  The rows
+still annealing are then a prefix of every class, and reaching a
+group's horizon only shortens the ranges.
+
+When fusion loses: one oversized job stretches every sweep of the window
+to its block size while small co-fused jobs would have finished cheaply
+alone.  The server bounds this with its window size and by only fusing
+jobs that share the annealing-backed solver; see ``docs/fusion.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
-from repro.annealer.batched import BatchedAnnealer, _FusedClass
 from repro.annealer.compile import CompileCache, CompiledQUBO, compile_qubo, default_compile_cache
-from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
+from repro.annealer.schedule import AnnealingSchedule, check_schedule_length, default_schedule_for
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
 
+try:  # the raw kernel behind ``csr_matrix @ dense``, without the per-call
+    # validation that costs as much as the product at colour-class sizes.
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except ImportError:  # pragma: no cover - version drift guard
+    _csr_matvecs = None
+
 __all__ = ["FusionGroup", "FusionWindow", "fused_sample_block_states"]
+
+#: Per group: its blocks' states and compiled models.
+GroupResult = Tuple[List[np.ndarray], List[CompiledQUBO]]
 
 
 @dataclass
@@ -67,7 +84,7 @@ class FusionGroup:
     Attributes
     ----------
     qubos:
-        The job's programmed gauge-batch QUBOs (its blocks).
+        The job's QUBO blocks (e.g. its programmed gauge batches).
     num_reads:
         Reads annealed for every block of this job.
     rng:
@@ -79,7 +96,11 @@ class FusionGroup:
         loop after this many sweeps).
     schedule:
         Optional explicit temperature ladder shared by the job's
-        blocks; defaults to each block's own geometric schedule.
+        blocks; defaults to each block's own geometric schedule.  Its
+        length must equal ``num_sweeps``.
+    initial_states:
+        Optional ``(num_reads, n)`` start states over the job's blocks
+        in order; drawn from ``rng`` when omitted.
     """
 
     qubos: Sequence[QUBOModel]
@@ -87,83 +108,78 @@ class FusionGroup:
     rng: SeedLike
     num_sweeps: int
     schedule: Optional[AnnealingSchedule] = None
+    initial_states: Optional[np.ndarray] = None
 
 
 @dataclass
-class _DrawSection:
-    """A contiguous run of fused-class rows owned by one group.
+class _Section:
+    """One group's rows ``[lo, hi)`` within a fused class.
 
-    ``scratch`` is ``None`` when the group spans the full read width
-    (the uniform draw then lands directly in the shared buffer);
-    otherwise draws go through the ``(rows, group_reads)`` scratch and
-    are copied into the left columns of the shared buffer.
+    ``scratch`` is ``None`` when the group spans the full tensor width
+    (its draw lands directly in the shared uniforms); otherwise draws go
+    through the ``(hi - lo, group reads)`` scratch.
     """
 
+    group: int
     rng: np.random.Generator
-    row0: int
-    row1: int
-    num_reads: int
+    lo: int
+    hi: int
     scratch: Optional[np.ndarray]
 
 
 @dataclass
-class _SegmentClass:
-    """Per-sweep work of one fused class within one horizon segment."""
+class _FusedClass:
+    """Colour class ``k`` of every block: tensor rows from ``row0`` on.
 
-    fused: _FusedClass
-    blocks_column: np.ndarray
-    sections: List[_DrawSection]
-    uniforms: np.ndarray
-    probability: np.ndarray
-    positive: np.ndarray
-    flips: np.ndarray
+    ``indptr``/``indices``/``data`` are the class's CSR rows over the
+    permuted tensor, ``linear`` its linear fields repeated across the
+    read columns (a same-shape add is several times faster than
+    broadcasting a column over a few reads), ``row_block`` the block of
+    each row.  ``group_end[g]`` counts the class's rows owned by the
+    first ``g`` groups, so the rows of the groups still annealing are
+    ``[0, group_end[active])``.
+    """
 
-
-@dataclass
-class _Segment:
-    """The fused classes active between two sweep horizons."""
-
-    sweep_start: int
-    sweep_end: int
-    active_blocks: np.ndarray
-    classes: List[_SegmentClass] = field(default_factory=list)
+    row0: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    linear: np.ndarray
+    row_block: np.ndarray
+    group_end: np.ndarray
+    sections: List[_Section]
 
 
 class FusionWindow:
-    """Fuse the annealing workloads of many independent jobs.
+    """Anneal many independent jobs in one fused colour-class sweep.
 
-    The window is a pure annealing engine: callers hand it one
-    :class:`FusionGroup` per job and get back, per job, exactly what
-    :meth:`BatchedAnnealer.sample_block_states
-    <repro.annealer.batched.BatchedAnnealer.sample_block_states>` would
-    have returned for that job alone with the same generator — the
-    bit-identity contract the server-side fusion path is built on.
+    Callers hand the window one :class:`FusionGroup` per job and get
+    back, per job, exactly what a window holding that job alone returns
+    with the same generator — the bit-identity contract the gauge
+    batching and the server-side fusion path are built on.
 
     Parameters
     ----------
     compile_cache:
         Structure cache consulted when compiling blocks (the
-        process-wide cache by default), so fused jobs warm each other.
+        process-wide cache by default), so blocks sharing a sparsity
+        pattern compile once.
     """
 
     def __init__(self, compile_cache: CompileCache | None = None) -> None:
         self.compile_cache = compile_cache if compile_cache is not None else default_compile_cache()
 
-    def sample(
-        self, groups: Sequence[FusionGroup]
-    ) -> List[Tuple[List[np.ndarray], List[CompiledQUBO]]]:
+    def sample(self, groups: Sequence[FusionGroup]) -> List[GroupResult]:
         """Anneal every group fused and return per-group block states.
 
         Returns one ``(block_states, compiled)`` pair per group, in
         group order, where ``block_states[b]`` is the
-        ``(num_reads, n_b)`` 0/1 matrix of the group's block ``b`` —
-        the same shape :meth:`BatchedAnnealer.sample_block_states`
-        yields for a solo run.
+        ``(num_reads, n_b)`` 0/1 matrix of the group's block ``b`` and
+        ``compiled[b]`` its compiled model.
         """
         groups = list(groups)
         if not groups:
             raise DeviceError("a fusion window needs at least one group")
-        rngs = [ensure_rng(group.rng) for group in groups]
         for group in groups:
             if not group.qubos:
                 raise DeviceError("every fusion group needs at least one QUBO")
@@ -171,227 +187,209 @@ class FusionWindow:
                 raise DeviceError(f"num_reads must be positive, got {group.num_reads}")
             if group.num_sweeps <= 0:
                 raise DeviceError(f"num_sweeps must be positive, got {group.num_sweeps}")
-
-        compiled_groups = [
-            [compile_qubo(qubo, cache=self.compile_cache) for qubo in group.qubos]
-            for group in groups
+            check_schedule_length(group.schedule, group.num_sweeps)
+        rngs = [ensure_rng(group.rng) for group in groups]
+        compiled = [
+            [compile_qubo(qubo, cache=self.compile_cache) for qubo in group.qubos] for group in groups
         ]
-        blocks: List[CompiledQUBO] = []
-        block_group: List[int] = []
-        for group_index, compiled in enumerate(compiled_groups):
-            for block in compiled:
-                if not block.num_variables:
-                    raise DeviceError("cannot anneal an empty QUBO")
-                blocks.append(block)
-                block_group.append(group_index)
+        if any(not block.num_variables for blocks in compiled for block in blocks):
+            raise DeviceError("cannot anneal an empty QUBO")
 
-        sizes = np.array([block.num_variables for block in blocks], dtype=np.int64)
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        total_n = int(offsets[-1])
-        reads = [group.num_reads for group in groups]
-        reads_max = max(reads)
-        sweeps = [group.num_sweeps for group in groups]
-        betas = self._beta_table(groups, blocks, block_group, max(sweeps))
-        group_rows = self._group_rows(offsets, block_group, len(groups))
+        # Tensor order: descending sweep horizon (stable), so the groups
+        # still annealing at any sweep are a prefix.
+        order = sorted(range(len(groups)), key=lambda g: -groups[g].num_sweeps)
+        tensor_groups = [groups[g] for g in order]
+        tensor_blocks = [compiled[g] for g in order]
+        tensor_rngs = [rngs[g] for g in order]
+        width = max(group.num_reads for group in groups)
+        positions, classes = _layout(tensor_blocks, tensor_rngs, tensor_groups, width)
+        states = np.zeros((sum(block.num_variables for blocks in compiled for block in blocks), width))
+        for g, block_rows in zip(order, positions):
+            rows = np.concatenate(block_rows)
+            states[rows, : groups[g].num_reads] = _initial_states(groups[g], rngs[g], rows.size).T
 
-        # Initial states: one draw per group, with the exact shape of the
-        # group's solo draw; padding columns stay at their initial value
-        # and are discarded at scatter time.
-        states_t = np.zeros((total_n, reads_max))
-        for group_index, rng in enumerate(rngs):
-            row0, row1 = group_rows[group_index]
-            initial = rng.integers(
-                0, 2, size=(reads[group_index], row1 - row0)
-            ).astype(float)
-            states_t[row0:row1, : reads[group_index]] = initial.T
+        neg_betas = -_beta_table(tensor_groups, tensor_blocks)
+        _anneal(states, classes, neg_betas, [group.num_sweeps for group in tensor_groups])
 
-        sweep_start = 0
-        for horizon in sorted(set(sweeps)):
-            segment = self._plan_segment(
-                sweep_start, horizon, blocks, block_group, offsets, total_n,
-                groups, rngs, reads, reads_max,
+        results: List[Optional[GroupResult]] = [None] * len(groups)
+        for g, block_rows in zip(order, positions):
+            reads = groups[g].num_reads
+            results[g] = ([np.ascontiguousarray(states[rows, :reads].T) for rows in block_rows], compiled[g])
+        return results  # type: ignore[return-value]
+
+
+def _initial_states(group: FusionGroup, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The group's ``(num_reads, n)`` start states: given, or one draw."""
+    if group.initial_states is None:
+        return rng.integers(0, 2, size=(group.num_reads, n)).astype(float)
+    initial = np.array(group.initial_states, dtype=float)
+    if initial.shape != (group.num_reads, n):
+        raise DeviceError(f"initial_states must have shape ({group.num_reads}, {n}), got {initial.shape}")
+    return initial
+
+
+def _layout(
+    compiled: Sequence[Sequence[CompiledQUBO]],
+    rngs: Sequence[np.random.Generator],
+    groups: Sequence[FusionGroup],
+    width: int,
+) -> Tuple[List[List[np.ndarray]], List[_FusedClass]]:
+    """Tensor rows of every block's variables, and the fused classes.
+
+    The arguments are per group, in tensor order.  Returns
+    ``positions[g][b][i]``, the tensor row of variable ``i`` of group
+    ``g``'s block ``b``, and the fused classes.  Rows run class by
+    class, then group by group, then block by block, members in
+    compilation order.
+    """
+    blocks = [block for group_blocks in compiled for block in group_blocks]
+    owners = [g for g, group_blocks in enumerate(compiled) for _ in group_blocks]
+    positions = [np.empty(block.num_variables, dtype=np.int64) for block in blocks]
+    members = [
+        [(b, block.structure.classes[k]) for b, block in enumerate(blocks) if k < block.num_classes]
+        for k in range(max(block.num_classes for block in blocks))
+    ]
+    starts = []
+    row = 0
+    for parts in members:
+        starts.append(row)
+        for b, plan in parts:
+            positions[b][plan.members] = np.arange(row, row + plan.members.size)
+            row += plan.members.size
+
+    classes = []
+    for k, (row0, parts) in enumerate(zip(starts, members)):
+        group_rows = np.zeros(len(compiled), dtype=np.int64)
+        for b, plan in parts:
+            group_rows[owners[b]] += plan.members.size
+        group_end = np.concatenate([[0], np.cumsum(group_rows)])
+        sections = []
+        for g in np.flatnonzero(group_rows):
+            lo, hi = int(group_end[g]), int(group_end[g + 1])
+            reads = groups[g].num_reads
+            scratch = np.empty((hi - lo, reads)) if reads != width else None
+            sections.append(_Section(group=int(g), rng=rngs[g], lo=lo, hi=hi, scratch=scratch))
+        lengths = np.concatenate([np.diff(plan.indptr) for _, plan in parts])
+        linear = np.concatenate([blocks[b].linear[plan.members] for b, plan in parts])
+        classes.append(
+            _FusedClass(
+                row0=row0,
+                indptr=np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
+                indices=np.concatenate([positions[b][plan.neighbor_cols] for b, plan in parts]),
+                data=np.concatenate([blocks[b].class_neighbor_data[k] for b, _ in parts]),
+                linear=np.repeat(linear[:, None], width, axis=1),
+                row_block=np.repeat([b for b, _ in parts], [plan.members.size for _, plan in parts]),
+                group_end=group_end,
+                sections=sections,
             )
-            for sweep in range(segment.sweep_start, segment.sweep_end):
-                self._fused_sweep(states_t, segment, betas[sweep][segment.active_blocks])
-            sweep_start = horizon
-
-        results: List[Tuple[List[np.ndarray], List[CompiledQUBO]]] = []
-        block_index = 0
-        for group_index, compiled in enumerate(compiled_groups):
-            block_states = []
-            for _ in compiled:
-                lo, hi = int(offsets[block_index]), int(offsets[block_index + 1])
-                block_states.append(
-                    np.ascontiguousarray(states_t[lo:hi, : reads[group_index]].T)
-                )
-                block_index += 1
-            results.append((block_states, compiled))
-        return results
-
-    # ------------------------------------------------------------------ #
-    # Fused problem construction
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _group_rows(
-        offsets: np.ndarray, block_group: List[int], num_groups: int
-    ) -> List[Tuple[int, int]]:
-        """Row range ``[row0, row1)`` of each group in the fused tensor."""
-        rows: List[Tuple[int, int]] = []
-        for group_index in range(num_groups):
-            block_ids = [b for b, g in enumerate(block_group) if g == group_index]
-            rows.append((int(offsets[block_ids[0]]), int(offsets[block_ids[-1] + 1])))
-        return rows
-
-    @staticmethod
-    def _beta_table(
-        groups: Sequence[FusionGroup],
-        blocks: Sequence[CompiledQUBO],
-        block_group: List[int],
-        sweeps_max: int,
-    ) -> np.ndarray:
-        """Per-sweep, per-block betas, shape ``(sweeps_max, num_blocks)``.
-
-        Each block's ladder comes from its own group (explicit schedule
-        or the block-scaled default).  Ladders shorter than the window's
-        horizon are padded by repeating the final beta — padded rows are
-        never used because the block leaves the sweep loop first.
-        """
-        columns = []
-        for block_id, block in enumerate(blocks):
-            group = groups[block_group[block_id]]
-            schedule = group.schedule or default_schedule_for(
-                block.max_abs_weight, group.num_sweeps
-            )
-            if schedule.num_sweeps != group.num_sweeps:
-                raise DeviceError(
-                    f"schedule has {schedule.num_sweeps} sweeps, group expects "
-                    f"{group.num_sweeps}"
-                )
-            ladder = schedule.as_array()
-            if ladder.size < sweeps_max:
-                ladder = np.concatenate(
-                    [ladder, np.full(sweeps_max - ladder.size, ladder[-1])]
-                )
-            columns.append(ladder)
-        return np.stack(columns, axis=1)
-
-    def _plan_segment(
-        self,
-        sweep_start: int,
-        sweep_end: int,
-        blocks: Sequence[CompiledQUBO],
-        block_group: List[int],
-        offsets: np.ndarray,
-        total_n: int,
-        groups: Sequence[FusionGroup],
-        rngs: Sequence[np.random.Generator],
-        reads: Sequence[int],
-        reads_max: int,
-    ) -> _Segment:
-        """Re-fuse the blocks still active up to the ``sweep_end`` horizon.
-
-        A block is active while its group's sweep horizon has not been
-        reached; blocks of finished groups drop out and the remaining
-        ones re-fuse, so late sweeps of long jobs no longer touch the
-        rows of early-exited jobs.
-        """
-        active = np.array(
-            [b for b in range(len(blocks)) if groups[block_group[b]].num_sweeps >= sweep_end],
-            dtype=np.int64,
         )
-        sub_blocks = [blocks[b] for b in active]
-        # _fuse_classes only reads per-block offsets plus the trailing
-        # sentinel, so the subset keeps global offsets (rows stay put in
-        # the shared tensor) with the global width as sentinel.
-        sub_offsets = np.concatenate([offsets[active], [total_n]])
-        fused_classes = BatchedAnnealer._fuse_classes(sub_blocks, sub_offsets)
-        segment = _Segment(sweep_start=sweep_start, sweep_end=sweep_end, active_blocks=active)
-        for class_index, fused in enumerate(fused_classes):
-            # Blocks of one group are contiguous in the global order, so a
-            # group's rows within the fused class form one contiguous run —
-            # one uniform draw per group per class, exactly the solo shape.
-            sections: List[_DrawSection] = []
-            row_cursor = 0
-            for block_id in active:
-                block = blocks[int(block_id)]
-                if class_index >= block.num_classes:
-                    continue
-                block_rows = block.structure.classes[class_index].members.size
-                if not block_rows:
-                    continue
-                group_index = block_group[int(block_id)]
-                row0, row1 = row_cursor, row_cursor + block_rows
-                row_cursor = row1
-                if sections and sections[-1].rng is rngs[group_index]:
-                    sections[-1].row1 = row1
-                    continue
-                sections.append(
-                    _DrawSection(
-                        rng=rngs[group_index],
-                        row0=row0,
-                        row1=row1,
-                        num_reads=reads[group_index],
-                        scratch=None,
-                    )
-                )
-            for section in sections:
-                if section.num_reads != reads_max:
-                    section.scratch = np.empty(
-                        (section.row1 - section.row0, section.num_reads)
-                    )
-            rows = fused.members.size
-            segment.classes.append(
-                _SegmentClass(
-                    fused=fused,
-                    blocks_column=fused.member_blocks[:, None],
-                    sections=sections,
-                    # Padding columns keep a fixed uniform of 0.5: they are
-                    # never drawn from any group's stream and their flips
-                    # only touch padding state columns.
-                    uniforms=np.full((rows, reads_max), 0.5),
-                    probability=np.empty((rows, reads_max)),
-                    positive=np.empty((rows, reads_max), dtype=bool),
-                    flips=np.empty((rows, reads_max), dtype=bool),
+    bounds = np.cumsum([0] + [len(group_blocks) for group_blocks in compiled])
+    return [positions[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])], classes
+
+
+def _beta_table(groups: Sequence[FusionGroup], compiled: Sequence[Sequence[CompiledQUBO]]) -> np.ndarray:
+    """Per-sweep, per-block betas, shape ``(longest horizon, num_blocks)``.
+
+    Each block's ladder comes from its own group (explicit schedule or
+    the block-scaled default).  Ladders shorter than the longest horizon
+    are padded by repeating the final beta — padded rows are never used
+    because the block leaves the sweep loop first.
+    """
+    horizon = max(group.num_sweeps for group in groups)
+    columns = []
+    for group, blocks in zip(groups, compiled):
+        for block in blocks:
+            schedule = group.schedule or default_schedule_for(block.max_abs_weight, group.num_sweeps)
+            ladder = schedule.as_array()
+            columns.append(np.concatenate([ladder, np.full(horizon - ladder.size, ladder[-1])]))
+    return np.stack(columns, axis=1)
+
+
+def _anneal(states: np.ndarray, classes: List[_FusedClass], neg_betas: np.ndarray, sweeps: List[int]) -> None:
+    """Run every sweep of every group on ``states`` in place.
+
+    ``sweeps`` holds the groups' horizons in tensor (descending) order.
+    Between two distinct horizons the set of annealing groups is fixed,
+    so each class's work — its active row count, its draw sections and
+    views of the shared buffers — is set up once per segment.
+
+    A candidate flip with energy change ``delta`` is accepted when a
+    uniform in ``[0, 1)`` is below ``exp(min(-beta * delta, 0))``: the
+    Boltzmann factor where ``delta > 0`` and exactly 1 elsewhere, so
+    every downhill or level move is taken and large weights cannot
+    overflow ``exp``.  It clamps rather than masking ``exp`` with
+    ``where=``: numpy runs a masked ufunc once per run of unmasked
+    lanes, which on interleaved masks costs ten times the whole
+    exponential.  Both forms call the same ``exp`` loop on the same
+    arguments, so they accept the same flips.
+    """
+    total, width = states.shape
+    flat = states.reshape(-1)
+    height = max(fused.indptr.size - 1 for fused in classes)
+    field, tilt = np.empty((height, width)), np.empty((height, width))
+    uniforms = np.zeros((height, width))
+    flips = np.empty((height, width), dtype=bool)
+    neg_beta = np.empty(height)
+    matvecs = _csr_matvecs
+
+    start = 0
+    for horizon in sorted(set(sweeps)):
+        active = sum(1 for sweep in sweeps if sweep >= horizon)
+        work = []
+        for fused in classes:
+            rows = int(fused.group_end[active])
+            if not rows:
+                continue
+            f = field[:rows]
+            kernel = (rows, total, width, fused.indptr, fused.indices, fused.data, flat, f.reshape(-1))
+            if matvecs is None:
+                kernel = csr_matrix((fused.data, fused.indices, fused.indptr[: rows + 1]), (rows, total))
+            sections = [section for section in fused.sections if section.group < active]
+            work.append(
+                (
+                    kernel,
+                    states[fused.row0 : fused.row0 + rows],
+                    f,
+                    tilt[:rows],
+                    uniforms[:rows],
+                    flips[:rows],
+                    neg_beta[:rows],
+                    fused.row_block[:rows],
+                    fused.linear[:rows],
+                    sections,
                 )
             )
-        return segment
-
-    # ------------------------------------------------------------------ #
-    # Fused sweep
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _fused_sweep(states_t: np.ndarray, segment: _Segment, beta_row: np.ndarray) -> None:
-        """One Metropolis sweep over every fused class of the segment.
-
-        Replays :func:`~repro.annealer.simulated_annealing._metropolis_flips`
-        ufunc for ufunc, except the uniforms are drawn *per section* from
-        each group's own generator — the one place the fused loop must
-        diverge from the solo loop to keep per-job streams intact.
-        """
-        for entry in segment.classes:
-            fused = entry.fused
-            local_field = BatchedAnnealer._local_field(states_t, fused)
-            current = states_t[fused.members]
-            delta = (1.0 - 2.0 * current) * local_field
-            for section in entry.sections:
-                if section.scratch is None:
-                    section.rng.random(out=entry.uniforms[section.row0 : section.row1])
+        for sweep in range(start, horizon):
+            neg_beta_row = neg_betas[sweep]
+            for kernel, x, f, t, u, fl, nb, row_block, linear, sections in work:
+                if matvecs is None:
+                    f[...] = kernel @ states
                 else:
-                    section.rng.random(out=section.scratch)
-                    entry.uniforms[
-                        section.row0 : section.row1, : section.num_reads
-                    ] = section.scratch
-            np.greater(delta, 0.0, out=entry.positive)
-            np.multiply(delta, -beta_row[entry.blocks_column], out=delta)
-            entry.probability.fill(1.0)
-            np.exp(delta, out=entry.probability, where=entry.positive)
-            np.less(entry.uniforms, entry.probability, out=entry.flips)
-            states_t[fused.members] = np.where(entry.flips, 1.0 - current, current)
+                    f.fill(0.0)
+                    matvecs(*kernel)
+                f += linear
+                np.multiply(x, -2.0, out=t)
+                t += 1.0  # tilt = 1 - 2x: the sign of each candidate flip
+                f *= t  # delta: the energy change of each flip
+                for section in sections:
+                    if section.scratch is None:
+                        section.rng.random(out=u[section.lo : section.hi])
+                    else:
+                        section.rng.random(out=section.scratch)
+                        u[section.lo : section.hi, : section.scratch.shape[1]] = section.scratch
+                np.take(neg_beta_row, row_block, out=nb, mode="clip")
+                f *= nb[:, None]
+                np.fmin(f, 0.0, out=f)
+                np.exp(f, out=f)
+                np.less(u, f, out=fl)
+                np.logical_xor(x, fl, out=fl)
+                np.copyto(x, fl)
+        start = horizon
 
 
 def fused_sample_block_states(
     groups: Sequence[FusionGroup],
     compile_cache: CompileCache | None = None,
-) -> List[Tuple[List[np.ndarray], List[CompiledQUBO]]]:
+) -> List[GroupResult]:
     """Convenience wrapper: anneal ``groups`` in one fusion window."""
     return FusionWindow(compile_cache=compile_cache).sample(groups)

@@ -78,3 +78,9 @@ def default_schedule_for(max_abs_weight: float, num_sweeps: int = 100) -> Anneal
     beta_end = 20.0 / max(1e-9, min(1.0, max_abs_weight)) if max_abs_weight < 1.0 else 20.0
     beta_end = max(beta_end, beta_start * 10.0)
     return geometric_beta_schedule(beta_start, beta_end, num_sweeps)
+
+
+def check_schedule_length(schedule: AnnealingSchedule | None, num_sweeps: int) -> None:
+    """Reject an explicit schedule whose length contradicts ``num_sweeps``."""
+    if schedule is not None and schedule.num_sweeps != num_sweeps:
+        raise DeviceError(f"schedule has {schedule.num_sweeps} sweeps, but num_sweeps is {num_sweeps}")

@@ -2,100 +2,34 @@
 
 This sampler is the classical stand-in for the quantum annealing
 dynamics of the D-Wave hardware.  It runs many independent reads in
-parallel: the state of all reads is a ``(num_reads, num_variables)``
-0/1 matrix, and per sweep the variables are updated colour class by
-colour class (a proper colouring of the interaction graph guarantees
-that simultaneously updated variables do not interact, so the update is
-equivalent to sequential single-flip Metropolis within the class).
+parallel and updates the variables colour class by colour class (a
+proper colouring of the interaction graph guarantees that simultaneously
+updated variables do not interact, so the update is equivalent to
+sequential single-flip Metropolis within the class).
 
-Three backends share the Metropolis logic and the random stream:
-
-* ``"sparse"`` (the default) computes each class's local field with the
-  CSR gather plans of :mod:`repro.annealer.compile`, so a sweep costs
-  ``O(num_reads * nnz)`` — on bounded-degree Chimera problems that is
-  orders of magnitude below the dense cost,
-* ``"dense"`` multiplies against the full coupling matrix exactly as
-  the original implementation did; it is kept as the reference for the
-  sparse-vs-dense equivalence tests and the benchmark baseline,
-* ``"numba"`` (opt-in; requires the optional numba package, see
-  :mod:`repro.annealer.numba_kernels`) fuses the field gather, the
-  acceptance test and the state update of each class into one compiled
-  loop, removing the per-ufunc dispatch cost entirely.
-
-All backends draw the same random numbers in the same order, so equal
-seeds produce equal samples (up to floating-point ties of measure zero).
+The sweep itself is the one annealing kernel of this package,
+:class:`~repro.annealer.fusion.FusionWindow`: a solo sample is one group
+with one block, and :meth:`SimulatedAnnealingSampler.sample_block_states`
+anneals a batch of QUBOs as one group with many blocks, each block on
+its own temperature ladder.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.annealer.compile import (
-    CompileCache,
-    CompiledQUBO,
-    compile_qubo,
-    csr_field_kernel,
-    default_compile_cache,
-    greedy_coloring,
-)
-from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
+from repro.annealer.compile import CompileCache, CompiledQUBO, default_compile_cache
+from repro.annealer.fusion import FusionGroup, FusionWindow
+from repro.annealer.schedule import AnnealingSchedule, check_schedule_length
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
-from repro.utils.rng import SeedLike, ensure_rng
+from repro.utils.rng import SeedLike
 
 __all__ = ["SimulatedAnnealingSampler"]
 
 Variable = Hashable
-
-
-def _greedy_coloring(adjacency: List[List[int]]) -> List[List[int]]:
-    """Partition variable indices into independent sets (colour classes).
-
-    Thin alias kept for backwards compatibility; the implementation
-    lives in :func:`repro.annealer.compile.greedy_coloring`.
-    """
-    return greedy_coloring(adjacency)
-
-
-def _metropolis_flips(
-    delta: np.ndarray,
-    beta: float | np.ndarray,
-    rng: np.random.Generator,
-    buffers: tuple | None = None,
-) -> np.ndarray:
-    """Metropolis acceptance mask for energy changes ``delta``.
-
-    Flips with ``delta <= 0`` are always accepted; the Boltzmann factor
-    ``exp(-beta * delta)`` is evaluated *only* on the positive branch
-    (via the ufunc ``where`` mask) so large-weight QUBOs cannot overflow
-    ``exp`` — the old implementation fed the masked-out branch through
-    ``np.where``, which still evaluated both sides and spewed overflow
-    warnings.  Masked-out lanes keep an acceptance probability of 1, and
-    a uniform in ``[0, 1)`` is always below it, so a single comparison
-    decides every lane.  The uniform draw covers the full class so every
-    backend consumes the random stream identically.
-
-    ``buffers`` is an optional ``(uniforms, probability, positive,
-    flips)`` tuple of preallocated arrays matching ``delta``'s shape
-    (two float, two bool): the hot sweep loops pass it so no memory is
-    allocated per update.  ``delta`` is clobbered either way.
-    """
-    if buffers is None:
-        uniforms = np.empty_like(delta)
-        probability = np.empty_like(delta)
-        positive = np.empty(delta.shape, dtype=bool)
-        flips = np.empty(delta.shape, dtype=bool)
-    else:
-        uniforms, probability, positive, flips = buffers
-    rng.random(out=uniforms)
-    np.greater(delta, 0.0, out=positive)
-    np.multiply(delta, -beta, out=delta)
-    probability.fill(1.0)
-    np.exp(delta, out=probability, where=positive)
-    np.less(uniforms, probability, out=flips)
-    return flips
 
 
 class SimulatedAnnealingSampler:
@@ -106,43 +40,27 @@ class SimulatedAnnealingSampler:
     num_sweeps:
         Sweeps (full variable passes) per read.
     schedule:
-        Optional explicit :class:`AnnealingSchedule`; when omitted a
-        geometric schedule scaled to the problem's weights is used.
-    backend:
-        ``"sparse"`` (default) for the CSR gather path, ``"dense"`` for
-        the reference dense-matrix path, ``"numba"`` for the optional
-        compiled kernel (raises :class:`DeviceError` at construction
-        when numba is not installed).
+        Optional explicit :class:`AnnealingSchedule` of ``num_sweeps``
+        betas; when omitted a geometric schedule scaled to each
+        problem's weights is used.
     compile_cache:
         Structure cache consulted when compiling QUBOs; defaults to the
         process-wide cache.  Pass ``CompileCache(maxsize=0)`` to disable.
     """
 
-    BACKENDS = ("sparse", "dense", "numba")
-
     def __init__(
         self,
         num_sweeps: int = 100,
         schedule: AnnealingSchedule | None = None,
-        backend: str = "sparse",
         compile_cache: CompileCache | None = None,
     ) -> None:
         if num_sweeps <= 0:
             raise DeviceError(f"num_sweeps must be positive, got {num_sweeps}")
-        if backend not in self.BACKENDS:
-            raise DeviceError(f"unknown backend {backend!r}; expected one of {self.BACKENDS}")
-        if backend == "numba":
-            from repro.annealer.numba_kernels import require_numba
-
-            require_numba()
+        check_schedule_length(schedule, num_sweeps)
         self.num_sweeps = num_sweeps
         self.schedule = schedule
-        self.backend = backend
         self.compile_cache = compile_cache if compile_cache is not None else default_compile_cache()
 
-    # ------------------------------------------------------------------ #
-    # Sampling
-    # ------------------------------------------------------------------ #
     def sample(
         self,
         qubo: QUBOModel,
@@ -162,10 +80,7 @@ class SimulatedAnnealingSampler:
         )
         energies = compiled.energies(states)
         variables = compiled.variables
-        assignments = [
-            {var: int(states[r, i]) for i, var in enumerate(variables)}
-            for r in range(num_reads)
-        ]
+        assignments = [{var: int(states[r, i]) for i, var in enumerate(variables)} for r in range(num_reads)]
         return assignments, [float(e) for e in energies]
 
     def sample_states(
@@ -180,184 +95,42 @@ class SimulatedAnnealingSampler:
         The array form skips the per-read dictionary construction of
         :meth:`sample`; batch consumers (vectorised chain read-out, the
         benchmarks) use it directly together with the compiled model.
+        ``initial_states`` replaces the random start states.
         """
-        if num_reads <= 0:
-            raise DeviceError(f"num_reads must be positive, got {num_reads}")
-        if not qubo.num_variables:
-            raise DeviceError("cannot sample an empty QUBO")
-        rng = ensure_rng(seed)
-        compiled = compile_qubo(qubo, cache=self.compile_cache)
-        n = compiled.num_variables
+        block_states, compiled = self._anneal([qubo], num_reads, seed, initial_states)
+        return block_states[0], compiled[0]
 
-        if initial_states is not None:
-            states = np.array(initial_states, dtype=float)
-            if states.shape != (num_reads, n):
-                raise DeviceError(
-                    f"initial_states must have shape ({num_reads}, {n}), got {states.shape}"
-                )
-        else:
-            states = rng.integers(0, 2, size=(num_reads, n)).astype(float)
+    def sample_block_states(
+        self,
+        qubos: Sequence[QUBOModel],
+        num_reads: int = 1,
+        seed: SeedLike = None,
+    ) -> Tuple[List[np.ndarray], List[CompiledQUBO]]:
+        """Anneal a batch of QUBOs as one block-diagonal problem.
 
-        schedule = self.schedule or default_schedule_for(
-            compiled.max_abs_weight, self.num_sweeps
+        Returns ``(block_states, compiled)`` where ``block_states[b]`` is
+        the ``(num_reads, n_b)`` 0/1 matrix of block ``b`` and
+        ``compiled[b]`` its compiled model.  All blocks share the read
+        count and the stream of ``seed``; each keeps the temperature
+        ladder it would get alone.  The device simulator anneals a
+        request's gauge batches through this call.
+        """
+        return self._anneal(qubos, num_reads, seed, None)
+
+    def _anneal(
+        self,
+        qubos: Sequence[QUBOModel],
+        num_reads: int,
+        seed: SeedLike,
+        initial_states: np.ndarray | None,
+    ) -> Tuple[List[np.ndarray], List[CompiledQUBO]]:
+        """Anneal ``qubos`` as one group of the kernel."""
+        group = FusionGroup(
+            qubos=list(qubos),
+            num_reads=num_reads,
+            rng=seed,
+            num_sweeps=self.num_sweeps,
+            schedule=self.schedule,
+            initial_states=initial_states,
         )
-        betas = schedule.as_array()
-
-        # The sweeps run on the transposed (n, num_reads) layout: a colour
-        # class is then a contiguous row gather and the CSR matvec needs
-        # no transposes.
-        states_t = np.ascontiguousarray(states.T)
-        if self.backend == "dense":
-            self._anneal_dense(states_t, compiled, betas, rng)
-        elif self.backend == "numba":
-            self._anneal_numba(states_t, compiled, betas, rng)
-        else:
-            self._anneal_sparse(states_t, compiled, betas, rng)
-        return np.ascontiguousarray(states_t.T), compiled
-
-    # ------------------------------------------------------------------ #
-    # Backends
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _run_sweeps(
-        states_t: np.ndarray,
-        compiled: CompiledQUBO,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-        field_fns,
-    ) -> None:
-        """Shared Metropolis sweep driver for both backends.
-
-        ``field_fns[k](states_t)`` returns the local field of colour
-        class ``k`` (linear term included) as a fresh ``(|class|, R)``
-        array that the driver may overwrite.  Everything else runs on
-        preallocated per-class buffers with in-place ufuncs — at
-        Chimera sparsity the elementwise bookkeeping, not the field
-        computation, would otherwise dominate the sweep.  The Boltzmann
-        factor is evaluated only on the positive-delta lanes via the
-        ufunc ``where`` mask (the masked lanes keep probability 1, which
-        every uniform in ``[0, 1)`` is below), so large-weight QUBOs
-        cannot overflow ``exp``.
-        """
-        classes = compiled.structure.classes
-        num_reads = states_t.shape[1]
-        buffers = [
-            (
-                np.empty((plan.members.size, num_reads)),  # current
-                np.empty((plan.members.size, num_reads)),  # tilt
-                tuple(np.empty((plan.members.size, num_reads)) for _ in range(2))
-                + tuple(
-                    np.empty((plan.members.size, num_reads), dtype=bool) for _ in range(2)
-                ),  # _metropolis_flips scratch
-            )
-            for plan in classes
-        ]
-        for beta in betas:
-            beta = float(beta)
-            for plan, field_fn, (current, tilt, metropolis_buffers) in zip(
-                classes, field_fns, buffers
-            ):
-                np.take(states_t, plan.members, axis=0, out=current)
-                delta = field_fn(states_t)
-                np.multiply(current, -2.0, out=tilt)
-                tilt += 1.0  # tilt = 1 - 2x: the sign of each candidate flip
-                delta *= tilt
-                flips = _metropolis_flips(delta, beta, rng, buffers=metropolis_buffers)
-                np.multiply(flips, tilt, out=delta)  # accepted flips as +-1 steps
-                delta += current
-                states_t[plan.members] = delta
-
-    def _anneal_sparse(
-        self,
-        states_t: np.ndarray,
-        compiled: CompiledQUBO,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Sweep using the per-class CSR kernels (cost scales with nnz)."""
-
-        def make_field_fn(class_index: int):
-            plan = compiled.structure.classes[class_index]
-            base = compiled.linear[plan.members][:, None]
-            matrices = compiled.class_matrices
-            if matrices is not None and plan.neighbor_cols.size:
-                kernel = csr_field_kernel(matrices[class_index])
-
-                def field(states_t: np.ndarray) -> np.ndarray:
-                    out = kernel(states_t)
-                    out += base
-                    return out
-
-                return field
-            return lambda states_t: compiled.local_field_t(states_t, class_index)
-
-        field_fns = [make_field_fn(k) for k in range(compiled.num_classes)]
-        self._run_sweeps(states_t, compiled, betas, rng, field_fns)
-
-    def _anneal_numba(
-        self,
-        states_t: np.ndarray,
-        compiled: CompiledQUBO,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Sweep via the fused compiled kernel (optional numba backend).
-
-        The uniforms are drawn here, per class per sweep, with exactly
-        the shape the numpy backends draw inside
-        :func:`_metropolis_flips` — the kernel itself never touches the
-        generator, so all backends consume one identical random stream.
-        The CSR arrays are taken straight from the compiled gather plans
-        (not from scipy), so the backend works wherever compilation
-        does; the kernel accumulates each row's field in the same index
-        order as the CSR matvec.
-        """
-        from repro.annealer.numba_kernels import metropolis_class_update
-
-        classes = compiled.structure.classes
-        num_reads = states_t.shape[1]
-        per_class = []
-        for k, plan in enumerate(classes):
-            lengths = plan.segment_lengths
-            per_class.append(
-                (
-                    np.concatenate([[0], np.cumsum(lengths)]).astype(np.int64),
-                    plan.neighbor_cols.astype(np.int64),
-                    np.ascontiguousarray(compiled.class_neighbor_data[k], dtype=float),
-                    np.ascontiguousarray(compiled.linear[plan.members], dtype=float),
-                    plan.members.astype(np.int64),
-                    np.empty((plan.members.size, num_reads)),
-                )
-            )
-        for beta in betas:
-            beta = float(beta)
-            for indptr, indices, data, linear, members, uniforms in per_class:
-                rng.random(out=uniforms)
-                metropolis_class_update(
-                    indptr, indices, data, linear, members, states_t, uniforms, beta
-                )
-
-    def _anneal_dense(
-        self,
-        states_t: np.ndarray,
-        compiled: CompiledQUBO,
-        betas: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Reference sweep against the dense coupling matrix (O(n^2))."""
-        coupling = compiled.dense_coupling()
-
-        def make_field_fn(class_index: int):
-            plan = compiled.structure.classes[class_index]
-            base = compiled.linear[plan.members][:, None]
-            block = coupling[plan.members]
-
-            def field(states_t: np.ndarray) -> np.ndarray:
-                out = block @ states_t
-                out += base
-                return out
-
-            return field
-
-        field_fns = [make_field_fn(k) for k in range(compiled.num_classes)]
-        self._run_sweeps(states_t, compiled, betas, rng, field_fns)
+        return FusionWindow(self.compile_cache).sample([group])[0]

@@ -18,6 +18,8 @@ in query order, which keeps the mapping onto QUBO variables trivial.
 
 from __future__ import annotations
 
+import operator
+import sys
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
@@ -39,7 +41,7 @@ def _normalize_pair(p1: int, p2: int) -> PlanPair:
     return (p1, p2) if p1 < p2 else (p2, p1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """One alternative execution plan for a query.
 
@@ -73,7 +75,7 @@ class Plan:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Query:
     """One query of the batch together with its alternative plans."""
 
@@ -134,34 +136,27 @@ class MQOProblem:
                 raise InvalidProblemError(f"query {q_idx} has no plans")
             first_plan = len(self._plans)
             indices = tuple(range(first_plan, first_plan + len(costs)))
-            q_label = query_labels[q_idx] if query_labels else f"q{q_idx}"
+            # Default labels are interned: problems of one shape share them.
+            q_label = query_labels[q_idx] if query_labels else sys.intern(f"q{q_idx}")
             self._queries.append(Query(index=q_idx, plan_indices=indices, label=q_label))
             for offset, cost in enumerate(costs):
                 p_idx = first_plan + offset
-                p_label = plan_labels[p_idx] if plan_labels else f"q{q_idx}_p{offset}"
+                p_label = plan_labels[p_idx] if plan_labels else sys.intern(f"q{q_idx}_p{offset}")
                 self._plans.append(
                     Plan(index=p_idx, query_index=q_idx, cost=float(cost), label=p_label)
                 )
 
-        self._plan_to_query: Dict[int, int] = {p.index: p.query_index for p in self._plans}
         self._savings: Dict[PlanPair, float] = {}
         for (p1, p2), value in (savings or {}).items():
             self._add_saving(p1, p2, value)
 
-        # Adjacency view: plan -> {other plan: saving}; used by solvers and
-        # by the logical mapping to iterate sharing partners efficiently.
-        self._savings_by_plan: Dict[int, Dict[int, float]] = {p.index: {} for p in self._plans}
-        for (p1, p2), value in self._savings.items():
-            self._savings_by_plan[p1][p2] = value
-            self._savings_by_plan[p2][p1] = value
-
         # Read-only views handed out by the public accessors: solver
         # inner loops call sharing_partners()/savings per move, so the
         # accessors must not allocate fresh dict copies on every call.
+        # The per-plan partner views are built on first use: the
+        # array-backed solvers never need them.
         self._savings_view: Mapping[PlanPair, float] = MappingProxyType(self._savings)
-        self._partner_views: Dict[int, Mapping[int, float]] = {
-            plan: MappingProxyType(partners) for plan, partners in self._savings_by_plan.items()
-        }
+        self._partner_views: Dict[int, Mapping[int, float]] | None = None
 
         self._canonical_hash: str | None = None
         self._arrays: "ProblemArrays | None" = None
@@ -169,9 +164,9 @@ class MQOProblem:
     def _add_saving(self, p1: int, p2: int, value: float) -> None:
         pair = _normalize_pair(int(p1), int(p2))
         for p in pair:
-            if p not in self._plan_to_query:
+            if self._query_index(p) is None:
                 raise InvalidProblemError(f"savings entry references unknown plan {p}")
-        if self._plan_to_query[pair[0]] == self._plan_to_query[pair[1]]:
+        if self._plans[pair[0]].query_index == self._plans[pair[1]].query_index:
             raise InvalidProblemError(
                 f"plans {pair[0]} and {pair[1]} belong to the same query and cannot share"
             )
@@ -235,12 +230,20 @@ class MQOProblem:
         except IndexError:
             raise InvalidProblemError(f"unknown query index {index}") from None
 
+    def _query_index(self, plan_index: int) -> int | None:
+        """The query owning ``plan_index``, or ``None`` when it is no plan."""
+        try:
+            index = operator.index(plan_index)
+        except TypeError:
+            return None
+        return self._plans[index].query_index if 0 <= index < len(self._plans) else None
+
     def query_of_plan(self, plan_index: int) -> int:
         """Return the index of the query owning ``plan_index``."""
-        try:
-            return self._plan_to_query[plan_index]
-        except KeyError:
-            raise InvalidProblemError(f"unknown plan index {plan_index}") from None
+        query = self._query_index(plan_index)
+        if query is None:
+            raise InvalidProblemError(f"unknown plan index {plan_index}")
+        return query
 
     def plan_cost(self, plan_index: int) -> float:
         """Execution cost ``c_p`` of the given plan."""
@@ -258,9 +261,19 @@ class MQOProblem:
         allocation per call dominated the move evaluation.
         """
         try:
-            return self._partner_views[plan_index]
+            return self._partners()[plan_index]
         except KeyError:
             raise InvalidProblemError(f"unknown plan index {plan_index}") from None
+
+    def _partners(self) -> Dict[int, Mapping[int, float]]:
+        """Per plan, a read-only view of its partners (built on first use)."""
+        if self._partner_views is None:
+            by_plan: Dict[int, Dict[int, float]] = {p.index: {} for p in self._plans}
+            for (p1, p2), value in self._savings.items():
+                by_plan[p1][p2] = value
+                by_plan[p2][p1] = value
+            self._partner_views = {plan: MappingProxyType(partners) for plan, partners in by_plan.items()}
+        return self._partner_views
 
     def arrays(self) -> "ProblemArrays":
         """The memoised columnar view of this problem.
@@ -299,7 +312,7 @@ class MQOProblem:
         """``max_{p1} sum_{p2} s_{p1,p2}`` — used to derive the penalty weight ``w_M``."""
         if not self._savings:
             return 0.0
-        return max(sum(partners.values()) for partners in self._savings_by_plan.values())
+        return max(sum(partners.values()) for partners in self._partners().values())
 
     def interaction_pairs(self) -> Iterator[Tuple[PlanPair, float]]:
         """Iterate over ``((p1, p2), saving)`` entries (normalised pairs)."""
@@ -337,9 +350,10 @@ class MQOProblem:
         """Whether ``selected`` picks exactly one known plan per query."""
         per_query = [0] * self.num_queries
         for p in selected:
-            if p not in self._plan_to_query:
+            query = self._query_index(p)
+            if query is None:
                 return False
-            per_query[self._plan_to_query[p]] += 1
+            per_query[query] += 1
         return all(count == 1 for count in per_query)
 
     def selection_cost(self, selected: Iterable[int]) -> float:

@@ -19,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import decode_reads, program_gauges, read_out
 
-from repro.annealer.batched import BatchedAnnealer
 from repro.annealer.device import DWaveSamplerSimulator
 from repro.annealer.noise import NoiseModel
 from repro.annealer.sampleset import SampleSet
@@ -181,13 +180,14 @@ class TestReadOut:
         rng = np.random.default_rng(11)
         programmed = program_gauges(qubo, NOISE_MODELS[noise], _oracle_bias(noise, 5), 3, rng)
         gauges = [gauge for gauge, _ in programmed]
+        sampler = device.batched_sampler
         if batch_gauges:
-            block_states, _ = BatchedAnnealer(num_sweeps=20).sample_block_states(
+            block_states, _ = sampler.sample_block_states(
                 [programmed_qubo for _, programmed_qubo in programmed], num_reads=3, seed=rng
             )
         else:
             block_states = [
-                device.sampler.sample_states(programmed_qubo, num_reads=3, seed=rng)[0]
+                sampler.sample_states(programmed_qubo, num_reads=3, seed=rng)[0]
                 for _, programmed_qubo in programmed
             ]
         expected = read_out(qubo, gauges, block_states, qubo.variables, [3, 3, 3])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from oracles import dense_coupling
+from scipy.sparse import csr_matrix
 
 from repro.annealer.compile import (
     CompileCache,
@@ -19,6 +21,16 @@ def _random_states(n, reads, seed):
     return np.random.default_rng(seed).integers(0, 2, size=(reads, n)).astype(float)
 
 
+def _class_field(compiled, states, class_index):
+    """``(reads, |class|)`` local field from the class's compiled CSR rows."""
+    plan = compiled.structure.classes[class_index]
+    rows = csr_matrix(
+        (compiled.class_neighbor_data[class_index], plan.neighbor_cols, plan.indptr),
+        shape=(plan.members.size, compiled.num_variables),
+    )
+    return (rows @ states.T).T + compiled.linear[plan.members]
+
+
 class TestCompiledQUBO:
     def test_energies_match_model(self):
         qubo = random_qubo(12, density=0.5, seed=3)
@@ -31,10 +43,10 @@ class TestCompiledQUBO:
     def test_local_field_matches_dense(self):
         qubo = random_qubo(10, density=0.6, seed=1)
         compiled = compile_qubo(qubo)
-        coupling = compiled.dense_coupling()
+        coupling = dense_coupling(compiled)
         states = _random_states(10, 5, seed=2)
         for class_index, plan in enumerate(compiled.structure.classes):
-            sparse_field = compiled.local_field(states, class_index)
+            sparse_field = _class_field(compiled, states, class_index)
             dense_field = compiled.linear[plan.members] + states @ coupling[:, plan.members]
             assert np.allclose(sparse_field, dense_field)
 
@@ -42,9 +54,9 @@ class TestCompiledQUBO:
         qubo = QUBOModel(linear={0: -1.0, 1: 2.0, 2: 0.5}, quadratic={(0, 1): 3.0})
         compiled = compile_qubo(qubo)
         states = np.ones((4, 3))
-        coupling = compiled.dense_coupling()
+        coupling = dense_coupling(compiled)
         for class_index, plan in enumerate(compiled.structure.classes):
-            sparse_field = compiled.local_field(states, class_index)
+            sparse_field = _class_field(compiled, states, class_index)
             dense_field = compiled.linear[plan.members] + states @ coupling[:, plan.members]
             assert np.allclose(sparse_field, dense_field)
 
@@ -128,9 +140,7 @@ class TestCompileCache:
         states = _random_states(warm.num_variables, 6, seed=5)
         assert np.allclose(warm.energies(states), cold.energies(states))
         for k in range(warm.num_classes):
-            assert np.allclose(
-                warm.local_field(states, k), cold.local_field(states, k)
-            )
+            assert np.allclose(_class_field(warm, states, k), _class_field(cold, states, k))
 
     def test_lru_eviction(self):
         cache = CompileCache(maxsize=2)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.annealer.device import DWaveSamplerSimulator
 from repro.annealer.noise import NoiseModel
+from repro.annealer.schedule import geometric_beta_schedule
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import DeviceCapacityError, DeviceError
 from repro.qubo.bruteforce import solve_bruteforce
@@ -49,6 +50,18 @@ class TestValidation:
         with pytest.raises(DeviceError):
             DWaveSamplerSimulator(
                 spec=small_spec, topology=small_chimera, programming_time_ms=-1.0
+            )
+
+    @pytest.mark.parametrize("batch_gauges", [True, False])
+    def test_schedule_length_must_match_sweeps(self, small_chimera, small_spec, batch_gauges):
+        """A contradictory schedule fails at construction, whatever the request."""
+        with pytest.raises(DeviceError, match="50 sweeps"):
+            DWaveSamplerSimulator(
+                spec=small_spec,
+                topology=small_chimera,
+                num_sweeps=200,
+                schedule=geometric_beta_schedule(0.1, 5.0, 50),
+                batch_gauges=batch_gauges,
             )
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.annealer.simulated_annealing import SimulatedAnnealingSampler, _greedy_coloring
+from repro.annealer.compile import greedy_coloring
+from repro.annealer.schedule import geometric_beta_schedule
+from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
 from repro.exceptions import DeviceError
 from repro.qubo.bruteforce import solve_bruteforce
 from repro.qubo.model import QUBOModel
@@ -13,13 +15,13 @@ from repro.qubo.random_qubo import random_qubo
 class TestGreedyColoring:
     def test_path_graph_uses_two_colors(self):
         adjacency = [[1], [0, 2], [1, 3], [2]]
-        classes = _greedy_coloring(adjacency)
+        classes = greedy_coloring(adjacency)
         assert len(classes) == 2
         assert sorted(q for cls in classes for q in cls) == [0, 1, 2, 3]
 
     def test_classes_are_independent_sets(self):
         adjacency = [[1, 2], [0, 2], [0, 1], []]
-        classes = _greedy_coloring(adjacency)
+        classes = greedy_coloring(adjacency)
         for cls in classes:
             for i in cls:
                 for j in cls:
@@ -27,7 +29,7 @@ class TestGreedyColoring:
                         assert j not in adjacency[i]
 
     def test_empty_graph(self):
-        assert _greedy_coloring([]) == []
+        assert greedy_coloring([]) == []
 
 
 class TestSampler:
@@ -78,6 +80,10 @@ class TestSampler:
     def test_invalid_sweeps_rejected(self):
         with pytest.raises(DeviceError):
             SimulatedAnnealingSampler(num_sweeps=0)
+
+    def test_schedule_length_must_match_sweeps(self):
+        with pytest.raises(DeviceError, match="50 sweeps"):
+            SimulatedAnnealingSampler(num_sweeps=200, schedule=geometric_beta_schedule(0.1, 5.0, 50))
 
     def test_single_variable_problem(self):
         sampler = SimulatedAnnealingSampler(num_sweeps=30)

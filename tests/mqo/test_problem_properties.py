@@ -1,8 +1,11 @@
 """Property-based tests for the MQO problem model (hypothesis)."""
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import given, settings
 
+from repro.exceptions import InvalidProblemError
 from repro.mqo.problem import MQOProblem
 
 
@@ -100,3 +103,41 @@ class TestSolutionInvariants:
         solution = problem.solution_from_choices(choices)
         upper = sum(problem.plan_cost(p) for p in solution.selected_plans)
         assert solution.cost <= upper + 1e-9
+
+
+class TestLazyAccessors:
+    """The partner views are built on first use and must equal an eager build."""
+
+    @given(mqo_problems(), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_lazy_views_equal_an_eager_build(self, problem, partners_first):
+        eager = {plan.index: {} for plan in problem.plans}
+        for (p1, p2), value in problem.savings.items():
+            eager[p1][p2] = value
+            eager[p2][p1] = value
+        expected_max = 0.0
+        if problem.num_savings:
+            expected_max = max(sum(partners.values()) for partners in eager.values())
+        if partners_first:
+            problem.sharing_partners(0)
+        assert problem.max_total_savings_per_plan() == expected_max
+        for plan in problem.plans:
+            partners = problem.sharing_partners(np.int64(plan.index))
+            assert list(partners.items()) == list(eager[plan.index].items())
+            assert problem.sharing_partners(plan.index) is partners
+
+    @given(mqo_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_plan_lookups(self, problem):
+        for plan in problem.plans:
+            assert problem.query_of_plan(plan.index) == plan.query_index
+            assert problem.query_of_plan(np.int32(plan.index)) == plan.query_index
+        for unknown in (-1, problem.num_plans, "0", 1.5):
+            with pytest.raises(InvalidProblemError):
+                problem.query_of_plan(unknown)
+            with pytest.raises(InvalidProblemError):
+                problem.sharing_partners(unknown)
+        first_plans = [np.int64(query.plan_indices[0]) for query in problem.queries]
+        assert problem.is_valid_selection(frozenset(first_plans))
+        assert not problem.is_valid_selection(frozenset(first_plans + [np.int64(problem.num_plans)]))
+        assert not problem.is_valid_selection(frozenset(first_plans[1:] + [-1]))

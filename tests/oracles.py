@@ -1,11 +1,13 @@
-"""Dictionary-based reference implementations (test oracles).
+"""Reference implementations (test oracles).
 
 The device simulator programs, reads out and decodes annealing requests
 on whole numpy arrays.  The per-term and per-read dictionary forms below
 are the straightforward statement of the same transformations; the
 equivalence tests check the array path against them, weight for weight
-and read for read.  They live here, not in ``src/``, so the library keeps
-one implementation.
+and read for read.  The dense sweep states the annealing kernel the
+same way: a dense coupling matrix, a gather and a scatter per colour
+class.  They live here, not in ``src/``, so the library keeps one
+implementation.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
+from repro.annealer.compile import CompiledQUBO, compile_qubo
 from repro.annealer.noise import NoiseModel
+from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
 from repro.core.logical import LogicalMapping
 from repro.core.physical import PhysicalMapping
 from repro.embedding.base import Embedding
@@ -85,6 +89,74 @@ def random_gauge(variables: Sequence[Variable], seed: SeedLike = None) -> GaugeT
     rng = ensure_rng(seed)
     signs = rng.integers(0, 2, size=len(variables)) * 2 - 1
     return GaugeTransform(factors={var: int(sign) for var, sign in zip(variables, signs)})
+
+
+# ---------------------------------------------------------------------- #
+# Annealing sweep
+# ---------------------------------------------------------------------- #
+def dense_coupling(compiled: CompiledQUBO) -> np.ndarray:
+    """Symmetric dense ``(n, n)`` coupling matrix of a compiled QUBO."""
+    n = compiled.num_variables
+    coupling = np.zeros((n, n))
+    edges = compiled.structure.edges
+    if compiled.edge_weights.size:
+        np.add.at(coupling, (edges[:, 0], edges[:, 1]), compiled.edge_weights)
+        np.add.at(coupling, (edges[:, 1], edges[:, 0]), compiled.edge_weights)
+    return coupling
+
+
+def dense_anneal(
+    qubos: Sequence[QUBOModel],
+    num_reads: int,
+    seed: SeedLike,
+    num_sweeps: int,
+    schedule: AnnealingSchedule | None = None,
+    initial_states: np.ndarray | None = None,
+) -> List[np.ndarray]:
+    """One group's anneal against the dense block-diagonal coupling matrix.
+
+    Colour class ``k`` of every block (the compiled colouring) merges
+    into one class, in block order; every block cools on its own ladder.
+    Per sweep and class: gather the class's states, take the field from
+    the dense rows, draw one uniform block of the class's shape, accept
+    where ``u < exp(-beta * delta)`` (probability 1 where ``delta <= 0``)
+    and scatter back.  Returns each block's ``(num_reads, n_b)`` states.
+    """
+    rng = ensure_rng(seed)
+    compiled = [compile_qubo(qubo) for qubo in qubos]
+    offsets = np.cumsum([0] + [block.num_variables for block in compiled])
+    coupling = np.zeros((offsets[-1], offsets[-1]))
+    ladders = []
+    for block, lo, hi in zip(compiled, offsets[:-1], offsets[1:]):
+        coupling[lo:hi, lo:hi] = dense_coupling(block)
+        ladders.append((schedule or default_schedule_for(block.max_abs_weight, num_sweeps)).as_array())
+    linear = np.concatenate([block.linear for block in compiled])[:, None]
+    betas = np.stack(ladders, axis=1)
+    classes = []
+    for k in range(max(block.num_classes for block in compiled)):
+        parts = [
+            (b, block.structure.classes[k].members)
+            for b, block in enumerate(compiled)
+            if k < block.num_classes
+        ]
+        classes.append(
+            (
+                np.concatenate([members + offsets[b] for b, members in parts]),
+                np.concatenate([np.full(members.size, b) for b, members in parts]),
+            )
+        )
+    if initial_states is None:
+        initial_states = rng.integers(0, 2, size=(num_reads, offsets[-1]))
+    states_t = np.array(initial_states, dtype=float).T.copy()
+    for sweep in range(num_sweeps):
+        for rows, block_of in classes:
+            current = states_t[rows]
+            delta = (1.0 - 2.0 * current) * (coupling[rows] @ states_t + linear[rows])
+            uniforms = rng.random(current.shape)
+            probability = np.ones_like(delta)
+            np.exp(delta * -betas[sweep, block_of][:, None], out=probability, where=delta > 0)
+            states_t[rows] = np.where(uniforms < probability, 1.0 - current, current)
+    return [np.ascontiguousarray(states_t[lo:hi].T) for lo, hi in zip(offsets[:-1], offsets[1:])]
 
 
 # ---------------------------------------------------------------------- #
