@@ -35,6 +35,7 @@ from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.qubo.model import QUBOModel
+from repro.utils.arrays import concat_ranges
 
 __all__ = [
     "ClassUpdatePlan",
@@ -71,22 +72,6 @@ def greedy_coloring(adjacency: List[List[int]]) -> List[List[int]]:
     for node, color in enumerate(colors):
         classes.setdefault(color, []).append(node)
     return [classes[color] for color in sorted(classes)]
-
-
-def _concat_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Vectorised ``concat(arange(s, s+l) for s, l in zip(starts, lengths))``."""
-    mask = lengths > 0
-    starts = starts[mask]
-    lengths = lengths[mask]
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    steps = np.ones(total, dtype=np.int64)
-    steps[0] = starts[0]
-    if starts.size > 1:
-        boundaries = np.cumsum(lengths[:-1])
-        steps[boundaries] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
-    return np.cumsum(steps)
 
 
 @dataclass(frozen=True)
@@ -201,7 +186,7 @@ class CompileCache:
 
     Used process-wide for compiled-QUBO structures (keyed by sparsity
     pattern) and by the service layer for prepared pipelines (keyed by
-    :meth:`~repro.mqo.problem.MQOProblem.canonical_hash`).  ``maxsize=0``
+    :func:`~repro.mqo.serialization.exact_problem_token`).  ``maxsize=0``
     disables caching entirely, which the equivalence tests and the
     benchmark use to measure cold compilations.
     """
@@ -302,14 +287,13 @@ def _build_structure(variables: Sequence[Variable], edges: np.ndarray) -> Compil
         counts = np.zeros(n, dtype=np.int64)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
 
-    adjacency: List[List[int]] = [
-        cols_sorted[indptr[i] : indptr[i + 1]].tolist() for i in range(n)
-    ]
+    neighbors, bounds = cols_sorted.tolist(), indptr.tolist()
+    adjacency: List[List[int]] = [neighbors[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     classes: List[ClassUpdatePlan] = []
     for members_list in greedy_coloring(adjacency):
         members = np.asarray(members_list, dtype=np.int64)
         lengths = counts[members]
-        data_slots = _concat_ranges(indptr[members], lengths)
+        data_slots = concat_ranges(indptr[members], lengths)
         classes.append(
             ClassUpdatePlan(
                 members=members,

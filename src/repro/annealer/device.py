@@ -177,6 +177,10 @@ class DWaveSamplerSimulator:
     def validate_problem(self, qubo: QUBOModel) -> None:
         """Check that ``qubo`` can be programmed onto this device.
 
+        Works on the model's arrays against the topology's tables, so a
+        lazily built model never materialises its dictionaries.  Labels
+        may be Python or numpy integers.
+
         Raises
         ------
         DeviceCapacityError
@@ -184,17 +188,31 @@ class DWaveSamplerSimulator:
         DeviceError
             If a quadratic term connects qubits without a physical coupler.
         """
-        for var in qubo.variables:
-            if not isinstance(var, (int,)) or not self.topology.has_qubit(var):
-                raise DeviceCapacityError(
-                    f"variable {var!r} is not a functional qubit of the device topology"
-                )
-        for (u, v) in qubo.quadratic:
-            if not self.topology.has_coupler(u, v):
-                raise DeviceError(
-                    f"quadratic term between qubits {u} and {v} does not correspond to a "
-                    f"physical coupler"
-                )
+        topology = self.topology
+        variables, _, edges, _ = qubo.to_arrays()
+        try:
+            labels = np.asarray(variables)
+        except ValueError:  # ragged labels, e.g. tuples next to integers
+            labels = np.asarray(())
+        integral = labels.ndim == 1 and labels.dtype.kind in "biu"
+        qubits = labels.astype(np.int64) if integral else np.full(len(variables), -1)
+        functional = (qubits >= 0) & (qubits < topology.num_qubits_total)
+        functional[functional] = topology.functional_mask[qubits[functional]]
+        if not functional.all():
+            for var in variables:
+                if not isinstance(var, (int, np.integer)) or not topology.has_qubit(var):
+                    raise DeviceCapacityError(
+                        f"variable {var!r} is not a functional qubit of the device topology"
+                    )
+        u, v = qubits[edges[:, 0]], qubits[edges[:, 1]]
+        coupled = (topology.neighbor_table[u] == v[:, None]).any(axis=1)
+        if not coupled.all():
+            slot = int(np.flatnonzero(~coupled)[0])
+            low, high = sorted((variables[edges[slot, 0]], variables[edges[slot, 1]]))
+            raise DeviceError(
+                f"quadratic term between qubits {low} and {high} does not correspond to a "
+                f"physical coupler"
+            )
 
     # ------------------------------------------------------------------ #
     # Sampling
@@ -279,6 +297,8 @@ class DWaveSamplerSimulator:
         scale = max(np.abs(field).max(initial=0.0), np.abs(coupling).max(initial=0.0))
         static_bias = self._static_bias[qubits]
 
+        # The batches share the variables and the edges: check them once.
+        structure = QUBOModel.from_arrays(variables, linear, edges, weights)
         batch_sizes = self._batch_sizes(num_reads, num_gauges)
         gauges = np.empty((num_gauges, len(variables)), dtype=np.int8)
         programmed_qubos: List[QUBOModel] = []
@@ -291,12 +311,8 @@ class DWaveSamplerSimulator:
             programmed_linear = 0.0 + 2.0 * h
             np.add.at(programmed_linear, endpoints, np.repeat(-2.0 * j, 2))
             programmed_qubos.append(
-                QUBOModel.from_arrays(
-                    variables,
-                    programmed_linear,
-                    edges,
-                    0.0 + 4.0 * j,
-                    offset=_running_sum([ising_offset], -h, j),
+                structure.reweighted(
+                    programmed_linear, 0.0 + 4.0 * j, offset=_running_sum([ising_offset], -h, j)
                 )
             )
         return ProgrammedAnneal(

@@ -54,13 +54,13 @@ jobs that share the annealing-backed solver; see ``docs/fusion.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
 from repro.annealer.compile import CompileCache, CompiledQUBO, compile_qubo, default_compile_cache
-from repro.annealer.schedule import AnnealingSchedule, check_schedule_length, default_schedule_for
+from repro.annealer.schedule import AnnealingSchedule, check_schedule_length, default_ladders
 from repro.exceptions import DeviceError
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
@@ -290,19 +290,30 @@ def _layout(
 def _beta_table(groups: Sequence[FusionGroup], compiled: Sequence[Sequence[CompiledQUBO]]) -> np.ndarray:
     """Per-sweep, per-block betas, shape ``(longest horizon, num_blocks)``.
 
-    Each block's ladder comes from its own group (explicit schedule or
-    the block-scaled default).  Ladders shorter than the longest horizon
-    are padded by repeating the final beta — padded rows are never used
-    because the block leaves the sweep loop first.
+    Each block's ladder comes from its own group: the explicit schedule,
+    or the block-scaled default, computed for all blocks sharing a
+    horizon in one :func:`default_ladders` call.  Ladders shorter than
+    the longest horizon are padded by repeating the final beta — padded
+    rows are never used because the block leaves the sweep loop first.
     """
-    horizon = max(group.num_sweeps for group in groups)
-    columns = []
+    table = np.empty((max(group.num_sweeps for group in groups), sum(map(len, compiled))))
+    defaults: Dict[int, List[int]] = {}
+    column = 0
     for group, blocks in zip(groups, compiled):
-        for block in blocks:
-            schedule = group.schedule or default_schedule_for(block.max_abs_weight, group.num_sweeps)
-            ladder = schedule.as_array()
-            columns.append(np.concatenate([ladder, np.full(horizon - ladder.size, ladder[-1])]))
-    return np.stack(columns, axis=1)
+        columns = list(range(column, column + len(blocks)))
+        column += len(blocks)
+        if group.schedule is None:
+            defaults.setdefault(group.num_sweeps, []).extend(columns)
+        else:
+            ladder = group.schedule.as_array()
+            table[: ladder.size, columns] = ladder[:, None]
+            table[ladder.size :, columns] = ladder[-1]
+    max_abs = np.array([block.max_abs_weight for blocks in compiled for block in blocks])
+    for num_sweeps, columns in defaults.items():
+        ladders = default_ladders(max_abs[columns], num_sweeps)
+        table[:num_sweeps, columns] = ladders
+        table[num_sweeps:, columns] = ladders[-1]
+    return table
 
 
 def _anneal(states: np.ndarray, classes: List[_FusedClass], neg_betas: np.ndarray, sweeps: List[int]) -> None:

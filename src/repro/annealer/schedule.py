@@ -9,12 +9,19 @@ schedule is provided for the schedule-sensitivity ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.exceptions import DeviceError
 
-__all__ = ["AnnealingSchedule", "geometric_beta_schedule", "linear_beta_schedule"]
+__all__ = [
+    "AnnealingSchedule",
+    "default_ladders",
+    "default_schedule_for",
+    "geometric_beta_schedule",
+    "linear_beta_schedule",
+]
 
 
 @dataclass(frozen=True)
@@ -67,17 +74,29 @@ def linear_beta_schedule(
     return AnnealingSchedule(betas=tuple(float(b) for b in betas))
 
 
-def default_schedule_for(max_abs_weight: float, num_sweeps: int = 100) -> AnnealingSchedule:
-    """A geometric schedule scaled to the problem's weight magnitude.
+def default_ladders(max_abs_weights: Sequence[float] | np.ndarray, num_sweeps: int) -> np.ndarray:
+    """The default geometric ladders of many problems, shape ``(num_sweeps, k)``.
 
-    The hot end accepts moves of the order of the largest weight with
-    ~50 % probability; the cold end freezes single-unit moves.
+    Column ``i`` is the ladder for a problem whose largest absolute
+    weight is ``max_abs_weights[i]``: the hot end accepts moves of the
+    order of that weight with ~50 % probability; the cold end freezes
+    single-unit moves.  ``np.geomspace`` works element by element, so
+    one call over arrays of start and end betas gives every column the
+    floats a call per problem gives.
     """
-    max_abs_weight = max(max_abs_weight, 1e-9)
-    beta_start = 0.7 / max_abs_weight
-    beta_end = 20.0 / max(1e-9, min(1.0, max_abs_weight)) if max_abs_weight < 1.0 else 20.0
-    beta_end = max(beta_end, beta_start * 10.0)
-    return geometric_beta_schedule(beta_start, beta_end, num_sweeps)
+    if num_sweeps <= 0:
+        raise DeviceError("num_sweeps must be positive")
+    weights = np.maximum(np.asarray(max_abs_weights, dtype=float), 1e-9)
+    beta_start = 0.7 / weights
+    beta_end = np.maximum(np.where(weights < 1.0, 20.0 / weights, 20.0), beta_start * 10.0)
+    if num_sweeps == 1:
+        return beta_end[None, :]
+    return np.geomspace(beta_start, beta_end, num_sweeps)
+
+
+def default_schedule_for(max_abs_weight: float, num_sweeps: int = 100) -> AnnealingSchedule:
+    """A geometric schedule scaled to the problem's weight magnitude (see :func:`default_ladders`)."""
+    return AnnealingSchedule(betas=tuple(default_ladders([max_abs_weight], num_sweeps)[:, 0].tolist()))
 
 
 def check_schedule_length(schedule: AnnealingSchedule | None, num_sweeps: int) -> None:

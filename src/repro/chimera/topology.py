@@ -24,7 +24,10 @@ or equivalently by :class:`ChimeraCoordinate` tuples
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Set, Tuple
+
+import numpy as np
 
 from repro.exceptions import TopologyError
 
@@ -241,6 +244,57 @@ class ChimeraGraph:
         if index not in self._adjacency:
             raise TopologyError(f"qubit {index} is broken or out of range")
         return set(self._adjacency[index])
+
+    # ------------------------------------------------------------------ #
+    # Array tables (built once per topology; the graph never changes)
+    # ------------------------------------------------------------------ #
+    @cached_property
+    def functional_mask(self) -> np.ndarray:
+        """Read-only ``bool[num_qubits_total]``: whether each qubit site is usable."""
+        mask = np.zeros(self._num_qubits_total, dtype=bool)
+        mask[list(self._adjacency)] = True
+        mask.setflags(write=False)
+        return mask
+
+    @cached_property
+    def neighbor_table(self) -> np.ndarray:
+        """Read-only ``(num_qubits_total, max_degree)`` usable neighbours, ``-1`` padded.
+
+        Row ``q`` lists ``neighbors(q)`` in that set's iteration order, so
+        a vectorised first-match search over a row finds the neighbour a
+        loop over :meth:`neighbors` finds first.  Broken sites have
+        all-padding rows.
+        """
+        table = np.full((self._num_qubits_total, max(self.max_degree(), 1)), -1, dtype=np.int64)
+        for qubit in self._adjacency:
+            partners = list(self.neighbors(qubit))
+            table[qubit, : len(partners)] = partners
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def _cell_positions(self) -> List[List[Tuple[int, int]]]:
+        cells = []
+        for row in range(self.rows):
+            for col in range(self.cols):
+                positions = []
+                for k in range(self.shore):
+                    left = self.coordinate_to_index(ChimeraCoordinate(row, col, 0, k))
+                    right = self.coordinate_to_index(ChimeraCoordinate(row, col, 1, k))
+                    if self.has_coupler(left, right):
+                        positions.append((left, right))
+                cells.append(positions)
+        return cells
+
+    def intact_positions(self, row: int, col: int) -> List[Tuple[int, int]]:
+        """Usable ``(left_qubit, right_qubit)`` position pairs of one unit cell.
+
+        Position ``k`` is intact when both of its qubits work and the
+        coupler between them does.  Computed for every cell on first use.
+        """
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise TopologyError(f"cell ({row}, {col}) outside the grid")
+        return list(self._cell_positions[row * self.cols + col])
 
     def degree(self, index: int) -> int:
         """Number of usable couplers incident to a qubit."""

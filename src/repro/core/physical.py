@@ -24,7 +24,7 @@ couplings from ``b`` to qubits outside ``B``); then
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from repro.embedding.base import Embedding
 from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
 from repro.exceptions import EmbeddingError
 from repro.qubo.model import QUBOModel
+from repro.utils.arrays import concat_ranges
 
 __all__ = ["PhysicalMappingConfig", "PhysicalMapping", "embed_logical_qubo"]
 
@@ -125,8 +126,8 @@ class PhysicalMapping:
         matrix with one column per variable of :attr:`logical_qubo`, in
         its order, and the per-read broken-chain flags.  Row by row this
         equals :meth:`unembed_sample` (a discarded read is all zeros
-        rather than an empty assignment), but every read resolves in one
-        gather plus one segmented reduction
+        rather than an empty assignment), but all reads resolve together
+        in a few whole-matrix gathers
         (:class:`~repro.embedding.unembed.ChainGather`).
         """
         gather = ChainGather(self.embedding, qubit_order, self.logical_qubo.variables)
@@ -137,59 +138,6 @@ class PhysicalMapping:
         return self.logical_qubo.energy(logical_assignment)
 
 
-def _distribute_linear_weights(
-    logical_qubo: QUBOModel, embedding: Embedding, physical: QUBOModel
-) -> None:
-    for var, weight in logical_qubo.linear.items():
-        chain = embedding.chain(var)
-        share = weight / len(chain)
-        for qubit in chain:
-            physical.add_linear(qubit, share)
-
-
-def _place_quadratic_weights(
-    logical_qubo: QUBOModel,
-    embedding: Embedding,
-    topology: ChimeraGraph,
-    physical: QUBOModel,
-) -> Dict[Tuple[Variable, Variable], Tuple[int, int]]:
-    placed: Dict[Tuple[Variable, Variable], Tuple[int, int]] = {}
-    for (u, v), weight in logical_qubo.quadratic.items():
-        coupler = embedding.coupler_between(u, v, topology)
-        if coupler is None:
-            raise EmbeddingError(
-                f"the embedding provides no physical coupler for the logical interaction "
-                f"({u!r}, {v!r})"
-            )
-        physical.add_quadratic(coupler[0], coupler[1], weight)
-        placed[(u, v)] = coupler
-    return placed
-
-
-def _choi_chain_strength(
-    chain: Tuple[int, ...],
-    physical: QUBOModel,
-    epsilon: float,
-) -> float:
-    """Chain strength for one chain following Choi's bound (Section 5)."""
-    chain_set = set(chain)
-    increase_to_one = 0.0
-    increase_to_zero = 0.0
-    for qubit in chain:
-        weight = physical.get_linear(qubit)
-        external_positive = 0.0
-        external_negative = 0.0
-        for neighbor, coupling in physical.neighbors(qubit).items():
-            if neighbor in chain_set:
-                continue
-            external_positive += max(coupling, 0.0)
-            external_negative += max(-coupling, 0.0)
-        increase_to_one += weight + external_positive
-        increase_to_zero += -weight + external_negative
-    bound = min(increase_to_zero, increase_to_one)
-    return max(bound, 0.0) + epsilon
-
-
 def embed_logical_qubo(
     logical_qubo: QUBOModel,
     embedding: Embedding,
@@ -198,6 +146,20 @@ def embed_logical_qubo(
 ) -> PhysicalMapping:
     """Build the physical energy formula for ``logical_qubo`` (Algorithm 1, line 6).
 
+    The physical QUBO is assembled on arrays in one
+    :meth:`QUBOModel.from_arrays` call, with the layout and the floats of
+    the term-by-term construction (``tests/oracles.py`` keeps that form):
+
+    * variables: the chain qubits, in logical-variable order;
+    * edges: the placed couplers in logical-quadratic order, then every
+      chain's spanning-tree couplers in variable order, each stored
+      smaller qubit first;
+    * linear weights: ``0.0 + w_i / |B|`` per chain qubit, plus each
+      chain strength at both endpoints of each tree coupler, accumulated
+      in coupler order;
+    * the Choi bound sums the external couplings per qubit in placement
+      order, then per chain in chain order.
+
     Raises
     ------
     EmbeddingError
@@ -205,48 +167,78 @@ def embed_logical_qubo(
         is disconnected, or a logical interaction has no physical coupler.
     """
     config = config or PhysicalMappingConfig()
-    missing = [var for var in logical_qubo.variables if var not in embedding]
-    if missing:
+    variables, logical_linear, _, logical_weights = logical_qubo.to_arrays()
+    qubits, starts, lengths, index = embedding.chain_arrays()
+    chain_of = np.array([index.get(var, -1) for var in variables], dtype=np.int64)
+    if (chain_of < 0).any():
+        missing = [var for var, chain in zip(variables, chain_of.tolist()) if chain < 0]
         raise EmbeddingError(f"embedding is missing chains for variables: {missing[:5]}")
-    embedding.validate(topology, logical_qubo.quadratic.keys())
+    tree_edges, tree_counts = embedding.chain_trees(topology)
+    interactions = logical_qubo.interactions()
+    couplers = embedding.interaction_couplers(topology, interactions)
 
-    physical = QUBOModel(offset=logical_qubo.offset)
-    for var in logical_qubo.variables:
-        for qubit in embedding.chain(var):
-            physical.add_variable(qubit)
+    chain_lengths = lengths[chain_of]
+    physical_qubits = qubits[concat_ranges(starts[chain_of], chain_lengths)]
+    position = np.full(topology.num_qubits_total, -1, dtype=np.int64)
+    position[physical_qubits] = np.arange(physical_qubits.size)
+    tree_slots = np.cumsum(tree_counts) - tree_counts
+    tree = tree_edges[concat_ranges(tree_slots[chain_of], tree_counts[chain_of])]
+    tree_chain = np.repeat(np.arange(len(variables)), tree_counts[chain_of])
 
-    _distribute_linear_weights(logical_qubo, embedding, physical)
-    interaction_couplers = _place_quadratic_weights(logical_qubo, embedding, topology, physical)
+    # Steps 1-2: split the linear weights over the chains, place each
+    # logical coupling on its coupler.
+    linear = 0.0 + np.repeat(logical_linear / chain_lengths, chain_lengths)
+    coupling = 0.0 + logical_weights
+    placed = position[couplers]
 
     # Step 3: per-chain equality penalties.  The Choi bound is computed on
     # the weights *after* the logical weights have been distributed, and
     # chains are processed independently (the bound already over-estimates
     # the influence of neighbouring chains through the coupler weights).
-    chain_strengths: Dict[Variable, float] = {}
-    chain_edges: Dict[Variable, List[Tuple[int, int]]] = {}
-    for var in logical_qubo.variables:
-        chain = embedding.chain(var)
-        chain_edges[var] = embedding.chain_edges(var, topology)
-        if config.uniform_chain_strength is not None:
-            chain_strengths[var] = config.uniform_chain_strength
-        else:
-            chain_strengths[var] = _choi_chain_strength(
-                chain, physical, config.chain_strength_epsilon
-            )
+    if config.uniform_chain_strength is not None:
+        strengths = np.full(len(variables), float(config.uniform_chain_strength))
+        chain_strengths = dict.fromkeys(variables, config.uniform_chain_strength)
+    else:
+        strengths = _choi_chain_strengths(linear, placed, coupling, chain_lengths)
+        strengths = strengths + config.chain_strength_epsilon
+        chain_strengths = dict(zip(variables, strengths.tolist()))
+    tree_strength = strengths[tree_chain]
+    np.add.at(linear, position[tree].reshape(-1), np.repeat(tree_strength, 2))
 
-    for var, edges in chain_edges.items():
-        strength = chain_strengths[var]
-        for qubit_u, qubit_v in edges:
-            physical.add_linear(qubit_u, strength)
-            physical.add_linear(qubit_v, strength)
-            physical.add_quadratic(qubit_u, qubit_v, -2.0 * strength)
-
+    edges = np.concatenate([position[np.sort(couplers, axis=1)], position[np.sort(tree, axis=1)]])
+    weights = np.concatenate([coupling, 0.0 + -2.0 * tree_strength])
+    physical = QUBOModel.from_arrays(
+        physical_qubits.tolist(), linear, edges, weights, offset=logical_qubo.offset
+    )
     return PhysicalMapping(
         logical_qubo=logical_qubo,
         physical_qubo=physical,
         embedding=embedding,
         topology=topology,
         chain_strengths=chain_strengths,
-        interaction_couplers=interaction_couplers,
+        interaction_couplers=dict(zip(interactions, map(tuple, couplers.tolist()))),
         config=config,
     )
+
+
+def _choi_chain_strengths(
+    linear: np.ndarray, placed: np.ndarray, coupling: np.ndarray, chain_lengths: np.ndarray
+) -> np.ndarray:
+    """Choi's bound ``max(min(sum U_{1->0}, sum U_{0->1}), 0)`` per chain (Section 5).
+
+    ``placed`` holds the physical positions of each logical coupling's
+    two endpoints.  Every sum runs left to right, as the per-term loop
+    does: per qubit over its couplings in placement order, then per
+    chain over its qubits in chain order.
+    """
+    endpoints = placed.reshape(-1)
+    external_positive = np.zeros(linear.size)
+    external_negative = np.zeros(linear.size)
+    np.add.at(external_positive, endpoints, np.repeat(np.maximum(coupling, 0.0), 2))
+    np.add.at(external_negative, endpoints, np.repeat(np.maximum(-coupling, 0.0), 2))
+    chain = np.repeat(np.arange(chain_lengths.size), chain_lengths)
+    increase_to_one = np.zeros(chain_lengths.size)
+    increase_to_zero = np.zeros(chain_lengths.size)
+    np.add.at(increase_to_one, chain, linear + external_positive)
+    np.add.at(increase_to_zero, chain, -linear + external_negative)
+    return np.maximum(np.minimum(increase_to_zero, increase_to_one), 0.0)

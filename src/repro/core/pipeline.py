@@ -48,7 +48,7 @@ class PreparedProblem:
     solves of the same instance (portfolio re-races, anytime restarts)
     pass the prepared form back into :meth:`QuantumMQO.solve` and skip
     it entirely.  The service layer caches these keyed by
-    :meth:`~repro.mqo.problem.MQOProblem.canonical_hash`.
+    :func:`~repro.mqo.serialization.exact_problem_token`.
     """
 
     problem: MQOProblem
@@ -171,7 +171,7 @@ class QuantumMQO:
         if isinstance(self.embedder, Embedding):
             return self.embedder
         clusters = [list(query.plan_indices) for query in problem.queries]
-        interactions = list(mapping.qubo.quadratic.keys())
+        interactions = mapping.qubo.interactions()
         topology = self.device.topology
 
         def native() -> Embedding:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterator, List, Sequence, Tuple
 
-from repro.chimera.topology import ChimeraCoordinate, ChimeraGraph
+from repro.chimera.topology import ChimeraGraph
 from repro.embedding.base import Embedding
 from repro.embedding.cell_patterns import (
     intra_cell_clique_chains,
@@ -51,17 +51,6 @@ class NativeClusteredEmbedder:
             for col in cols:
                 yield row, col
 
-    def intact_positions(self, row: int, col: int) -> List[Tuple[int, int]]:
-        """Usable ``(left_qubit, right_qubit)`` position pairs of one cell."""
-        topo = self.topology
-        positions = []
-        for k in range(topo.shore):
-            left = topo.coordinate_to_index(ChimeraCoordinate(row, col, 0, k))
-            right = topo.coordinate_to_index(ChimeraCoordinate(row, col, 1, k))
-            if topo.has_qubit(left) and topo.has_qubit(right) and topo.has_coupler(left, right):
-                positions.append((left, right))
-        return positions
-
     def capacity(self, cluster_size: int) -> int:
         """Maximum number of equal-size clusters this topology can host.
 
@@ -74,7 +63,7 @@ class NativeClusteredEmbedder:
         needed = positions_needed(cluster_size)
         total = 0
         for row, col in self.serpentine_cells():
-            total += len(self.intact_positions(row, col)) // needed
+            total += len(self.topology.intact_positions(row, col)) // needed
         return total
 
     def qubits_per_variable(self, cluster_size: int) -> float:
@@ -133,7 +122,7 @@ class NativeClusteredEmbedder:
                 # Positions left over in the previous cell cannot be combined
                 # with a new cell for the same cluster (chains would be
                 # disconnected), so start fresh per cell.
-                available = self.intact_positions(row, col)
+                available = self.topology.intact_positions(row, col)
             if exhausted or len(available) < needed:
                 raise EmbeddingNotFoundError(
                     f"ran out of unit cells after embedding {cluster_index} of "
@@ -145,13 +134,18 @@ class NativeClusteredEmbedder:
                 chains[var] = tuple(chain)
 
         embedding = Embedding(chains)
-        intra: List[Tuple[Variable, Variable]] = []
+        # Each logical edge is checked once: the interactions usually hold
+        # the intra-cluster pairs already (the logical QUBO's penalties).
+        checked = list(interactions)
+        seen = set(checked)
         for cluster in clusters:
             members = list(cluster)
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
-                    intra.append((members[i], members[j]))
-        embedding.validate(self.topology, list(interactions) + intra)
+                    pair = (members[i], members[j])
+                    if pair not in seen and pair[::-1] not in seen:
+                        checked.append(pair)
+        embedding.validate(self.topology, checked)
         return embedding
 
     def couplable_pairs(self, embedding: Embedding) -> List[Tuple[Variable, Variable]]:

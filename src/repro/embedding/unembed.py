@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.embedding.base import Embedding
 from repro.exceptions import EmbeddingError
+from repro.utils.arrays import concat_ranges
 
 __all__ = [
     "ChainReadout",
@@ -109,8 +110,8 @@ class ChainGather:
     Resolving chains sample by sample costs a Python loop per qubit per
     read.  This helper flattens every chain's qubit positions (relative
     to a fixed qubit order) once, so a whole batch of reads resolves
-    with one fancy-index plus one ``np.add.reduceat`` — the same
-    gather/segment pattern the sparse annealer uses for local fields.
+    with one fancy-index plus one gather-and-add per qubit rank of the
+    longest chain.
 
     Parameters
     ----------
@@ -130,23 +131,36 @@ class ChainGather:
         qubit_order: Sequence[int],
         variables: Sequence[Variable] | None = None,
     ) -> None:
-        position = {qubit: column for column, qubit in enumerate(qubit_order)}
         self.variables: List[Variable] = list(
             embedding.variables if variables is None else variables
         )
-        flat: List[int] = []
-        lengths: List[int] = []
-        for var in self.variables:
-            chain = embedding.chain(var)
-            try:
-                flat.extend(position[qubit] for qubit in chain)
-            except KeyError as exc:
-                raise EmbeddingError(
-                    f"qubit order is missing qubit {exc} of the chain for {var!r}"
-                ) from exc
-            lengths.append(len(chain))
-        self.flat = np.asarray(flat, dtype=np.int64)
-        self.lengths = np.asarray(lengths, dtype=np.int64)
+        qubits, starts, lengths, index = embedding.chain_arrays()
+        known = len(self.variables)
+        if variables is not None:
+            chain_of = np.array([index.get(var, -1) for var in self.variables], dtype=np.int64)
+            unknown = np.flatnonzero(chain_of < 0)
+            known = int(unknown[0]) if unknown.size else known
+            lengths = lengths[chain_of[:known]]
+            qubits = qubits[concat_ranges(starts[chain_of[:known]], lengths)]
+        # Column of each chain qubit: the last column holding it, as a
+        # qubit -> column dict built over ``qubit_order`` would give.
+        order = np.asarray(qubit_order, dtype=np.int64).reshape(-1)
+        sorter = np.argsort(order, kind="stable")
+        found = np.searchsorted(order, qubits, side="right", sorter=sorter) - 1
+        missing = found < 0
+        columns = np.zeros_like(found)
+        columns[~missing] = sorter[found[~missing]]
+        missing[~missing] = order[columns[~missing]] != qubits[~missing]
+        if missing.any():
+            slot = int(np.flatnonzero(missing)[0])
+            var = self.variables[int(np.searchsorted(np.cumsum(lengths), slot, side="right"))]
+            raise EmbeddingError(
+                f"qubit order is missing qubit {qubits[slot]} of the chain for {var!r}"
+            )
+        if known < len(self.variables):
+            embedding.chain(self.variables[known])  # raises: not embedded
+        self.flat = columns
+        self.lengths = lengths
         self.starts = np.cumsum(self.lengths) - self.lengths
 
     def resolve(
@@ -165,10 +179,15 @@ class ChainGather:
         if states.ndim != 2:
             raise EmbeddingError(f"states must be 2-D, got shape {states.shape}")
         values = states[:, self.flat]
-        if not np.isin(values, (0, 1)).all():
+        if not (values == values.astype(bool)).all():
             raise EmbeddingError("physical samples hold non-binary values")
+        # Per-chain count of ones, one gather per qubit rank: chains are
+        # short, and this beats a segmented reduction over many segments.
         values = values.astype(np.int64, copy=False)
-        ones = np.add.reduceat(values, self.starts, axis=1)
+        ones = values[:, self.starts]
+        for rank in range(1, int(self.lengths.max(initial=1))):
+            longer = np.flatnonzero(self.lengths > rank)
+            ones[:, longer] += values[:, self.starts[longer] + rank]
         broken_chains = (ones > 0) & (ones < self.lengths)
         broken = broken_chains.any(axis=1)
         if readout is ChainReadout.FIRST:

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Any, Dict, Tuple
 import numpy as np
 
 from repro.exceptions import InvalidSolutionError
+from repro.utils.arrays import concat_ranges
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (problem -> arrays)
     from repro.mqo.problem import MQOProblem
@@ -188,23 +189,11 @@ class ProblemArrays:
 
         Ordered by query index, then lexicographically within the query —
         the order the legacy per-pair QUBO construction inserted them in.
+        Each plan ``i`` pairs with the plans after it in its query.
         """
-        blocks = []
-        triu_cache: dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        offsets = self.query_offsets
-        for q in range(self.num_queries):
-            k = int(offsets[q + 1] - offsets[q])
-            if k < 2:
-                continue
-            if k not in triu_cache:
-                rows, cols = np.triu_indices(k, k=1)
-                triu_cache[k] = (rows.astype(np.int64), cols.astype(np.int64))
-            rows, cols = triu_cache[k]
-            base = int(offsets[q])
-            blocks.append(np.column_stack((rows + base, cols + base)))
-        if not blocks:
-            return _frozen(np.empty((0, 2), dtype=np.int64))
-        return _frozen(np.concatenate(blocks, axis=0))
+        plans = np.arange(self.num_plans, dtype=np.int64)
+        later = self.query_offsets[1:][self.plan_query] - plans - 1
+        return _frozen(np.column_stack((np.repeat(plans, later), concat_ranges(plans + 1, later))))
 
     # ------------------------------------------------------------------ #
     # Scalar aggregates (penalty-weight derivation)

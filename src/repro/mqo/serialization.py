@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvalidProblemError
 from repro.mqo.problem import MQOProblem, MQOSolution
@@ -81,98 +84,139 @@ def problem_from_dict(data: Dict[str, Any]) -> MQOProblem:
 _MAX_CANONICAL_LEAVES = 2048
 
 
-def _partner_entries(problem: MQOProblem) -> List[List[Tuple[int, float]]]:
-    """Per-plan ``(partner, rounded saving)`` lists from the CSR adjacency.
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 12)`` of every value, rounding each distinct value once.
 
-    Precomputed once per canonicalisation so the refinement loop never
-    re-rounds savings or walks the partner dictionaries: the refinement
-    visits every plan's partners once per iteration per search branch,
-    and the rounding/dict overhead dominated the canonical hash on large
-    instances.
+    Not ``np.round``: it scales, rounds and unscales in floating point
+    and differs from ``round`` in the last digit on some values, which
+    would change digests.  Values are told apart by their bits, so
+    ``-0.0`` keeps its sign.
     """
-    arrays = problem.arrays()
-    indptr = arrays.adj_indptr.tolist()
-    indices = arrays.adj_indices.tolist()
-    values = arrays.adj_values.tolist()
-    return [
-        [
-            (indices[slot], round(values[slot], 12))
-            for slot in range(indptr[plan], indptr[plan + 1])
-        ]
-        for plan in range(arrays.num_plans)
-    ]
-
-
-def _refine_colors(
-    problem: MQOProblem,
-    colors: Dict[int, int],
-    partner_entries: List[List[Tuple[int, float]]] | None = None,
-) -> Dict[int, int]:
-    """Colour refinement (Weisfeiler-Leman style) to the fixpoint.
-
-    Each plan's colour is joined with the sorted multiset of its
-    ``(partner colour, saving)`` pairs and the joint signatures are
-    re-ranked, until the partition stops refining.  Ranks are a pure
-    function of problem structure, never of the plan enumeration.
-    """
-    if partner_entries is None:
-        partner_entries = _partner_entries(problem)
-    num_colors = len(set(colors.values()))
-    while True:
-        signatures = {
-            plan: (
-                colors[plan],
-                tuple(sorted((colors[partner], saving) for partner, saving in entries)),
-            )
-            for plan, entries in enumerate(partner_entries)
-        }
-        ranks = {
-            signature: rank for rank, signature in enumerate(sorted(set(signatures.values())))
-        }
-        colors = {plan_index: ranks[signature] for plan_index, signature in signatures.items()}
-        if len(ranks) == num_colors:
-            return colors
-        num_colors = len(ranks)
-
-
-def _first_tie_class(problem: MQOProblem, colors: Dict[int, int]) -> List[int]:
-    """The lowest-colour group of same-query plans sharing a colour.
-
-    Picking the class by colour value keeps the choice invariant to the
-    plan enumeration (colours are structural ranks).
-    """
-    classes: Dict[Tuple[int, int], List[int]] = {}
-    for query in problem.queries:
-        for plan_index in query.plan_indices:
-            classes.setdefault((colors[plan_index], query.index), []).append(plan_index)
-    ties = [group for group in classes.values() if len(group) > 1]
-    if not ties:
-        return []
-    return min(ties, key=lambda group: colors[group[0]])
-
-
-def _mapping_from_colors(problem: MQOProblem, colors: Dict[int, int]) -> Dict[int, int]:
-    mapping: Dict[int, int] = {}
-    next_index = 0
-    for query in problem.queries:
-        for plan_index in sorted(query.plan_indices, key=lambda p: colors[p]):
-            mapping[plan_index] = next_index
-            next_index += 1
-    return mapping
-
-
-def _form_key(problem: MQOProblem, mapping: Dict[int, int]) -> Tuple:
-    """Comparable fingerprint of the savings structure under ``mapping``
-    (the plan costs are already fixed by the colour order)."""
-    return tuple(
-        sorted(
-            (*sorted((mapping[p1], mapping[p2])), round(value, 12))
-            for (p1, p2), value in problem.savings.items()
-        )
+    bits, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
     )
+    rounded = [round(value, 12) for value in bits.view(np.float64).tolist()]
+    return np.array(rounded, dtype=np.float64)[inverse]
 
 
-def _canonical_plan_order(problem: MQOProblem) -> Dict[int, int]:
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each row of ``keys`` among its distinct rows, in lexicographic order."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = np.cumsum(new) - 1
+    return ranks
+
+
+@dataclass(frozen=True, eq=False)
+class _Structure:
+    """One problem's arrays for the canonical search, rounded once.
+
+    ``rows``/``partners`` list both directions of every saving;
+    ``saving_rank`` ranks each entry's rounded saving among the distinct
+    rounded savings, so ``(partner colour, saving)`` pairs order as the
+    integers ``partner colour * num_saving_ranks + saving_rank``.
+    """
+
+    plan_query: np.ndarray
+    cost: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    saving: np.ndarray
+    rows: np.ndarray
+    partners: np.ndarray
+    saving_rank: np.ndarray
+    num_saving_ranks: int
+    row_start: np.ndarray
+    width: int
+
+    @classmethod
+    def of(cls, problem: MQOProblem) -> "_Structure":
+        arrays = problem.arrays()
+        saving = _rounded(arrays.savings_value)
+        rows = np.concatenate([arrays.savings_p1, arrays.savings_p2])
+        degree = np.bincount(rows, minlength=arrays.num_plans)
+        saving_rank = _dense_ranks(saving[:, None])
+        return cls(
+            plan_query=arrays.plan_query.astype(np.int64),
+            cost=_rounded(arrays.plan_cost),
+            p1=arrays.savings_p1,
+            p2=arrays.savings_p2,
+            saving=saving,
+            rows=rows,
+            partners=np.concatenate([arrays.savings_p2, arrays.savings_p1]),
+            saving_rank=np.concatenate([saving_rank, saving_rank]),
+            num_saving_ranks=int(saving_rank.max(initial=-1)) + 1,
+            row_start=np.cumsum(degree) - degree,
+            width=1 + int(degree.max(initial=0)),
+        )
+
+    def refine(self, colors: np.ndarray) -> np.ndarray:
+        """Colour refinement (Weisfeiler-Leman style) to the fixpoint.
+
+        Each plan's colour is joined with the sorted multiset of its
+        ``(partner colour, saving)`` pairs and the joint signatures are
+        re-ranked, until the partition stops refining.  A signature is
+        one row: the colour, then the sorted pairs, padded with ``-1``
+        (below every pair) so a shorter pair list sorts first, as a
+        shorter tuple does.  Ranks are a pure function of problem
+        structure, never of the plan enumeration.
+        """
+        num_colors = np.unique(colors).size
+        while True:
+            pairs = colors[self.partners] * self.num_saving_ranks + self.saving_rank
+            order = np.lexsort((pairs, self.rows))
+            rows = self.rows[order]
+            signatures = np.full((colors.size, self.width), -1, dtype=np.int64)
+            signatures[:, 0] = colors
+            signatures[rows, 1 + np.arange(rows.size) - self.row_start[rows]] = pairs[order]
+            colors = _dense_ranks(signatures)
+            count = int(colors.max(initial=-1)) + 1
+            if count == num_colors:
+                return colors
+            num_colors = count
+
+    def first_tie_class(self, colors: np.ndarray) -> np.ndarray:
+        """The lowest colour shared by several plans, as its plans in index order.
+
+        Every colour belongs to one query (colours start from ``(query,
+        cost)`` and only split), so this is the lowest-colour group of
+        same-query plans sharing a colour, chosen by colour value to keep
+        it invariant to the plan enumeration.
+        """
+        counts = np.bincount(colors)
+        tied = np.flatnonzero(counts > 1)
+        if not tied.size:
+            return tied
+        return np.flatnonzero(colors == tied[0])
+
+    def mapping(self, colors: np.ndarray) -> np.ndarray:
+        """Canonical global index of every plan: queries in order, plans by colour."""
+        mapping = np.empty(colors.size, dtype=np.int64)
+        mapping[np.lexsort((colors, self.plan_query))] = np.arange(colors.size)
+        return mapping
+
+    def savings_form(self, mapping: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The savings under ``mapping`` as sorted ``(low, high, saving)`` columns."""
+        low = np.minimum(mapping[self.p1], mapping[self.p2])
+        high = np.maximum(mapping[self.p1], mapping[self.p2])
+        order = np.lexsort((self.saving, high, low))
+        return low[order], high[order], self.saving[order]
+
+
+def _form_less(key: np.ndarray, best: np.ndarray) -> bool:
+    """Whether one leaf's ``(low, high, saving)`` rows sort before another's.
+
+    The comparison of the two forms as tuples of triples: the first
+    differing entry, row by row, decides.
+    """
+    differs = np.flatnonzero((key != best).reshape(-1))
+    return bool(differs.size) and bool(key.reshape(-1)[differs[0]] < best.reshape(-1)[differs[0]])
+
+
+def _canonical_plan_order(structure: _Structure) -> np.ndarray:
     """Map every global plan index to its canonical global index.
 
     Canonicalisation via individualization-refinement: colours start
@@ -188,36 +232,25 @@ def _canonical_plan_order(problem: MQOProblem) -> Dict[int, int]:
     beyond that (astronomically symmetric instances) the smallest form
     found so far is used, making the hash best-effort there.
     """
-    initial_ranks = {
-        key: rank
-        for rank, key in enumerate(
-            sorted({(plan.query_index, round(plan.cost, 12)) for plan in problem.plans})
-        )
-    }
-    start = {
-        plan.index: initial_ranks[(plan.query_index, round(plan.cost, 12))]
-        for plan in problem.plans
-    }
-
-    best: List[Tuple[Tuple, Dict[int, int]]] = []
+    start = _dense_ranks(np.column_stack([structure.plan_query, structure.cost]))
+    best: List[Tuple[np.ndarray, np.ndarray]] = []
     leaves = [0]
-    partner_entries = _partner_entries(problem)
 
-    def search(colors: Dict[int, int]) -> None:
+    def search(colors: np.ndarray) -> None:
         if leaves[0] >= _MAX_CANONICAL_LEAVES:
             return
-        colors = _refine_colors(problem, colors, partner_entries)
-        ties = _first_tie_class(problem, colors)
-        if not ties:
+        colors = structure.refine(colors)
+        ties = structure.first_tie_class(colors)
+        if not ties.size:
             leaves[0] += 1
-            mapping = _mapping_from_colors(problem, colors)
-            key = _form_key(problem, mapping)
-            if not best or key < best[0][0]:
+            mapping = structure.mapping(colors)
+            key = np.column_stack(structure.savings_form(mapping))
+            if not best or _form_less(key, best[0][0]):
                 best[:] = [(key, mapping)]
             return
-        fresh_color = max(colors.values()) + 1
-        for plan_index in ties:
-            branched = dict(colors)
+        fresh_color = int(colors.max()) + 1
+        for plan_index in ties.tolist():
+            branched = colors.copy()
             branched[plan_index] = fresh_color
             search(branched)
 
@@ -232,29 +265,20 @@ def canonical_problem_dict(problem: MQOProblem) -> Dict[str, Any]:
     Unlike :func:`problem_to_dict` the result ignores the instance name
     and all labels, and renumbers plans within each query into their
     canonical order, so structurally identical problems produce identical
-    dictionaries regardless of how their plans were enumerated.
+    dictionaries regardless of how their plans were enumerated.  Costs
+    and savings are rounded to 12 decimals.
     """
-    mapping = _canonical_plan_order(problem)
-    inverse = {new: old for old, new in mapping.items()}
-    plans_per_query: List[List[float]] = []
-    cursor = 0
-    for query in problem.queries:
-        costs = [
-            round(problem.plan_cost(inverse[cursor + offset]), 12)
-            for offset in range(query.num_plans)
-        ]
-        plans_per_query.append(costs)
-        cursor += query.num_plans
-    savings = sorted(
-        (
-            [*sorted((mapping[p1], mapping[p2])), round(value, 12)]
-            for (p1, p2), value in problem.savings.items()
-        )
-    )
+    structure = _Structure.of(problem)
+    mapping = _canonical_plan_order(structure)
+    costs = np.empty_like(structure.cost)
+    costs[mapping] = structure.cost
+    offsets = problem.arrays().query_offsets.tolist()
+    costs_list = costs.tolist()
+    low, high, saving = structure.savings_form(mapping)
     return {
         "format_version": _FORMAT_VERSION,
-        "plans_per_query": plans_per_query,
-        "savings": savings,
+        "plans_per_query": [costs_list[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+        "savings": [list(entry) for entry in zip(low.tolist(), high.tolist(), saving.tolist())],
     }
 
 
@@ -265,9 +289,7 @@ def canonical_problem_hash(problem: MQOProblem) -> str:
     hash equally iff they have the same queries, plan costs and savings
     structure (names, labels and plan enumeration order do not matter).
     """
-    payload = json.dumps(
-        canonical_problem_dict(problem), sort_keys=True, separators=(",", ":")
-    )
+    payload = json.dumps(canonical_problem_dict(problem), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -280,12 +302,25 @@ def exact_problem_token(problem: MQOProblem) -> str:
     artefact is tied to concrete plan indices — prepared pipelines,
     in-batch deduplication — where serving a merely isomorphic instance
     would mis-attribute plan selections.  The instance name is ignored.
+
+    Hashes the column bytes: the query offsets and plan costs, then the
+    savings triplets sorted by plan pair.  Tokens compare equal exactly
+    when the plan costs per query and the savings do, bit for bit; the
+    string is only meaningful within one process.
     """
-    payload = {
-        key: value for key, value in problem_to_dict(problem).items() if key != "name"
-    }
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+    arrays = problem.arrays()
+    order = np.lexsort((arrays.savings_p2, arrays.savings_p1))
+    digest = hashlib.sha256()
+    for column in (
+        np.array([arrays.num_queries, arrays.num_plans, arrays.num_savings]),
+        arrays.query_offsets,
+        arrays.plan_cost,
+        arrays.savings_p1[order],
+        arrays.savings_p2[order],
+        arrays.savings_value[order],
+    ):
+        digest.update(np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<")).tobytes())
+    return digest.hexdigest()
 
 
 def solution_to_dict(solution: MQOSolution) -> Dict[str, Any]:

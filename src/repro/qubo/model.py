@@ -112,6 +112,17 @@ class QUBOModel:
                 raise QUBOError("edges may not couple a variable with itself")
             if len(np.unique(lo * np.int64(n) + hi)) != len(lo):
                 raise QUBOError("from_arrays received a duplicate edge")
+        return cls._from_checked(variables, linear, edges, weights, offset)
+
+    @classmethod
+    def _from_checked(
+        cls,
+        variables: List[Variable],
+        linear: np.ndarray,
+        edges: np.ndarray,
+        weights: np.ndarray,
+        offset: float,
+    ) -> "QUBOModel":
         model = cls.__new__(cls)
         model.offset = cls._check_weight(offset)
         model._linear_store = None
@@ -120,6 +131,27 @@ class QUBOModel:
         model._pending = (variables, linear, edges, weights)
         model._array_cache = (variables, linear, edges, weights)
         return model
+
+    def reweighted(self, linear: np.ndarray, weights: np.ndarray, offset: float) -> "QUBOModel":
+        """A model with this one's variables and edges and new weights.
+
+        ``linear`` and ``weights`` follow :meth:`to_arrays`' variable and
+        edge order.  Only the new weights are checked (shape, finite): the
+        shared structure was checked when this model was built, so many
+        models over one structure — the gauge batches of an annealing
+        request — check it once.
+        """
+        variables, _, edges, _ = self._array_cache or self.to_arrays()
+        linear = np.array(linear, dtype=np.float64)
+        weights = np.array(weights, dtype=np.float64)
+        if linear.shape != (len(variables),) or weights.shape != (edges.shape[0],):
+            raise QUBOError(
+                f"reweighted needs {len(variables)} linear and {edges.shape[0]} quadratic "
+                f"weights, got {linear.shape} and {weights.shape}"
+            )
+        if not np.isfinite(linear).all() or not np.isfinite(weights).all():
+            raise QUBOError("QUBO weights must be finite")
+        return self._from_checked(variables, linear, edges, weights, offset)
 
     def _materialize(self) -> None:
         """Expand the deferred array backing into the dict stores."""
@@ -233,6 +265,18 @@ class QUBOModel:
         if self._pending is not None:
             return len(self._pending[3])
         return len(self._quadratic)
+
+    def interactions(self) -> List[Edge]:
+        """The canonical ``(u, v)`` key of every quadratic term, in insertion order.
+
+        The keys of :attr:`quadratic`, in the edge order of
+        :meth:`to_arrays`, without materialising the per-term
+        dictionaries of an array-built model.
+        """
+        if self._pending is None:
+            return list(self._quadratic)
+        variables, _, edges, _ = self._pending
+        return [self._edge_key(variables[u], variables[v]) for u, v in edges.tolist()]
 
     @property
     def linear(self) -> Dict[Variable, float]:

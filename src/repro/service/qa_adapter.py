@@ -15,9 +15,11 @@ Repeated solves of one instance — portfolio racing, anytime restarts,
 replayed batches — dominate service traffic, so the adapter keeps a
 process-wide LRU of :class:`~repro.core.pipeline.PreparedProblem`
 compilations keyed by
-:meth:`~repro.mqo.problem.MQOProblem.canonical_hash`: the logical
+:func:`~repro.mqo.serialization.exact_problem_token`: the logical
 mapping, embedding search and physical mapping run once per distinct
-instance and every later solve goes straight to annealing.
+instance and every later solve goes straight to annealing.  A prepared
+embedding is tied to concrete plan indices, so relabel-equivalent
+instances (equal canonical hash, different token) get their own slots.
 """
 
 from __future__ import annotations
@@ -72,7 +74,7 @@ class QuantumAnnealingSolver(AnytimeSolver):
     name = "QA"
 
     #: Process-wide cache of prepared pipelines, keyed by
-    #: ``(canonical_hash, device, embedder)``; shared by every adapter
+    #: ``(exact_problem_token, device, embedder)``; shared by every adapter
     #: instance so portfolio members and batch jobs warm each other.
     prepared_cache = CompileCache(maxsize=32)
 
@@ -155,16 +157,15 @@ class QuantumAnnealingSolver(AnytimeSolver):
         instance-derived seed so the prepared result never depends on
         the solve seed or cache state.
         """
-        key = (problem.canonical_hash(), self.spec.name, str(self.embedder))
-        # The canonical hash identifies relabel-equivalent problems, but a
-        # prepared embedding is tied to concrete plan indices — the exact
-        # token guards against serving a merely isomorphic instance.
-        token = exact_problem_token(problem)
+        # Keyed by the exact token, not the canonical hash: a prepared
+        # embedding is tied to concrete plan indices, so a merely
+        # isomorphic instance must not be served (nor evict this one).
+        key = (exact_problem_token(problem), self.spec.name, str(self.embedder))
         if self.reuse_prepared:
-            entry = self.prepared_cache.get(key)
-            if entry is not None and entry[0] == token:
+            prepared = self.prepared_cache.get(key)
+            if prepared is not None:
                 _PREPARED_HITS.inc()
-                return entry[1]
+                return prepared
             _PREPARED_MISSES.inc()
         embedding_seed = self._embedding_seed(problem)
         if pipeline is None:
@@ -175,7 +176,7 @@ class QuantumAnnealingSolver(AnytimeSolver):
             )
         prepared = compile_pipeline.prepare(problem)
         if self.reuse_prepared:
-            self.prepared_cache.put(key, (token, prepared))
+            self.prepared_cache.put(key, prepared)
         return prepared
 
     # ------------------------------------------------------------------ #

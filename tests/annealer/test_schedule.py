@@ -5,6 +5,7 @@ import pytest
 
 from repro.annealer.schedule import (
     AnnealingSchedule,
+    default_ladders,
     default_schedule_for,
     geometric_beta_schedule,
     linear_beta_schedule,
@@ -80,3 +81,30 @@ class TestDefaultSchedule:
         schedule = default_schedule_for(0.0, 5)
         assert schedule.num_sweeps == 5
         assert all(beta > 0 for beta in schedule.betas)
+
+
+def _scalar_default_schedule(max_abs_weight, num_sweeps):
+    """The default ladder of one problem, computed with Python floats."""
+    max_abs_weight = max(max_abs_weight, 1e-9)
+    beta_start = 0.7 / max_abs_weight
+    beta_end = 20.0 / max(1e-9, min(1.0, max_abs_weight)) if max_abs_weight < 1.0 else 20.0
+    return geometric_beta_schedule(beta_start, max(beta_end, beta_start * 10.0), num_sweeps)
+
+
+class TestDefaultLadders:
+    @pytest.mark.parametrize("num_sweeps", [1, 2, 7, 100, 200])
+    def test_batched_columns_equal_per_problem_ladders(self, num_sweeps):
+        rng = np.random.default_rng(5)
+        weights = np.concatenate(
+            [rng.uniform(1e-3, 60.0, 300), rng.exponential(1.0, 300), [0.0, 1e-12, 0.5, 1.0, 2.0]]
+        )
+        table = default_ladders(weights, num_sweeps)
+        assert table.shape == (num_sweeps, weights.size)
+        for column, weight in enumerate(weights.tolist()):
+            expected = _scalar_default_schedule(weight, num_sweeps).as_array()
+            assert table[:, column].tobytes() == expected.tobytes()
+            assert default_schedule_for(weight, num_sweeps).as_array().tobytes() == expected.tobytes()
+
+    def test_rejects_nonpositive_sweeps(self):
+        with pytest.raises(DeviceError):
+            default_ladders([1.0], 0)

@@ -63,12 +63,12 @@ class TestSerpentine:
             assert abs(r1 - r2) + abs(c1 - c2) == 1
 
     def test_intact_positions_of_perfect_cell(self, small_chimera):
-        positions = NativeClusteredEmbedder(small_chimera).intact_positions(0, 0)
+        positions = small_chimera.intact_positions(0, 0)
         assert len(positions) == 4
 
     def test_intact_positions_with_broken_qubit(self):
         topology = ChimeraGraph(2, 2, broken_qubits=[0])  # left qubit of position 0
-        positions = NativeClusteredEmbedder(topology).intact_positions(0, 0)
+        positions = topology.intact_positions(0, 0)
         assert len(positions) == 3
 
 
@@ -108,6 +108,14 @@ class TestEmbedding:
     def test_duplicate_variables_rejected(self, small_chimera):
         with pytest.raises(EmbeddingError):
             NativeClusteredEmbedder(small_chimera).embed([[0, 1], [1, 2]])
+
+    @pytest.mark.parametrize("interactions", [[], [("a", "c")], [("c", "a"), ("a", "b")]])
+    def test_intra_cluster_pairs_checked_once_listed_or_not(self, interactions):
+        """The clique's pairs are checked whether or not the interactions list
+        them; (0, 5) is the only coupler between the chains of a and c."""
+        topology = ChimeraGraph(2, 2, broken_couplers=[(0, 5)])
+        with pytest.raises(EmbeddingError, match="chains of 'a' and 'c'|chains of 'c' and 'a'"):
+            NativeClusteredEmbedder(topology).embed([["a", "b", "c"]], interactions)
 
     def test_embedding_avoids_broken_qubits(self):
         topology = DefectModel(broken_fraction=0.1).apply(ChimeraGraph(4, 4), seed=3)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import resolve_chains_batch
 
 from repro.embedding.base import Embedding
@@ -114,3 +116,32 @@ class TestPreparedMismatchGuard:
         prepared_a = pipeline.prepare(problem_a)
         with pytest.raises(InvalidProblemError):
             pipeline.solve(problem_b, num_reads=5, prepared=prepared_a)
+
+
+class TestChainGatherColumns:
+    """The vectorised column lookup against a ``qubit -> column`` dict."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.lists(st.sampled_from([0, 1, 2, 4, 5, 6, 9]), min_size=6, max_size=12),
+        variables=st.one_of(st.none(), st.permutations(["a", "b", "c"]).map(lambda v: v[:2])),
+    )
+    def test_columns_match_position_dict(self, order, variables):
+        embedding = _embedding()
+        position = {qubit: column for column, qubit in enumerate(order)}
+        names = embedding.variables if variables is None else variables
+        chains = [embedding.chain(var) for var in names]
+        if any(q not in position for chain in chains for q in chain):
+            with pytest.raises(EmbeddingError, match="qubit order is missing qubit"):
+                ChainGather(embedding, order, variables)
+            return
+        gather = ChainGather(embedding, order, variables)
+        assert gather.flat.tolist() == [position[q] for chain in chains for q in chain]
+        assert gather.lengths.tolist() == [len(chain) for chain in chains]
+
+    def test_missing_qubit_reported_before_unknown_variable(self):
+        embedding = _embedding()
+        with pytest.raises(EmbeddingError, match="missing qubit 0 of the chain for 'a'"):
+            ChainGather(embedding, [4, 1], ["a", "zz"])
+        with pytest.raises(EmbeddingError, match="variable 'zz' is not embedded"):
+            ChainGather(embedding, [0, 4, 1], ["b", "zz", "a"])

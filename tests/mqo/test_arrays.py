@@ -143,6 +143,17 @@ class TestLayout:
             assert arrays.adj_indices[lo:hi].tolist() == list(partners.keys())
             assert arrays.adj_values[lo:hi].tolist() == list(partners.values())
 
+    @given(array_problems())
+    @settings(max_examples=40, deadline=None)
+    def test_same_query_pairs_in_legacy_insertion_order(self, problem):
+        expected = [
+            [i, j]
+            for query in problem.queries
+            for k, i in enumerate(query.plan_indices)
+            for j in query.plan_indices[k + 1 :]
+        ]
+        assert problem.arrays().same_query_pairs.tolist() == expected
+
     def test_memoised_and_read_only(self, small_problem):
         arrays = small_problem.arrays()
         assert small_problem.arrays() is arrays

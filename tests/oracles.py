@@ -6,26 +6,33 @@ are the straightforward statement of the same transformations; the
 equivalence tests check the array path against them, weight for weight
 and read for read.  The dense sweep states the annealing kernel the
 same way: a dense coupling matrix, a gather and a scatter per colour
-class.  They live here, not in ``src/``, so the library keeps one
-implementation.
+class.  The host path around the anneal has its forms here too: the
+embedding check pair by pair, the physical mapping term by term, the
+device's problem check term by term, and the canonical hash's colour
+refinement on per-plan dictionaries.  They live here, not in ``src/``,
+so the library keeps one implementation.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.annealer.compile import CompiledQUBO, compile_qubo
 from repro.annealer.noise import NoiseModel
 from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
+from repro.chimera.topology import ChimeraGraph
 from repro.core.logical import LogicalMapping
-from repro.core.physical import PhysicalMapping
+from repro.core.physical import PhysicalMapping, PhysicalMappingConfig
 from repro.embedding.base import Embedding
 from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
-from repro.exceptions import DeviceError
-from repro.mqo.problem import MQOSolution
+from repro.exceptions import DeviceCapacityError, DeviceError, EmbeddingError
+from repro.mqo.problem import MQOProblem, MQOSolution
+from repro.mqo.serialization import problem_to_dict
 from repro.qubo.ising import IsingModel, ising_to_qubo, qubo_to_ising
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import SeedLike, ensure_rng
@@ -257,3 +264,268 @@ def decode_reads(
         raw = mapping.solution_from_assignment(logical)
         decoded.append((broken, raw, raw if raw.is_valid else mapping.repair(logical)))
     return decoded
+
+
+# ---------------------------------------------------------------------- #
+# Embedding check and physical mapping
+# ---------------------------------------------------------------------- #
+def _chain_is_connected(chain: Tuple[int, ...], topology: ChimeraGraph) -> bool:
+    """Breadth-first connectivity of a chain of functional qubits."""
+    chain_set = set(chain)
+    visited = {chain[0]}
+    frontier = [chain[0]]
+    while frontier:
+        current = frontier.pop()
+        for neighbor in topology.neighbors(current):
+            if neighbor in chain_set and neighbor not in visited:
+                visited.add(neighbor)
+                frontier.append(neighbor)
+    return len(visited) == len(chain_set)
+
+
+def validate_embedding(
+    embedding: Embedding,
+    topology: ChimeraGraph,
+    interactions: Iterable[Tuple[Variable, Variable]] = (),
+) -> None:
+    """``Embedding.validate`` chain by chain, then pair by pair."""
+    chains = embedding.chains()
+    for var, chain in chains.items():
+        for q in chain:
+            if not topology.has_qubit(q):
+                raise EmbeddingError(f"chain of {var!r} uses broken or unknown qubit {q}")
+        if not _chain_is_connected(chain, topology):
+            raise EmbeddingError(f"chain of {var!r} is not connected: {chain}")
+    for u, v in interactions:
+        if u == v:
+            continue
+        if u not in chains or v not in chains:
+            raise EmbeddingError(
+                f"interaction ({u!r}, {v!r}) references a variable without a chain"
+            )
+        if embedding.coupler_between(u, v, topology) is None:
+            raise EmbeddingError(f"no physical coupler connects the chains of {u!r} and {v!r}")
+
+
+def _choi_chain_strength(chain: Tuple[int, ...], physical: QUBOModel, epsilon: float) -> float:
+    """Choi's bound for one chain over the partially built physical QUBO."""
+    chain_set = set(chain)
+    increase_to_one = 0.0
+    increase_to_zero = 0.0
+    for qubit in chain:
+        weight = physical.get_linear(qubit)
+        external_positive = 0.0
+        external_negative = 0.0
+        for neighbor, coupling in physical.neighbors(qubit).items():
+            if neighbor in chain_set:
+                continue
+            external_positive += max(coupling, 0.0)
+            external_negative += max(-coupling, 0.0)
+        increase_to_one += weight + external_positive
+        increase_to_zero += -weight + external_negative
+    bound = min(increase_to_zero, increase_to_one)
+    return max(bound, 0.0) + epsilon
+
+
+def physical_mapping(
+    logical_qubo: QUBOModel,
+    embedding: Embedding,
+    topology: ChimeraGraph,
+    config: PhysicalMappingConfig | None = None,
+) -> PhysicalMapping:
+    """``embed_logical_qubo`` term by term, on a dictionary-built QUBO."""
+    config = config or PhysicalMappingConfig()
+    missing = [var for var in logical_qubo.variables if var not in embedding]
+    if missing:
+        raise EmbeddingError(f"embedding is missing chains for variables: {missing[:5]}")
+    validate_embedding(embedding, topology, logical_qubo.quadratic.keys())
+
+    physical = QUBOModel(offset=logical_qubo.offset)
+    for var in logical_qubo.variables:
+        for qubit in embedding.chain(var):
+            physical.add_variable(qubit)
+    for var, weight in logical_qubo.linear.items():
+        chain = embedding.chain(var)
+        for qubit in chain:
+            physical.add_linear(qubit, weight / len(chain))
+    interaction_couplers = {}
+    for (u, v), weight in logical_qubo.quadratic.items():
+        coupler = embedding.coupler_between(u, v, topology)
+        physical.add_quadratic(coupler[0], coupler[1], weight)
+        interaction_couplers[(u, v)] = coupler
+
+    chain_strengths: Dict[Variable, float] = {}
+    chain_edges: Dict[Variable, List[Tuple[int, int]]] = {}
+    for var in logical_qubo.variables:
+        chain_edges[var] = embedding.chain_edges(var, topology)
+        if config.uniform_chain_strength is not None:
+            chain_strengths[var] = config.uniform_chain_strength
+        else:
+            chain_strengths[var] = _choi_chain_strength(
+                embedding.chain(var), physical, config.chain_strength_epsilon
+            )
+    for var, edges in chain_edges.items():
+        strength = chain_strengths[var]
+        for qubit_u, qubit_v in edges:
+            physical.add_linear(qubit_u, strength)
+            physical.add_linear(qubit_v, strength)
+            physical.add_quadratic(qubit_u, qubit_v, -2.0 * strength)
+    return PhysicalMapping(
+        logical_qubo=logical_qubo,
+        physical_qubo=physical,
+        embedding=embedding,
+        topology=topology,
+        chain_strengths=chain_strengths,
+        interaction_couplers=interaction_couplers,
+        config=config,
+    )
+
+
+# ---------------------------------------------------------------------- #
+# Device problem check
+# ---------------------------------------------------------------------- #
+def validate_problem(topology: ChimeraGraph, qubo: QUBOModel) -> None:
+    """``DWaveSamplerSimulator.validate_problem`` term by term."""
+    for var in qubo.variables:
+        if not isinstance(var, (int, np.integer)) or not topology.has_qubit(var):
+            raise DeviceCapacityError(
+                f"variable {var!r} is not a functional qubit of the device topology"
+            )
+    for u, v in qubo.quadratic:
+        if not topology.has_coupler(u, v):
+            raise DeviceError(
+                f"quadratic term between qubits {u} and {v} does not correspond to a "
+                f"physical coupler"
+            )
+
+
+# ---------------------------------------------------------------------- #
+# Canonical hash and exact token
+# ---------------------------------------------------------------------- #
+_MAX_CANONICAL_LEAVES = 2048
+
+
+def _partner_entries(problem: MQOProblem) -> List[List[Tuple[int, float]]]:
+    partners: List[List[Tuple[int, float]]] = [[] for _ in range(problem.num_plans)]
+    for (p1, p2), value in problem.savings.items():
+        partners[p1].append((p2, round(value, 12)))
+        partners[p2].append((p1, round(value, 12)))
+    return partners
+
+
+def _refine_colors(
+    colors: Dict[int, int], partner_entries: List[List[Tuple[int, float]]]
+) -> Dict[int, int]:
+    num_colors = len(set(colors.values()))
+    while True:
+        signatures = {
+            plan: (
+                colors[plan],
+                tuple(sorted((colors[partner], saving) for partner, saving in entries)),
+            )
+            for plan, entries in enumerate(partner_entries)
+        }
+        ranks = {
+            signature: rank for rank, signature in enumerate(sorted(set(signatures.values())))
+        }
+        colors = {plan: ranks[signature] for plan, signature in signatures.items()}
+        if len(ranks) == num_colors:
+            return colors
+        num_colors = len(ranks)
+
+
+def _first_tie_class(problem: MQOProblem, colors: Dict[int, int]) -> List[int]:
+    classes: Dict[Tuple[int, int], List[int]] = {}
+    for query in problem.queries:
+        for plan_index in query.plan_indices:
+            classes.setdefault((colors[plan_index], query.index), []).append(plan_index)
+    ties = [group for group in classes.values() if len(group) > 1]
+    if not ties:
+        return []
+    return min(ties, key=lambda group: colors[group[0]])
+
+
+def _mapping_from_colors(problem: MQOProblem, colors: Dict[int, int]) -> Dict[int, int]:
+    mapping: Dict[int, int] = {}
+    for query in problem.queries:
+        for plan_index in sorted(query.plan_indices, key=lambda p: colors[p]):
+            mapping[plan_index] = len(mapping)
+    return mapping
+
+
+def _form_key(problem: MQOProblem, mapping: Dict[int, int]) -> Tuple:
+    return tuple(
+        sorted(
+            (*sorted((mapping[p1], mapping[p2])), round(value, 12))
+            for (p1, p2), value in problem.savings.items()
+        )
+    )
+
+
+def canonical_plan_order(problem: MQOProblem) -> Dict[int, int]:
+    """Individualization-refinement over per-plan dictionaries."""
+    initial_ranks = {
+        key: rank
+        for rank, key in enumerate(
+            sorted({(plan.query_index, round(plan.cost, 12)) for plan in problem.plans})
+        )
+    }
+    start = {
+        plan.index: initial_ranks[(plan.query_index, round(plan.cost, 12))]
+        for plan in problem.plans
+    }
+    best: List[Tuple[Tuple, Dict[int, int]]] = []
+    leaves = [0]
+    partner_entries = _partner_entries(problem)
+
+    def search(colors: Dict[int, int]) -> None:
+        if leaves[0] >= _MAX_CANONICAL_LEAVES:
+            return
+        colors = _refine_colors(colors, partner_entries)
+        ties = _first_tie_class(problem, colors)
+        if not ties:
+            leaves[0] += 1
+            mapping = _mapping_from_colors(problem, colors)
+            key = _form_key(problem, mapping)
+            if not best or key < best[0][0]:
+                best[:] = [(key, mapping)]
+            return
+        fresh_color = max(colors.values()) + 1
+        for plan_index in ties:
+            branched = dict(colors)
+            branched[plan_index] = fresh_color
+            search(branched)
+
+    search(start)
+    return best[0][1]
+
+
+def canonical_problem_dict(problem: MQOProblem) -> Dict[str, Any]:
+    """``canonical_problem_dict`` with the refinement on dictionaries."""
+    mapping = canonical_plan_order(problem)
+    inverse = {new: old for old, new in mapping.items()}
+    plans_per_query: List[List[float]] = []
+    cursor = 0
+    for query in problem.queries:
+        plans_per_query.append(
+            [round(problem.plan_cost(inverse[cursor + k]), 12) for k in range(query.num_plans)]
+        )
+        cursor += query.num_plans
+    savings = sorted(
+        [*sorted((mapping[p1], mapping[p2])), round(value, 12)]
+        for (p1, p2), value in problem.savings.items()
+    )
+    return {"format_version": 1, "plans_per_query": plans_per_query, "savings": savings}
+
+
+def canonical_problem_hash(problem: MQOProblem) -> str:
+    """SHA-256 of the JSON of :func:`canonical_problem_dict`."""
+    payload = json.dumps(canonical_problem_dict(problem), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def json_problem_token(problem: MQOProblem) -> str:
+    """The exact problem token as a digest of the JSON problem form (names dropped)."""
+    payload = {key: value for key, value in problem_to_dict(problem).items() if key != "name"}
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()

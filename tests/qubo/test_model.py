@@ -152,3 +152,42 @@ class TestTransformations:
         assert set(sub.variables) == {0, 1}
         assert sub.get_quadratic(0, 1) == 1.0
         assert sub.get_quadratic(1, 2) == 0.0
+
+
+class TestReweighted:
+    def test_shares_structure_and_takes_new_weights(self):
+        base = QUBOModel.from_arrays(["a", "b", "c"], [1.0, 2.0, 3.0], [[0, 1], [1, 2]], [4.0, 5.0])
+        other = base.reweighted(np.array([0.5, -1.0, 0.0]), np.array([-2.0, 7.0]), offset=1.5)
+        variables, linear, edges, weights = other.to_arrays()
+        assert variables == ["a", "b", "c"]
+        assert linear.tolist() == [0.5, -1.0, 0.0]
+        assert edges.tolist() == [[0, 1], [1, 2]]
+        assert weights.tolist() == [-2.0, 7.0]
+        assert other.offset == 1.5
+        assert other.quadratic == {("a", "b"): -2.0, ("b", "c"): 7.0}
+        assert base.to_arrays()[1].tolist() == [1.0, 2.0, 3.0]
+
+    def test_checks_only_the_new_weights(self):
+        base = QUBOModel.from_arrays([0, 1], [1.0, 2.0], [[0, 1]], [4.0])
+        with pytest.raises(QUBOError, match="finite"):
+            base.reweighted(np.array([np.nan, 0.0]), np.array([1.0]), offset=0.0)
+        with pytest.raises(QUBOError, match="reweighted needs 2 linear and 1 quadratic"):
+            base.reweighted(np.array([1.0]), np.array([1.0]), offset=0.0)
+        with pytest.raises(QUBOError):
+            base.reweighted(np.array([1.0, 1.0]), np.array([1.0]), offset=float("inf"))
+
+
+class TestInteractions:
+    def test_array_built_keys_match_materialised_quadratic(self):
+        qubo = QUBOModel.from_arrays(
+            ["b", "a", "c", 3], np.zeros(4), [[0, 1], [2, 0], [1, 2], [3, 0]], [1.0, 2.0, 3.0, 4.0]
+        )
+        keys = qubo.interactions()
+        assert keys == list(QUBOModel.from_arrays(*qubo.to_arrays()).quadratic)
+        assert keys == [("a", "b"), ("b", "c"), ("a", "c"), ("b", 3)]  # mixed labels order by repr
+
+    def test_dict_built_keys_in_insertion_order(self):
+        qubo = QUBOModel()
+        qubo.add_quadratic(5, 2, 1.0)
+        qubo.add_quadratic(1, 9, 1.0)
+        assert qubo.interactions() == [(2, 5), (1, 9)]

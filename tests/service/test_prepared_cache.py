@@ -3,7 +3,20 @@
 import pytest
 
 from repro.mqo.generator import generate_paper_testcase
+from repro.mqo.problem import MQOProblem
+from repro.mqo.serialization import exact_problem_token
 from repro.service.qa_adapter import QuantumAnnealingSolver
+
+
+def _reversed_plans(problem: MQOProblem) -> MQOProblem:
+    """``problem`` with every query's plans listed in reverse order."""
+    index_map = {}
+    for query in problem.queries:
+        for old, new in zip(query.plan_indices, reversed(query.plan_indices)):
+            index_map[old] = new
+    costs = [[problem.plan_cost(p) for p in reversed(q.plan_indices)] for q in problem.queries]
+    savings = {(index_map[a], index_map[b]): value for (a, b), value in problem.savings.items()}
+    return MQOProblem(costs, savings)
 
 
 @pytest.fixture(autouse=True)
@@ -36,6 +49,21 @@ class TestPreparedCache:
         second = solver.prepare(problem)
         assert first is not second
         assert len(QuantumAnnealingSolver.prepared_cache) == 0
+
+    def test_relabel_equivalent_instances_keep_separate_slots(self):
+        """Isomorphic instances share a canonical hash but not a prepared
+        embedding: alternating them must hit after each was prepared once."""
+        problem = generate_paper_testcase(4, 2, seed=1)
+        relabeled = _reversed_plans(problem)
+        assert relabeled.canonical_hash() == problem.canonical_hash()
+        assert exact_problem_token(relabeled) != exact_problem_token(problem)
+        solver = QuantumAnnealingSolver()
+        for _ in range(3):
+            for instance in (problem, relabeled):
+                solver.solve(instance, time_budget_ms=10.0, seed=0)
+        stats = QuantumAnnealingSolver.prepared_cache.stats()
+        assert stats["misses"] == 2
+        assert stats["hits"] == 4
 
     def test_solve_results_identical_warm_and_cold(self):
         """A cache hit must not change the solver's output for equal seeds."""
