@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.baselines.milp.model import BinaryLinearProgram
 from repro.exceptions import SolverError
@@ -88,6 +87,11 @@ class BranchAndBoundSolver:
         program: BinaryLinearProgram,
         fixings: Dict[int, int],
     ) -> Tuple[Optional[np.ndarray], Optional[float]]:
+        # Imported here, not at module level, so that only a process that
+        # solves an LP relaxation loads scipy.optimize: the server, its
+        # shards and the CLI import repro without it.
+        from scipy.optimize import linprog
+
         c = program.objective_vector()
         a_eq, b_eq = program.equality_matrix()
         a_ub, b_ub = program.inequality_matrix()

@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fuse annealing jobs admitted within this window into one "
             "block-diagonal anneal (0 = off; see docs/fusion.md; "
-            "ignored with --shards)"
+            "thread tier only: an error with --shards)"
         ),
     )
     serve.add_argument(

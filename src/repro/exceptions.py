@@ -24,6 +24,7 @@ __all__ = [
     "UnknownSolverError",
     "DuplicateSolverError",
     "ServerError",
+    "ServerConfigError",
     "ProtocolError",
     "AdmissionError",
 ]
@@ -100,6 +101,10 @@ class DuplicateSolverError(ServiceError):
 
 class ServerError(ServiceError):
     """The solver server (or its client) failed to process a request."""
+
+
+class ServerConfigError(ServerError, ValueError):
+    """A server configuration combines options that contradict each other."""
 
 
 class ProtocolError(ServerError, ValueError):

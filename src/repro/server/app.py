@@ -27,10 +27,17 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Deque, Dict, Optional, Set
 
-from repro.exceptions import AdmissionError, ProtocolError, ReproError, ServerError
+from repro.exceptions import (
+    AdmissionError,
+    ProtocolError,
+    ReproError,
+    ServerConfigError,
+    ServerError,
+)
 from repro.obs.events import get_event_log, record_event
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
@@ -46,6 +53,9 @@ __all__ = ["ServerConfig", "SolverServer", "ServerHandle", "run_server_in_thread
 @dataclass
 class ServerConfig:
     """Tunables of one :class:`SolverServer` instance.
+
+    Construction raises :class:`~repro.exceptions.ServerConfigError` for
+    a contradictory combination: a fusion window with the sharded tier.
 
     Attributes
     ----------
@@ -77,10 +87,12 @@ class ServerConfig:
     drain_timeout_s:
         How long a graceful shutdown waits for in-flight jobs.
     completed_jobs_kept:
-        Soft bound on finished jobs kept queryable via ``wait``.  Beyond
+        Soft bound on jobs tracked for ``wait``/``subscribe``.  Beyond
         it, finished jobs older than ``completed_job_retention_s`` are
-        forgotten; jobs whose results may still be collected (recently
-        finished) survive until the hard bound of four times this value.
+        forgotten, oldest finish first; jobs whose results may still be
+        collected (recently finished) survive until the hard bound of
+        four times this value.  A finished job keeps only its result,
+        not its request (see ``docs/server.md``, "Job lifecycle").
     completed_job_retention_s:
         Minimum age before a finished job may be pruned under the soft
         bound (protects pipelined clients that wait() after submitting).
@@ -91,7 +103,8 @@ class ServerConfig:
         value selects :class:`~repro.server.workers.FusionPool` on the
         thread tier: annealing-backed jobs popped within this admission
         window are executed as **one** fused block-diagonal anneal (see
-        ``docs/fusion.md``).  Ignored on the sharded tier.
+        ``docs/fusion.md``).  The sharded tier has no fusion window, so
+        a positive value with ``shards != 0`` is rejected.
     fusion_max_jobs:
         Jobs per fusion window before it flushes early.
     allow_shutdown:
@@ -119,6 +132,13 @@ class ServerConfig:
     fusion_max_jobs: int = 8
     allow_shutdown: bool = True
     server_name: str = "repro-mqo"
+
+    def __post_init__(self) -> None:
+        if self.shards != 0 and self.fusion_window_ms > 0:
+            raise ServerConfigError(
+                f"fusion_window_ms={self.fusion_window_ms} needs the thread tier; "
+                f"the sharded tier (shards={self.shards}) has no fusion window"
+            )
 
 
 class _Connection:
@@ -220,6 +240,10 @@ class SolverServer:
         self.broker = StreamBroker(
             on_update_streamed=lambda count: self.metrics.increment("updates_streamed", count)
         )
+        # Every admitted job by id, for wait/subscribe; the finished ones
+        # also sit in finish order, which is the order they are pruned in.
+        self._jobs: Dict[str, ServerJob] = {}
+        self._finished: Deque[ServerJob] = deque()
         if self.config.shards != 0:
             # Imported lazily: multiprocessing machinery is only needed
             # when the sharded tier is actually selected.
@@ -241,6 +265,7 @@ class SolverServer:
                 retry_on_shard_death=self.config.shard_retry,
                 result_cache=self.frontend.cache,
                 heartbeat_interval_s=self.config.shard_heartbeat_s,
+                on_finish=self._finished.append,
             )
         elif self.config.fusion_window_ms > 0:
             self.pool = FusionPool(
@@ -252,6 +277,7 @@ class SolverServer:
                 coalesce=self.config.coalesce,
                 fusion_window_ms=self.config.fusion_window_ms,
                 fusion_max_jobs=self.config.fusion_max_jobs,
+                on_finish=self._finished.append,
             )
         else:
             self.pool = WorkerPool(
@@ -261,13 +287,13 @@ class SolverServer:
                 metrics=self.metrics,
                 num_workers=self.config.workers,
                 coalesce=self.config.coalesce,
+                on_finish=self._finished.append,
             )
         self.host = self.config.host
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._connections: Set[_Connection] = set()
-        self._jobs: Dict[str, ServerJob] = {}
         self._job_counter = 0
         self._connection_counter = 0
         self._stopping = False
@@ -512,31 +538,22 @@ class SolverServer:
         than the retention window are dropped, so a pipelined client
         that submits and waits later still finds its results.  Hard
         bound (four times the soft bound): oldest finished jobs go
-        regardless — memory stays bounded under any traffic.
+        regardless — memory stays bounded under any traffic.  Both pop
+        the finish-ordered deque from its oldest end, so a prune costs
+        O(jobs pruned), not O(jobs tracked).
         """
-        excess = len(self._jobs) - self.config.completed_jobs_kept
-        if excess <= 0:
-            return
+        kept = self.config.completed_jobs_kept
+        finished = self._finished
         now = time.monotonic()
         retention = self.config.completed_job_retention_s
-        for job_id in list(self._jobs):
-            if excess <= 0:
-                return
-            job = self._jobs[job_id]
-            if (
-                job.done
-                and job.finished_at is not None
-                and now - job.finished_at > retention
-            ):
-                del self._jobs[job_id]
-                excess -= 1
-        hard_excess = len(self._jobs) - 4 * self.config.completed_jobs_kept
-        for job_id in list(self._jobs):
-            if hard_excess <= 0:
-                return
-            if self._jobs[job_id].done:
-                del self._jobs[job_id]
-                hard_excess -= 1
+        while (
+            len(self._jobs) > kept
+            and finished
+            and now - finished[0].finished_at > retention
+        ):
+            self._jobs.pop(finished.popleft().job_id, None)
+        while len(self._jobs) > 4 * kept and finished:
+            self._jobs.pop(finished.popleft().job_id, None)
 
     # ------------------------------------------------------------------ #
     # Operation handlers

@@ -45,7 +45,13 @@ class ServerJob:
         Fairness bucket the job was admitted under (the ``client`` field
         of the request, or a per-connection default).
     request:
-        The solve request handed to the service frontend.
+        The solve request handed to the service frontend, held only
+        while the job is queued or running.  Once the job's result is
+        published, :meth:`~repro.server.workers.BasePool._finish`
+        releases it (``None``): a finished job keeps its identity,
+        priority, timestamps, ``coalesced_with`` and result — what
+        ``wait``, ``subscribe``, ``stats`` and the metrics read — and
+        not the parsed problem.
     priority:
         Priority level (0 = high, 1 = normal, 2 = low).
     stream:
@@ -67,7 +73,7 @@ class ServerJob:
 
     job_id: str
     client_id: str
-    request: SolveRequest
+    request: Optional[SolveRequest]
     priority: int = DEFAULT_PRIORITY
     stream: bool = False
     coalesce_key: str = ""

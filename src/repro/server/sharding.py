@@ -36,6 +36,9 @@ Design points:
   whichever path pops it from the shard's ``assigned`` map first
   (:meth:`ShardPool._on_shard_exit` on pipe EOF, or the sender on a
   send error), so one job is never retried twice or finished twice.
+  ``assigned`` holds unfinished jobs only — a job leaves it before its
+  result is published — so retry and fail-over never meet a finished
+  job, whose request :meth:`BasePool._finish` has already released.
 * **Dispatch.** The dispatcher never blocks on one shard: a job whose
   shard's bounded outbox is full is parked in that shard's unbounded
   overflow deque instead, so a saturated shard cannot head-of-line
@@ -376,7 +379,7 @@ class ShardPool(BasePool):
         :func:`functools.partial` over one) under the default
         ``forkserver``/``spawn`` start methods; only an explicit
         ``mp_context="fork"`` admits closures.
-    queue / broker / metrics / coalesce:
+    queue / broker / metrics / coalesce / on_finish:
         See :class:`BasePool`.
     num_shards:
         Shard process count (``-1`` = one per CPU core).
@@ -416,8 +419,11 @@ class ShardPool(BasePool):
         max_restarts_per_shard: int = 5,
         result_cache: Optional[ResultCache] = None,
         heartbeat_interval_s: float = 1.0,
+        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
-        super().__init__(queue=queue, broker=broker, metrics=metrics, coalesce=coalesce)
+        super().__init__(
+            queue=queue, broker=broker, metrics=metrics, coalesce=coalesce, on_finish=on_finish
+        )
         if num_shards == -1:
             num_shards = default_shard_count()
         if num_shards <= 0:

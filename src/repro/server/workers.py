@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.baselines.anytime import observe_improvements
 from repro.core.decomposition import observe_decomposition_progress
@@ -76,6 +76,10 @@ class BasePool:
         Counter/latency sink.
     coalesce:
         Fold duplicate in-flight requests onto one execution (default).
+    on_finish:
+        Called with every job (representative or follower) once its
+        result is published, in finish order; the server keeps its
+        finished jobs in that order to prune them.
     """
 
     def __init__(
@@ -84,11 +88,13 @@ class BasePool:
         broker: StreamBroker,
         metrics: ServerMetrics,
         coalesce: bool = True,
+        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         self.queue = queue
         self.broker = broker
         self.metrics = metrics
         self.coalesce = coalesce
+        self.on_finish = on_finish
         self._tasks: List["asyncio.Task[None]"] = []
         self._inflight_by_key: Dict[str, ServerJob] = {}
         self._followers: Dict[str, List[ServerJob]] = {}
@@ -198,7 +204,14 @@ class BasePool:
     # Completion
     # ------------------------------------------------------------------ #
     def _finish(self, job: ServerJob, result: SolveResult) -> None:
-        """Publish a finished job's result to it and all its followers."""
+        """Publish a finished job's result to it and all its followers.
+
+        Every tier completes jobs here, and here alone.  Once a job's
+        result is published — and echoed to each follower from the
+        follower's own request — the job's request is released, so a
+        finished job costs about the size of its result rather than
+        that of its parsed problem.
+        """
         job.result = result
         job.finished_at = time.monotonic()
         self.metrics.observe_job(
@@ -209,6 +222,7 @@ class BasePool:
         self._inflight_by_key.pop(job.coalesce_key, None)
         followers = self._followers.pop(job.job_id, [])
         self.broker.close(job.job_id, _result_payload(job))
+        self._release(job)
         for follower in followers:
             follower.result = echo_result_for_duplicate(result, follower.request)
             # A follower admitted after its representative started never
@@ -221,6 +235,13 @@ class BasePool:
             self.metrics.observe_job(queue_wait_ms=follower.queue_wait_ms(), run_ms=0.0,
                                      failed=not follower.result.ok)
             self.broker.close(follower.job_id, _result_payload(follower))
+            self._release(follower)
+
+    def _release(self, job: ServerJob) -> None:
+        """Drop a published job's request and report the job finished."""
+        job.request = None
+        if self.on_finish is not None:
+            self.on_finish(job)
 
 
 class WorkerPool(BasePool):
@@ -230,7 +251,7 @@ class WorkerPool(BasePool):
     ----------
     frontend:
         The service facade jobs are executed through (cache-aware).
-    queue / broker / metrics / coalesce:
+    queue / broker / metrics / coalesce / on_finish:
         See :class:`BasePool`.
     num_workers:
         Number of concurrent jobs (asyncio tasks *and* executor threads).
@@ -244,10 +265,13 @@ class WorkerPool(BasePool):
         metrics: ServerMetrics,
         num_workers: int = 2,
         coalesce: bool = True,
+        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        super().__init__(queue=queue, broker=broker, metrics=metrics, coalesce=coalesce)
+        super().__init__(
+            queue=queue, broker=broker, metrics=metrics, coalesce=coalesce, on_finish=on_finish
+        )
         self.frontend = frontend
         self.num_workers = num_workers
         self._executor = ThreadPoolExecutor(
@@ -371,6 +395,7 @@ class FusionPool(WorkerPool):
         fusion_window_ms: float = 2.0,
         fusion_max_jobs: int = 8,
         fusion_solvers: tuple = ("QA",),
+        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         if fusion_window_ms <= 0:
             raise ValueError(f"fusion_window_ms must be positive, got {fusion_window_ms}")
@@ -383,6 +408,7 @@ class FusionPool(WorkerPool):
             metrics=metrics,
             num_workers=num_workers,
             coalesce=coalesce,
+            on_finish=on_finish,
         )
         self.fusion_window_ms = fusion_window_ms
         self.fusion_max_jobs = fusion_max_jobs

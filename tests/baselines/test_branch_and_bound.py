@@ -1,8 +1,15 @@
 """Tests for the LP-relaxation branch-and-bound solver."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.baselines.milp.branch_and_bound import BranchAndBoundSolver
 from repro.baselines.milp.model import BinaryLinearProgram
 from repro.exceptions import SolverError
@@ -124,3 +131,43 @@ class TestBranchAndBound:
         assert result.proved_optimal
         assert result.time_to_optimal_ms() is not None
         assert result.time_to_optimal_ms() <= result.elapsed_ms
+
+
+class TestDeferredScipyImport:
+    def test_scipy_optimize_loads_only_for_lp_relaxations(self):
+        """A fresh interpreter: the server, CLI and library imports leave
+        ``scipy.optimize`` unloaded, and a LIN-MQO solve still succeeds."""
+        code = textwrap.dedent(
+            """
+            import sys
+
+            import repro
+            import repro.cli
+            import repro.server.app
+
+            assert "scipy.optimize" not in sys.modules, "scipy.optimize loaded at import"
+            from repro.mqo.generator import generate_paper_testcase
+            from repro.service.frontend import ServiceFrontend
+            from repro.service.jobs import SolveRequest
+
+            request = SolveRequest(
+                problem=generate_paper_testcase(4, 2, seed=1),
+                solver="LIN-MQO",
+                time_budget_ms=5000.0,
+                seed=1,
+            )
+            result = ServiceFrontend().submit(request)
+            assert result.ok and result.is_valid and result.proved_optimal, result.error
+            assert "scipy.optimize" in sys.modules
+            """
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        completed = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr

@@ -36,7 +36,7 @@ from repro.server.queue import JobQueue, ServerJob
 from repro.server.sharding import _OUTBOX_CAPACITY, ShardPool, _Shard, recv_message, shard_for
 from repro.server.streaming import StreamBroker
 from repro.service.frontend import ServiceFrontend
-from repro.service.jobs import SolveRequest
+from repro.service.jobs import SolveRequest, SolveResult
 
 from tests.server.conftest import tiny_problem
 
@@ -164,6 +164,33 @@ class TestSingleOwnerFailover:
 
         asyncio.run(scenario())
 
+    def test_a_finished_job_is_never_failed_over(self):
+        """A job leaves ``assigned`` before its result is published, so a
+        later shard death neither retries nor re-finishes it: fail-over
+        only meets unfinished jobs, never one whose request was released."""
+
+        async def scenario():
+            pool = make_pool()
+            pool._loop = asyncio.get_running_loop()
+            victim, live = fake_shard(0), fake_shard(1)
+            pool.shards = [victim, live]
+            pool._respawn = lambda shard: None
+
+            done, running = make_job("sj-done", seed=1), make_job("sj-run", seed=2)
+            for job in (done, running):
+                victim.assigned[job.job_id] = job
+            result = SolveResult(job_id="sj-done", solver="greedy", winner="greedy", best_cost=2.0)
+            pool._on_message(victim, ("result", "sj-done", result.to_dict(), []))
+            assert done.request is None and done.result.ok
+
+            pool._on_shard_exit(victim)
+            assert done.retries == 0 and done.result.ok
+            assert running.retries == 1 and running.request is not None
+            assert set(live.assigned) == {"sj-run"}
+            assert pool.metrics.counter("jobs_finished") == 1
+
+        asyncio.run(scenario())
+
     def test_second_shard_death_fails_jobs_cleanly(self):
         """After the single retry, a second death produces one clean error."""
 
@@ -183,6 +210,7 @@ class TestSingleOwnerFailover:
             pool._on_shard_exit(second)  # retry budget exhausted
             assert job.result is not None and not job.result.ok
             assert "shard 1" in job.result.error
+            assert job.request is None  # released once the failure was published
             assert pool.metrics.counter("jobs_failed") == 1
             assert pool.metrics.counter("jobs_finished") == 1
 
