@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.baselines.anytime import AnytimeSolver, SolverTrajectory, TrajectoryRecorder
 from repro.baselines.greedy import GreedyConstructiveSolver
-from repro.baselines.milp.branch_and_bound import BranchAndBoundSolver, MilpResult
+from repro.baselines.milp.branch_and_bound import (
+    BranchAndBoundSolver,
+    MilpResult,
+    load_linprog,
+)
 from repro.baselines.milp.model import BinaryLinearProgram
 from repro.core.logical import LogicalMapping, LogicalMappingConfig
 from repro.mqo.problem import MQOProblem
@@ -69,6 +73,9 @@ class IntegerProgrammingQUBOSolver(AnytimeSolver):
         self.logical_config = logical_config or LogicalMappingConfig()
         self.warm_start = warm_start
         self.max_nodes = max_nodes
+        # Load the LP solver now: solve() starts the trajectory clock
+        # before it builds its BranchAndBoundSolver.
+        load_linprog()
 
     # ------------------------------------------------------------------ #
     # Helpers

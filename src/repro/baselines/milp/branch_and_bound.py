@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,12 +23,27 @@ from repro.baselines.milp.model import BinaryLinearProgram
 from repro.exceptions import SolverError
 from repro.utils.stopwatch import Stopwatch
 
-__all__ = ["MilpResult", "BranchAndBoundSolver"]
+__all__ = ["MilpResult", "BranchAndBoundSolver", "load_linprog"]
 
 #: Callback invoked whenever a new incumbent is found: (assignment, objective, elapsed_ms).
 IncumbentCallback = Callable[[np.ndarray, float, float], None]
 #: Heuristic turning a fractional relaxation solution into a feasible integer one.
 RoundingHeuristic = Callable[[np.ndarray], Optional[np.ndarray]]
+
+
+def load_linprog() -> Callable[..., Any]:
+    """Import and return ``scipy.optimize.linprog``.
+
+    ``scipy.optimize`` is not imported with this module: only an LP
+    relaxation needs it, and it costs a process tens of megabytes and
+    about a quarter of a second, so the server, its shards and the CLI
+    import :mod:`repro` without it.  The LP-based solvers call this when
+    they are constructed, so the import happens before any solve clock
+    starts, never inside a solve's time budget or trajectory.
+    """
+    from scipy.optimize import linprog
+
+    return linprog
 
 
 @dataclass
@@ -78,6 +93,7 @@ class BranchAndBoundSolver:
         self.integrality_tolerance = integrality_tolerance
         self.gap_tolerance = gap_tolerance
         self.max_nodes = max_nodes
+        self._linprog = load_linprog()
 
     # ------------------------------------------------------------------ #
     # LP relaxation
@@ -87,18 +103,13 @@ class BranchAndBoundSolver:
         program: BinaryLinearProgram,
         fixings: Dict[int, int],
     ) -> Tuple[Optional[np.ndarray], Optional[float]]:
-        # Imported here, not at module level, so that only a process that
-        # solves an LP relaxation loads scipy.optimize: the server, its
-        # shards and the CLI import repro without it.
-        from scipy.optimize import linprog
-
         c = program.objective_vector()
         a_eq, b_eq = program.equality_matrix()
         a_ub, b_ub = program.inequality_matrix()
         bounds = [(0.0, 1.0)] * program.num_variables
         for index, value in fixings.items():
             bounds[index] = (float(value), float(value))
-        result = linprog(
+        result = self._linprog(
             c,
             A_ub=a_ub,
             b_ub=b_ub,

@@ -27,9 +27,8 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional, Set
 
 from repro.exceptions import (
     AdmissionError,
@@ -240,10 +239,6 @@ class SolverServer:
         self.broker = StreamBroker(
             on_update_streamed=lambda count: self.metrics.increment("updates_streamed", count)
         )
-        # Every admitted job by id, for wait/subscribe; the finished ones
-        # also sit in finish order, which is the order they are pruned in.
-        self._jobs: Dict[str, ServerJob] = {}
-        self._finished: Deque[ServerJob] = deque()
         if self.config.shards != 0:
             # Imported lazily: multiprocessing machinery is only needed
             # when the sharded tier is actually selected.
@@ -265,7 +260,6 @@ class SolverServer:
                 retry_on_shard_death=self.config.shard_retry,
                 result_cache=self.frontend.cache,
                 heartbeat_interval_s=self.config.shard_heartbeat_s,
-                on_finish=self._finished.append,
             )
         elif self.config.fusion_window_ms > 0:
             self.pool = FusionPool(
@@ -277,7 +271,6 @@ class SolverServer:
                 coalesce=self.config.coalesce,
                 fusion_window_ms=self.config.fusion_window_ms,
                 fusion_max_jobs=self.config.fusion_max_jobs,
-                on_finish=self._finished.append,
             )
         else:
             self.pool = WorkerPool(
@@ -287,13 +280,15 @@ class SolverServer:
                 metrics=self.metrics,
                 num_workers=self.config.workers,
                 coalesce=self.config.coalesce,
-                on_finish=self._finished.append,
             )
         self.host = self.config.host
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._connections: Set[_Connection] = set()
+        # Every admitted job by id, for wait/subscribe; the pool keeps the
+        # finished ones in finish order, which is the order they are pruned in.
+        self._jobs: Dict[str, ServerJob] = {}
         self._job_counter = 0
         self._connection_counter = 0
         self._stopping = False
@@ -539,11 +534,11 @@ class SolverServer:
         that submits and waits later still finds its results.  Hard
         bound (four times the soft bound): oldest finished jobs go
         regardless — memory stays bounded under any traffic.  Both pop
-        the finish-ordered deque from its oldest end, so a prune costs
-        O(jobs pruned), not O(jobs tracked).
+        the pool's finish-ordered deque from its oldest end, so a prune
+        costs O(jobs pruned), not O(jobs tracked).
         """
         kept = self.config.completed_jobs_kept
-        finished = self._finished
+        finished = self.pool.finished
         now = time.monotonic()
         retention = self.config.completed_job_retention_s
         while (

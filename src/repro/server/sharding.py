@@ -379,7 +379,7 @@ class ShardPool(BasePool):
         :func:`functools.partial` over one) under the default
         ``forkserver``/``spawn`` start methods; only an explicit
         ``mp_context="fork"`` admits closures.
-    queue / broker / metrics / coalesce / on_finish:
+    queue / broker / metrics / coalesce:
         See :class:`BasePool`.
     num_shards:
         Shard process count (``-1`` = one per CPU core).
@@ -419,11 +419,8 @@ class ShardPool(BasePool):
         max_restarts_per_shard: int = 5,
         result_cache: Optional[ResultCache] = None,
         heartbeat_interval_s: float = 1.0,
-        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
-        super().__init__(
-            queue=queue, broker=broker, metrics=metrics, coalesce=coalesce, on_finish=on_finish
-        )
+        super().__init__(queue=queue, broker=broker, metrics=metrics, coalesce=coalesce)
         if num_shards == -1:
             num_shards = default_shard_count()
         if num_shards <= 0:

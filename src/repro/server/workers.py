@@ -30,8 +30,9 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional
+from typing import Deque, Dict, List
 
 from repro.baselines.anytime import observe_improvements
 from repro.core.decomposition import observe_decomposition_progress
@@ -76,10 +77,13 @@ class BasePool:
         Counter/latency sink.
     coalesce:
         Fold duplicate in-flight requests onto one execution (default).
-    on_finish:
-        Called with every job (representative or follower) once its
-        result is published, in finish order; the server keeps its
-        finished jobs in that order to prune them.
+
+    Attributes
+    ----------
+    finished:
+        Every finished job (representative or follower) in finish
+        order, appended once its result is published.  The server pops
+        it from the oldest end when it prunes the jobs it tracks.
     """
 
     def __init__(
@@ -88,13 +92,12 @@ class BasePool:
         broker: StreamBroker,
         metrics: ServerMetrics,
         coalesce: bool = True,
-        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         self.queue = queue
         self.broker = broker
         self.metrics = metrics
         self.coalesce = coalesce
-        self.on_finish = on_finish
+        self.finished: Deque[ServerJob] = deque()
         self._tasks: List["asyncio.Task[None]"] = []
         self._inflight_by_key: Dict[str, ServerJob] = {}
         self._followers: Dict[str, List[ServerJob]] = {}
@@ -238,10 +241,9 @@ class BasePool:
             self._release(follower)
 
     def _release(self, job: ServerJob) -> None:
-        """Drop a published job's request and report the job finished."""
+        """Drop a published job's request and queue the job for pruning."""
         job.request = None
-        if self.on_finish is not None:
-            self.on_finish(job)
+        self.finished.append(job)
 
 
 class WorkerPool(BasePool):
@@ -251,7 +253,7 @@ class WorkerPool(BasePool):
     ----------
     frontend:
         The service facade jobs are executed through (cache-aware).
-    queue / broker / metrics / coalesce / on_finish:
+    queue / broker / metrics / coalesce:
         See :class:`BasePool`.
     num_workers:
         Number of concurrent jobs (asyncio tasks *and* executor threads).
@@ -265,13 +267,10 @@ class WorkerPool(BasePool):
         metrics: ServerMetrics,
         num_workers: int = 2,
         coalesce: bool = True,
-        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError(f"num_workers must be positive, got {num_workers}")
-        super().__init__(
-            queue=queue, broker=broker, metrics=metrics, coalesce=coalesce, on_finish=on_finish
-        )
+        super().__init__(queue=queue, broker=broker, metrics=metrics, coalesce=coalesce)
         self.frontend = frontend
         self.num_workers = num_workers
         self._executor = ThreadPoolExecutor(
@@ -395,7 +394,6 @@ class FusionPool(WorkerPool):
         fusion_window_ms: float = 2.0,
         fusion_max_jobs: int = 8,
         fusion_solvers: tuple = ("QA",),
-        on_finish: Optional[Callable[[ServerJob], None]] = None,
     ) -> None:
         if fusion_window_ms <= 0:
             raise ValueError(f"fusion_window_ms must be positive, got {fusion_window_ms}")
@@ -408,7 +406,6 @@ class FusionPool(WorkerPool):
             metrics=metrics,
             num_workers=num_workers,
             coalesce=coalesce,
-            on_finish=on_finish,
         )
         self.fusion_window_ms = fusion_window_ms
         self.fusion_max_jobs = fusion_max_jobs

@@ -133,11 +133,25 @@ class TestBranchAndBound:
         assert result.time_to_optimal_ms() <= result.elapsed_ms
 
 
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this checkout."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
 class TestDeferredScipyImport:
     def test_scipy_optimize_loads_only_for_lp_relaxations(self):
         """A fresh interpreter: the server, CLI and library imports leave
         ``scipy.optimize`` unloaded, and a LIN-MQO solve still succeeds."""
-        code = textwrap.dedent(
+        _run_fresh(
             """
             import sys
 
@@ -161,13 +175,36 @@ class TestDeferredScipyImport:
             assert "scipy.optimize" in sys.modules
             """
         )
-        src = str(Path(repro.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        completed = subprocess.run(
-            [sys.executable, "-c", code],
-            env={**os.environ, "PYTHONPATH": path},
-            capture_output=True,
-            text=True,
-            timeout=120,
+
+    @pytest.mark.parametrize("solver", ["LIN-MQO", "LIN-QUB"])
+    def test_first_solve_clock_starts_after_the_import(self, solver):
+        """Building an LP-based solver loads ``scipy.optimize``, so every
+        clock of a fresh process's first solve — the trajectory's, which
+        times the incumbents and the budget, and branch-and-bound's —
+        starts after the import and never measures it."""
+        _run_fresh(
+            f"""
+            import sys
+
+            from repro.mqo.generator import generate_paper_testcase
+            from repro.service.registry import default_registry
+            from repro.utils.stopwatch import Stopwatch
+
+            loaded_when_clocks_started = []
+            start = Stopwatch.start
+
+            def recording_start(self):
+                loaded_when_clocks_started.append("scipy.optimize" in sys.modules)
+                return start(self)
+
+            Stopwatch.start = recording_start
+            problem = generate_paper_testcase(4, 2, seed=1)
+            assert "scipy.optimize" not in sys.modules
+            solver = default_registry().create({solver!r})
+            assert "scipy.optimize" in sys.modules, "construction left it unloaded"
+            trajectory = solver.solve(problem, 5000.0, seed=1)
+            assert trajectory.proved_optimal
+            assert len(loaded_when_clocks_started) >= 2, loaded_when_clocks_started
+            assert all(loaded_when_clocks_started), loaded_when_clocks_started
+            """
         )
-        assert completed.returncode == 0, completed.stderr

@@ -53,7 +53,7 @@ def _assert_all_released(handle, refs, job_ids) -> None:
     assert len(refs) == len(job_ids)
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(job_ids)
-    assert sorted(job.job_id for job in handle.server._finished) == sorted(job_ids)
+    assert sorted(job.job_id for job in handle.server.pool.finished) == sorted(job_ids)
 
 
 def _assert_result_kept(client: SolverClient, job_id: str, first: SolveResult) -> None:
@@ -169,7 +169,7 @@ class TestPruneBounds:
                                 ("new-2", 5.0)])
         server._prune_jobs()
         assert set(server._jobs) == {"running", "new-1", "new-2"}
-        assert [job.job_id for job in server._finished] == ["new-1", "new-2"]
+        assert [job.job_id for job in server.pool.finished] == ["new-1", "new-2"]
         assert server._jobs["running"] is running
 
     def test_soft_bound_stops_once_back_under_it(self):
@@ -191,7 +191,7 @@ class TestPruneBounds:
         _finished_jobs(server, [(f"recent-{i}", 10.0 - i) for i in range(6)])
         server._prune_jobs()
         assert set(server._jobs) == {"running", "recent-3", "recent-4", "recent-5"}
-        assert len(server._finished) == 3
+        assert len(server.pool.finished) == 3
 
     def test_hard_bound_never_drops_unfinished_jobs(self):
         server = _server(kept=1)
@@ -200,7 +200,7 @@ class TestPruneBounds:
         _finished_jobs(server, [("done", 1.0)])
         server._prune_jobs()
         assert set(server._jobs) == {f"running-{i}" for i in range(5)}
-        assert not server._finished
+        assert not server.pool.finished
 
     def test_prune_order_is_finish_order_not_admission_order(self):
         server = _server(kept=1)
@@ -219,7 +219,7 @@ class TestPruneBounds:
             ]
             for job_id in job_ids:
                 client.wait(job_id)
-        finished = list(handle.server._finished)
+        finished = list(handle.server.pool.finished)
         assert [job.job_id for job in finished] == job_ids
         assert [job.finished_at for job in finished] == sorted(
             job.finished_at for job in finished
