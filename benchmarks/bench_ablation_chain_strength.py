@@ -9,7 +9,7 @@ uniform strength) and compares solution quality and broken-chain rates.
 
 from repro.core.physical import PhysicalMappingConfig
 from repro.core.pipeline import QuantumMQO
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.utils.tables import format_table
 
 

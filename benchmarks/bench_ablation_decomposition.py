@@ -12,7 +12,7 @@ from repro.baselines.hillclimb import IteratedHillClimbing
 from repro.core.decomposition import DecomposedQuantumMQO
 from repro.core.pipeline import QuantumMQO
 from repro.embedding.triad import triad_qubit_count
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.utils.tables import format_table
 
 

@@ -11,7 +11,7 @@ resulting annealing quality.
 from repro.core.pipeline import QuantumMQO
 from repro.embedding.triad import TriadEmbedder, triad_capacity
 from repro.exceptions import EmbeddingNotFoundError
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.utils.tables import format_table
 
 

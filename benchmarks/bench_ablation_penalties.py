@@ -9,7 +9,7 @@ reports the achieved solution quality.
 
 from repro.core.logical import LogicalMappingConfig
 from repro.core.pipeline import QuantumMQO
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.utils.tables import format_table
 
 

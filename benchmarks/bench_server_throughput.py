@@ -214,5 +214,5 @@ def bench_server_throughput(benchmark, save_exhibit):
         assert scenario["latency_ms"]["p99"] >= scenario["latency_ms"]["p50"]
         stats = scenario["server_stats"]
         assert stats["counters"]["jobs_completed"] >= scenario["jobs"]
-    assert sharded["server_stats"]["shards"]["live"] == SERVER_SHARDS
-    assert sharded["server_stats"]["shards"]["restarts"] == 0
+    assert sharded["server_stats"]["health"]["alive"] == SERVER_SHARDS
+    assert sharded["server_stats"]["health"]["restarts"] == 0

@@ -19,7 +19,7 @@ from repro.chimera.defects import DefectModel
 from repro.chimera.topology import ChimeraGraph
 from repro.experiments.metrics import reference_cost, scaled_cost
 from repro.experiments.runner import QuantumAnnealingFrontend
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.utils.tables import format_table
 
 CHECKPOINTS_MS = (1.0, 10.0, 100.0, 1000.0, 3000.0)

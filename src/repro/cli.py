@@ -33,7 +33,6 @@ import argparse
 import asyncio
 import functools
 import json
-import re
 import sys
 import time
 from collections import OrderedDict, deque
@@ -419,9 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
         "top",
         help="live per-shard view of a running server",
         description=(
-            "Poll a running repro-mqo server's stats, health and metrics "
-            "ops and render a per-shard table (throughput, latency "
-            "percentiles, queue depths, restarts). On a terminal the view "
+            "Poll a running repro-mqo server's stats op and render a "
+            "per-shard table (throughput, latency percentiles, queue "
+            "depths, restarts). On a terminal the view "
             "refreshes in place until interrupted; when stdout is piped it "
             "degrades to a single snapshot."
         ),
@@ -1080,44 +1079,14 @@ def _run_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-#: One ``repro_server_shard_*`` sample in the Prometheus exposition.
-#: Group 1 is the short series name with any ``_total`` suffix stripped
-#: (``jobs``, ``failures``, ``heartbeat_age_seconds``, ...), group 2 the
-#: shard index, group 3 the value.
-_SHARD_SERIES_RE = re.compile(
-    r'^repro_server_shard_([a-z0-9_]+?)(?:_total)?\{shard="(\d+)"\}\s+(\S+)$'
-)
+def _render_top(host: str, port: int, stats: dict) -> str:
+    """Render one ``top`` frame from a ``stats`` payload (pure).
 
-
-def _parse_shard_series(metrics_text: str) -> dict:
-    """Per-shard samples parsed out of the federated exposition text.
-
-    Returns ``{shard_index: {short_name: value}}`` covering every
-    ``repro_server_shard_*{shard="N"}`` series.  The parser is
-    deliberately narrow — it reads only the series this module's ``top``
-    view renders, not general Prometheus text.
+    The payload carries throughput and latency percentiles, and under
+    ``health`` the pool's tier state: verdict, tier and, on the sharded
+    tier, one entry per shard with its liveness, depths and job counts.
     """
-    series: dict = {}
-    for line in metrics_text.splitlines():
-        match = _SHARD_SERIES_RE.match(line.strip())
-        if match is None:
-            continue
-        short, shard, value = match.groups()
-        try:
-            series.setdefault(shard, {})[short] = float(value)
-        except ValueError:
-            continue
-    return series
-
-
-def _render_top(host: str, port: int, stats: dict, health: dict, metrics_text: str) -> str:
-    """Render one ``top`` frame from the three op payloads (pure).
-
-    ``stats`` supplies throughput and latency percentiles, ``health``
-    the per-shard liveness state, and ``metrics_text`` the per-shard
-    counters (jobs, failures, retries) that only exist as labelled
-    Prometheus series.
-    """
+    health = stats.get("health", {})
     counters = stats.get("counters", {})
     queue_wait = stats.get("queue_wait", {})
     job_run = stats.get("job_run", {})
@@ -1137,9 +1106,11 @@ def _render_top(host: str, port: int, stats: dict, health: dict, metrics_text: s
     ]
     shards = health.get("shards")
     if not shards:
-        lines.append(f"workers active: {health.get('active', stats.get('inflight', 0))}")
+        workers = f"workers active: {health.get('active', stats.get('inflight', 0))}"
+        if "staged" in health:
+            workers += f" | fusion window staged: {health['staged']}"
+        lines.append(workers)
         return "\n".join(lines) + "\n"
-    per_shard = _parse_shard_series(metrics_text)
     lines.append(
         f"shards: {health.get('alive', 0)}/{health.get('count', 0)} alive, "
         f"{health.get('restarts', 0)} restarts"
@@ -1148,7 +1119,6 @@ def _render_top(host: str, port: int, stats: dict, health: dict, metrics_text: s
     rows = []
     for index in sorted(shards, key=int):
         state = shards[index]
-        samples = per_shard.get(index, {})
         if state.get("dead"):
             verdict = "dead"
         elif not state.get("ready"):
@@ -1162,9 +1132,9 @@ def _render_top(host: str, port: int, stats: dict, health: dict, metrics_text: s
                 index,
                 state.get("pid") or "-",
                 verdict,
-                int(samples.get("jobs", 0)),
-                int(samples.get("failures", 0)),
-                int(samples.get("retries", 0)),
+                state.get("jobs", 0),
+                state.get("failures", 0),
+                state.get("retries", 0),
                 state.get("restarts", 0),
                 state.get("assigned", 0),
                 state.get("outbox", 0),
@@ -1187,10 +1157,11 @@ def _render_top(host: str, port: int, stats: dict, health: dict, metrics_text: s
 def _run_top(args: argparse.Namespace) -> int:
     """Poll a running server and render the live per-shard view.
 
-    On a terminal the frame redraws in place (ANSI clear) every
-    ``--interval`` seconds until ``--count`` frames were shown or the
-    user interrupts; with stdout piped and no explicit ``--count`` it
-    prints a single frame and exits, so scripts get one parseable dump.
+    Each frame is one ``stats`` call.  On a terminal the frame redraws
+    in place (ANSI clear) every ``--interval`` seconds until ``--count``
+    frames were shown or the user interrupts; with stdout piped and no
+    explicit ``--count`` it prints a single frame and exits, so scripts
+    get one parseable dump.
     """
     interactive = sys.stdout.isatty()
     limit: Optional[int] = args.count if args.count > 0 else (None if interactive else 1)
@@ -1201,9 +1172,7 @@ def _run_top(args: argparse.Namespace) -> int:
                 host=args.host, port=args.port, timeout_s=args.timeout_s
             ) as client:
                 stats = client.stats()
-                health = client.health()
-                metrics_text = client.metrics_text()
-            frame = _render_top(args.host, args.port, stats, health, metrics_text)
+            frame = _render_top(args.host, args.port, stats)
             if interactive:
                 sys.stdout.write("\x1b[2J\x1b[H")  # clear screen, home cursor
             sys.stdout.write(frame)

@@ -10,8 +10,12 @@ Figure 7 (representable problem dimensions per qubit budget).
 """
 
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.experiments.workloads import EmbeddedTestCase, generate_embedded_testcase
-from repro.experiments.scenarios import TestCaseClass, paper_test_classes
+from repro.workloads.embedded import (
+    EmbeddedTestCase,
+    TestCaseClass,
+    generate_embedded_testcase,
+    paper_test_classes,
+)
 from repro.experiments.metrics import reference_cost, scaled_cost, speedup_over_classical
 from repro.experiments.runner import ExperimentRunner, InstanceResult, QuantumAnnealingFrontend
 from repro.experiments.figures import (

@@ -15,7 +15,7 @@ from repro.core.complexity import capacity_frontier
 from repro.exceptions import ReproError
 from repro.experiments.metrics import geometric_mean, scaled_cost, speedup_over_classical
 from repro.experiments.runner import InstanceResult
-from repro.experiments.scenarios import TestCaseClass
+from repro.workloads.embedded import TestCaseClass
 from repro.utils.tables import format_table
 
 __all__ = [

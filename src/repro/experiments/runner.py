@@ -30,10 +30,14 @@ from repro.core.pipeline import QuantumMQO, QuantumMQOResult
 from repro.exceptions import ReproError
 from repro.experiments.metrics import reference_cost
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.experiments.scenarios import TestCaseClass, paper_test_classes
-from repro.experiments.workloads import EmbeddedTestCase, generate_embedded_testcase
 from repro.service.frontend import ServiceFrontend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng
+from repro.workloads.embedded import (
+    EmbeddedTestCase,
+    TestCaseClass,
+    generate_embedded_testcase,
+    paper_test_classes,
+)
 
 __all__ = ["QuantumAnnealingFrontend", "InstanceResult", "ExperimentRunner"]
 

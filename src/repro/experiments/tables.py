@@ -7,7 +7,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.exceptions import ReproError
 from repro.experiments.runner import InstanceResult
-from repro.experiments.scenarios import TestCaseClass
+from repro.workloads.embedded import TestCaseClass
 from repro.utils.tables import format_table
 
 __all__ = ["table1_rows", "table1_table"]

@@ -9,7 +9,9 @@ server's metrics endpoint and the Prometheus exposition in
 * every instrument is thread-safe (one small lock each; the recording
   paths are already lock-protected call sites today),
 * histograms keep constant memory: cumulative buckets + lifetime
-  count/sum/max + a bounded ring of recent samples for percentiles.
+  count/sum/max + a bounded ring of recent samples for percentiles,
+  which :meth:`Histogram.percentile` and :meth:`Histogram.summary` read
+  (the server's ``stats`` latency blocks are ``summary()`` documents).
 
 This module is also the home of the repository's **one** percentile
 definition.  Before it existed there were two — ``bench/stats.py`` used
@@ -222,6 +224,28 @@ class Histogram:
             return [0.0] * len(qs)
         return sorted_percentiles(ordered, qs)
 
+    def percentile(self, q: float) -> float:
+        """Nearest-rank percentile ``q`` in (0, 1] over the sample window (0 when empty)."""
+        return self.window_percentiles((q,))[0]
+
+    def summary(self) -> Dict[str, float]:
+        """JSON-friendly summary: count, mean, p50, p99 and max.
+
+        Keys carry the ``_ms`` unit of the default buckets.  Count, mean
+        and max are lifetime values; the two percentiles come from one
+        sort of the recent-sample window.
+        """
+        p50, p99 = self.window_percentiles((0.50, 0.99))
+        with self._lock:
+            count, total, peak = self.count, self.total, self.max_value
+        return {
+            "count": count,
+            "mean_ms": round(total / count, 3) if count else 0.0,
+            "p50_ms": round(p50, 3),
+            "p99_ms": round(p99, 3),
+            "max_ms": round(peak, 3),
+        }
+
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """``(upper_bound, cumulative_count)`` pairs ending at ``+Inf``."""
         with self._lock:
@@ -306,7 +330,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._families: Dict[str, _Family] = {}
 
-    def _get_or_create(self, name: str, kind: str, help_text: str, labels, factory):
+    def _get_or_create(self, name: str, kind: str, help_text: str, labels, make):
         key = _label_key(labels)
         with self._lock:
             family = self._families.get(name)
@@ -320,7 +344,7 @@ class MetricsRegistry:
                 family.help = help_text
             child = family.children.get(key)
             if child is None:
-                child = family.children[key] = factory()
+                child = family.children[key] = make()
             return child
 
     def counter(self, name: str, help: str = "", labels=None) -> Counter:
@@ -338,15 +362,15 @@ class MetricsRegistry:
         labels=None,
         window: int = 2048,
         buckets: Sequence[float] = DEFAULT_BUCKETS_MS,
-        factory=None,
     ) -> Histogram:
-        """Get or create the histogram ``name`` with ``labels``.
-
-        ``factory`` lets a caller register a :class:`Histogram`
-        subclass (the server's ``LatencyStats``) under this name.
-        """
-        make = factory or (lambda: Histogram(name, labels, window=window, buckets=buckets))
-        return self._get_or_create(name, "histogram", help, labels, make)
+        """Get or create the histogram ``name`` with ``labels``."""
+        return self._get_or_create(
+            name,
+            "histogram",
+            help,
+            labels,
+            lambda: Histogram(name, labels, window=window, buckets=buckets),
+        )
 
     def collect(self) -> List[_Family]:
         """Every family, name-sorted (the exporters iterate this)."""

@@ -18,8 +18,8 @@ bounded worker pool) instead of paying cold-start per invocation.
   problem hash, zero-copy column handoff (see ``docs/server.md``),
 * :mod:`repro.server.streaming` — fan-out of incremental anytime
   updates to subscribed clients while jobs run,
-* :mod:`repro.server.metrics` — per-endpoint latency/throughput and
-  job counters behind the ``stats`` request,
+* :mod:`repro.server.metrics` — the one registry of server counts and
+  latencies behind the ``stats`` and ``metrics`` requests,
 * :mod:`repro.server.app` — :class:`SolverServer` (connections,
   dispatch, graceful drain) and :func:`run_server_in_thread`,
 * :mod:`repro.server.client` — :class:`SolverClient`, the blocking
@@ -48,7 +48,7 @@ from repro.server.app import ServerConfig, ServerHandle, SolverServer, run_serve
 # found-in-sys.modules RuntimeWarning on every such invocation.  Import
 # it directly: `from repro.server.readiness import wait_for_server`.
 from repro.server.client import SolverClient
-from repro.server.metrics import EndpointStats, LatencyStats, ServerMetrics
+from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     MAX_FRAME_BYTES,
     PRIORITIES,
@@ -69,8 +69,6 @@ __all__ = [
     "run_server_in_thread",
     "SolverClient",
     "ServerMetrics",
-    "LatencyStats",
-    "EndpointStats",
     "FairScheduler",
     "JobQueue",
     "ServerJob",

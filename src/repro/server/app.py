@@ -6,7 +6,8 @@ stack: admission control and per-client fairness in
 :class:`~repro.server.queue.JobQueue`, execution and in-flight
 coalescing in :class:`~repro.server.workers.WorkerPool`, live anytime
 updates through :class:`~repro.server.streaming.StreamBroker`, and
-per-endpoint counters in :class:`~repro.server.metrics.ServerMetrics`.
+counts and latencies in :class:`~repro.server.metrics.ServerMetrics`,
+which the introspection ops render next to the pool's ``health()``.
 
 Each connection gets a single outbound FIFO drained by one writer task,
 so replies, streamed updates and results never interleave mid-frame and
@@ -572,6 +573,7 @@ class SolverServer:
                     "workers": self.config.workers,
                     "shards": self.config.shards,
                     "fusion_window_ms": self.config.fusion_window_ms,
+                    "fusion_max_jobs": self.config.fusion_max_jobs,
                 },
             )
         )
@@ -648,13 +650,13 @@ class SolverServer:
         self.broker.subscribe(stream_target, self._updates_only(sink), updates=True)
 
     def _op_stats(self, connection: _Connection, request: protocol.Request) -> None:
-        """Report the metrics snapshot plus live gauges."""
+        """Report the registry's JSON rendering plus the pool's health block."""
         extra: Dict[str, Any] = {
             "jobs_tracked": len(self._jobs),
             "draining": self.queue.draining,
             "stream_channels": len(self.broker),
+            "health": self.pool.health(),
         }
-        extra.update(self.pool.extra_stats())
         if self.frontend.cache is not None:
             stats = self.frontend.cache.stats
             extra["result_cache"] = {
@@ -675,12 +677,12 @@ class SolverServer:
     def _op_metrics(self, connection: _Connection, request: protocol.Request) -> None:
         """Serve the cluster-wide Prometheus exposition.
 
-        ``refresh_gauges`` runs first (on the event-loop thread, where
-        pool state is owned) so per-shard gauges are point-in-time
-        accurate; the render then federates the parent registries with
-        every shard's latest heartbeat snapshot.
+        The per-shard gauges are set first from the pool's health block
+        (on the event-loop thread, where pool state is owned); the
+        render then federates the parent registries with every shard's
+        latest heartbeat snapshot.
         """
-        self.pool.refresh_gauges()
+        self.metrics.set_shard_gauges(self.pool.health())
         connection.send_nowait(
             protocol.metrics_frame(
                 request.id,

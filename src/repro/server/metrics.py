@@ -1,17 +1,22 @@
-"""Server metrics: per-endpoint latency/throughput plus job counters.
+"""Server metrics: one registry behind ``stats``, ``metrics`` and ``top``.
 
-The server records every request it dispatches (per ``op``: count,
-errors, handler latency) and every job lifecycle event (submitted,
-completed, failed, coalesced, rejected, streamed updates).  Latency
-percentiles come from a fixed-size reservoir of the most recent samples,
-so the memory footprint is constant no matter how long the server runs.
+Every count and latency the server keeps lives in one
+:class:`repro.obs.metrics.MetricsRegistry` per :class:`ServerMetrics`:
+the job and stream counters of :data:`COUNTERS` (registered at zero, so
+every series carries its HELP line from the start), per-op request
+counts, errors and handler latency (``repro_server_request*{op="..."}``),
+the queue-wait, job-run and fusion-window histograms, and the sharded
+tier's per-shard counters and gauges.  Latency percentiles come from
+each histogram's bounded window of recent samples, so memory stays
+constant however long the server runs.
 
-All state lives in a :class:`repro.obs.metrics.MetricsRegistry` — one
-per :class:`ServerMetrics` instance — so the same numbers back both the
-JSON ``stats`` snapshot (:meth:`ServerMetrics.snapshot`, persisted into
-``BENCH_server.json`` by the throughput benchmark) and the Prometheus
-text exposition served by the ``metrics`` protocol op
-(:meth:`ServerMetrics.prometheus_text`).
+Two renderings read the registry: :meth:`ServerMetrics.snapshot` is the
+JSON ``stats`` document (persisted into ``BENCH_server.json`` by the
+throughput benchmark), and :meth:`ServerMetrics.prometheus_text` the
+Prometheus exposition served by the ``metrics`` op.  Tier state is not
+stored here: the pool's ``health()`` produces it, ``stats`` carries that
+block under ``"health"``, and :meth:`ServerMetrics.set_shard_gauges`
+mirrors its per-shard entries into gauges before each exposition.
 
 The sharded tier federates: each shard process ships its process-global
 registry as a :meth:`~repro.obs.metrics.MetricsRegistry.to_snapshot`
@@ -30,35 +35,24 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.export import render_prometheus
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry, get_registry
 
-__all__ = ["LatencyStats", "EndpointStats", "ServerMetrics"]
+__all__ = ["COUNTERS", "SHARD_COUNTERS", "ServerMetrics"]
 
-#: Job/stream counters tracked by :class:`ServerMetrics`.
-_JOB_COUNTERS = (
-    "jobs_submitted",
-    "jobs_completed",
-    "jobs_finished",
-    "jobs_failed",
-    "jobs_coalesced",
-    "jobs_rejected",
-    "updates_streamed",
-    "connections_opened",
-    "connections_closed",
-    "fusion_windows",
-    "fusion_jobs",
-)
-
-_COUNTER_HELP = {
+#: Every unlabelled server counter: short name -> HELP text.  The series
+#: of ``<short>`` is ``repro_server_<short>_total``, and ``stats`` lists
+#: it under ``counters[<short>]``.
+COUNTERS: Dict[str, str] = {
     "jobs_submitted": "Jobs admitted into the queue.",
     "jobs_completed": "Jobs finished successfully.",
     "jobs_finished": "Jobs finished, successful or not.",
     "jobs_failed": "Jobs finished with an error.",
     "jobs_coalesced": "Duplicate jobs attached to an in-flight twin.",
     "jobs_rejected": "Jobs refused at admission.",
+    "jobs_retried": "Jobs re-dispatched after their owning shard died.",
     "updates_streamed": "Anytime improvement frames streamed to clients.",
     "connections_opened": "Client connections accepted.",
     "connections_closed": "Client connections closed.",
@@ -66,143 +60,59 @@ _COUNTER_HELP = {
     "fusion_jobs": "Jobs that ran inside a fused anneal window.",
 }
 
+#: Per-shard counters ``repro_server_shard_<short>_total{shard="i"}``;
+#: each shard's entry in the sharded ``health()`` block carries them.
+SHARD_COUNTERS: Dict[str, str] = {
+    "jobs": "Jobs finished per shard process.",
+    "failures": "Jobs failed per shard process.",
+    "retries": "Jobs re-dispatched after their owning shard died.",
+    "restarts": "Shard process respawns after an unexpected death.",
+}
 
-def _prom_counter_name(short: str) -> str:
-    """The Prometheus series name of one short-named job counter."""
-    return f"repro_server_{short}_total"
-
-
-class LatencyStats(Histogram):
-    """Constant-memory latency aggregate: count, sum and a sample window.
-
-    A :class:`~repro.obs.metrics.Histogram` specialised for millisecond
-    latencies, keeping the historical field names (``total_ms``,
-    ``max_ms``) and snapshot shape.  Percentiles are computed over the
-    most recent ``window`` samples; :meth:`snapshot` sorts that window
-    exactly **once** for all of its percentiles.
-    """
-
-    def __init__(self, window: int = 2048, name: str = "latency_ms") -> None:
-        super().__init__(name=name, window=window)
-
-    @property
-    def total_ms(self) -> float:
-        """Lifetime sum of all samples (milliseconds)."""
-        return self.total
-
-    @property
-    def max_ms(self) -> float:
-        """Largest sample ever observed (milliseconds)."""
-        return self.max_value
-
-    @property
-    def mean_ms(self) -> float:
-        """Lifetime mean latency (0 when no samples)."""
-        return self.mean
-
-    def percentile(self, fraction: float) -> float:
-        """Latency at ``fraction`` (0..1] over the sample window (0 when empty)."""
-        return self.window_percentiles((fraction,))[0]
-
-    def snapshot(self) -> Dict[str, float]:
-        """JSON-friendly summary: count, mean, p50, p99, max (one sort)."""
-        p50, p99 = self.window_percentiles((0.50, 0.99))
-        return {
-            "count": self.count,
-            "mean_ms": round(self.mean, 3),
-            "p50_ms": round(p50, 3),
-            "p99_ms": round(p99, 3),
-            "max_ms": round(self.max_value, 3),
-        }
-
-
-class EndpointStats:
-    """Request count, error count and handler latency of one endpoint."""
-
-    def __init__(
-        self,
-        op: str = "",
-        registry: Optional[MetricsRegistry] = None,
-        window: int = 2048,
-    ) -> None:
-        registry = registry if registry is not None else MetricsRegistry()
-        labels = {"op": op} if op else None
-        self._requests: Counter = registry.counter(
-            "repro_server_requests_total", "Protocol requests handled.", labels
-        )
-        self._errors: Counter = registry.counter(
-            "repro_server_request_errors_total", "Protocol requests that errored.", labels
-        )
-        self.latency: LatencyStats = registry.histogram(
-            "repro_server_request_latency_ms",
-            "Handler latency per protocol op.",
-            labels,
-            window=window,
-            factory=lambda: LatencyStats(window=window, name="repro_server_request_latency_ms"),
-        )
-
-    @property
-    def requests(self) -> int:
-        """Requests handled on this endpoint."""
-        return self._requests.value
-
-    @property
-    def errors(self) -> int:
-        """Requests that ended in an error frame."""
-        return self._errors.value
-
-    def observe(self, latency_ms: float, error: bool) -> None:
-        """Record one handled request."""
-        self._requests.inc()
-        if error:
-            self._errors.inc()
-        self.latency.observe(latency_ms)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """JSON-friendly summary of this endpoint."""
-        payload: Dict[str, Any] = {"requests": self.requests, "errors": self.errors}
-        payload.update(self.latency.snapshot())
-        return payload
+#: Per-shard gauges ``repro_server_shard_<short>{shard="i"}``: short name
+#: -> (key of the shard's ``health()`` entry, HELP text).
+_SHARD_GAUGES: Dict[str, Tuple[str, str]] = {
+    "inflight_jobs": ("assigned", "Jobs dispatched to the shard and not yet finished."),
+    "outbox_depth": ("outbox", "Jobs waiting in the shard's bounded outbox."),
+    "overflow_depth": ("overflow", "Jobs parked in the shard's overflow deque."),
+    "heartbeat_age_seconds": ("heartbeat_age_s", "Seconds since the shard last sent any message."),
+}
 
 
 class ServerMetrics:
-    """Thread-safe aggregate of everything the ``stats`` request reports.
+    """Thread-safe recording and rendering of the server's registry.
 
     Handler paths run on the event loop, but job completions are recorded
     from worker coroutines and the benchmark reads snapshots from other
-    threads; the individual instruments are thread-safe and a small lock
-    guards the endpoint map.
+    threads.  Recording goes through handles to the registry's
+    instruments, held per counter and per op, so a call costs no registry
+    lookup; a small lock guards the handle maps' growth and the shard
+    snapshot store.
     """
 
-    def __init__(self, window: int = 2048, registry: Optional[MetricsRegistry] = None) -> None:
+    def __init__(self, window: int = 2048) -> None:
         self._lock = threading.Lock()
         self._window = window
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._endpoints: Dict[str, EndpointStats] = {}
-        self._shard_counters: Dict[tuple, Counter] = {}
-        self._shard_metric_snapshots: Dict[int, Dict[str, Any]] = {}
+        self.registry = MetricsRegistry()
         self._counters: Dict[str, Counter] = {
-            name: self.registry.counter(_prom_counter_name(name), _COUNTER_HELP.get(name, ""))
-            for name in _JOB_COUNTERS
+            short: self.registry.counter(f"repro_server_{short}_total", help_text)
+            for short, help_text in COUNTERS.items()
         }
-        self.queue_wait: LatencyStats = self.registry.histogram(
+        self._ops: Dict[str, Tuple[Counter, Counter, Histogram]] = {}
+        self._shard_metric_snapshots: Dict[int, Dict[str, Any]] = {}
+        self.queue_wait = self.registry.histogram(
             "repro_server_queue_wait_ms",
             "Time jobs spent queued before a worker picked them up.",
             window=window,
-            factory=lambda: LatencyStats(window=window, name="repro_server_queue_wait_ms"),
         )
-        self.job_run: LatencyStats = self.registry.histogram(
-            "repro_server_job_run_ms",
-            "Job execution time on the worker pool.",
-            window=window,
-            factory=lambda: LatencyStats(window=window, name="repro_server_job_run_ms"),
+        self.job_run = self.registry.histogram(
+            "repro_server_job_run_ms", "Job execution time on the worker pool.", window=window
         )
-        self.fusion_window_ms: LatencyStats = self.registry.histogram(
+        self.fusion_window_ms = self.registry.histogram(
             "repro_server_fusion_window_ms",
             "Wall-clock execution time of fused anneal windows "
             "(compare with repro_server_job_run_ms for solo jobs).",
             window=window,
-            factory=lambda: LatencyStats(window=window, name="repro_server_fusion_window_ms"),
         )
         self._fusion_batch_gauge = self.registry.gauge(
             "repro_server_fusion_batch_size",
@@ -216,15 +126,31 @@ class ServerMetrics:
     # ------------------------------------------------------------------ #
     # Recording
     # ------------------------------------------------------------------ #
+    def _op_series(self, op: str) -> Tuple[Counter, Counter, Histogram]:
+        """Register the ``{op="<op>"}`` request, error and latency series."""
+        labels = {"op": op}
+        with self._lock:
+            series = self._ops[op] = (
+                self.registry.counter("repro_server_requests_total", "Protocol requests handled.", labels),
+                self.registry.counter(
+                    "repro_server_request_errors_total", "Protocol requests that errored.", labels
+                ),
+                self.registry.histogram(
+                    "repro_server_request_latency_ms",
+                    "Handler latency per protocol op.",
+                    labels,
+                    window=self._window,
+                ),
+            )
+        return series
+
     def observe_request(self, op: str, latency_ms: float, error: bool = False) -> None:
         """Record one protocol request handled for endpoint ``op``."""
-        with self._lock:
-            endpoint = self._endpoints.get(op)
-            if endpoint is None:
-                endpoint = self._endpoints[op] = EndpointStats(
-                    op=op, registry=self.registry, window=self._window
-                )
-        endpoint.observe(latency_ms, error)
+        requests, errors, latency = self._ops.get(op) or self._op_series(op)
+        requests.inc()
+        if error:
+            errors.inc()
+        latency.observe(latency_ms)
 
     def observe_job(self, queue_wait_ms: float, run_ms: float, failed: bool) -> None:
         """Record one finished job (queue wait + execution time).
@@ -235,18 +161,20 @@ class ServerMetrics:
         self.queue_wait.observe(queue_wait_ms)
         self.job_run.observe(run_ms)
         self._counters["jobs_finished"].inc()
-        if failed:
-            self._counters["jobs_failed"].inc()
-        else:
-            self._counters["jobs_completed"].inc()
+        self._counters["jobs_failed" if failed else "jobs_completed"].inc()
 
     def increment(self, counter: str, amount: int = 1) -> None:
-        """Bump one of the job/stream counters by ``amount``."""
-        with self._lock:
-            instrument = self._counters.get(counter)
-            if instrument is None:
+        """Bump the counter ``counter`` by ``amount``.
+
+        Server code counts only :data:`COUNTERS` names; any other name
+        registers a new ``repro_server_<name>_total`` series, without
+        HELP text, on first use.
+        """
+        instrument = self._counters.get(counter)
+        if instrument is None:
+            with self._lock:
                 instrument = self._counters[counter] = self.registry.counter(
-                    _prom_counter_name(counter)
+                    f"repro_server_{counter}_total"
                 )
         instrument.inc(amount)
 
@@ -262,44 +190,19 @@ class ServerMetrics:
         self._fusion_batch_gauge.set(batch_size)
         self.fusion_window_ms.observe(window_ms)
 
-    def counter(self, name: str) -> int:
-        """Current value of one counter (0 when never incremented)."""
-        with self._lock:
-            instrument = self._counters.get(name)
+    def counter_value(self, name: str) -> int:
+        """Current value of the counter with short name ``name`` (0 when unknown)."""
+        instrument = self._counters.get(name)
         return instrument.value if instrument is not None else 0
 
-    def counter_value(self, name: str) -> int:
-        """Read-only alias of :meth:`counter` for instrumented code.
-
-        Counter *reads* take the short snapshot key (``"fusion_jobs"``),
-        not the ``repro_``-prefixed exposition name, so call sites in
-        ``src`` use this spelling — the metric-name lint reserves
-        ``.counter(...)`` for series registrations.
-        """
-        return self.counter(name)
-
     # ------------------------------------------------------------------ #
-    # Per-shard labelled counters (the sharded worker tier)
+    # Per-shard series (the sharded worker tier)
     # ------------------------------------------------------------------ #
-    _SHARD_COUNTER_HELP = {
-        "jobs": "Jobs finished per shard process.",
-        "failures": "Jobs failed per shard process.",
-        "restarts": "Shard process respawns after an unexpected death.",
-        "retries": "Jobs re-dispatched after their owning shard died.",
-    }
-
     def _shard_counter(self, short: str, shard: int) -> Counter:
-        """The ``{shard="<i>"}``-labelled series of one shard counter."""
-        with self._lock:
-            key = (short, shard)
-            instrument = self._shard_counters.get(key)
-            if instrument is None:
-                instrument = self._shard_counters[key] = self.registry.counter(
-                    f"repro_server_shard_{short}_total",
-                    self._SHARD_COUNTER_HELP.get(short, ""),
-                    {"shard": str(shard)},
-                )
-        return instrument
+        """The ``{shard="<i>"}``-labelled series of one :data:`SHARD_COUNTERS` name."""
+        return self.registry.counter(
+            f"repro_server_shard_{short}_total", SHARD_COUNTERS[short], {"shard": str(shard)}
+        )
 
     def observe_shard_job(self, shard: int, failed: bool) -> None:
         """Record one job finished by shard ``shard``."""
@@ -315,20 +218,31 @@ class ServerMetrics:
         """Record one job retried away from dead shard ``shard``."""
         self._shard_counter("retries", shard).inc()
 
-    def set_shard_gauge(self, short: str, shard: int, value: float, help: str = "") -> None:
-        """Set the ``{shard="<i>"}``-labelled gauge ``repro_server_shard_<short>``."""
-        self.registry.gauge(
-            f"repro_server_shard_{short}", help, {"shard": str(shard)}
-        ).set(value)
+    def shard_counts(self, shard: int) -> Dict[str, int]:
+        """Shard ``shard``'s counters by :data:`SHARD_COUNTERS` short name."""
+        return {short: self._shard_counter(short, shard).value for short in SHARD_COUNTERS}
 
-    def shard_snapshot(self) -> Dict[str, Dict[str, int]]:
-        """Per-shard counter values keyed by shard index (may be empty)."""
-        with self._lock:
-            items = list(self._shard_counters.items())
-        snapshot: Dict[str, Dict[str, int]] = {}
-        for (short, shard), instrument in items:
-            snapshot.setdefault(str(shard), {})[short] = instrument.value
-        return snapshot
+    def set_shard_gauges(self, health: Dict[str, Any]) -> None:
+        """Mirror the per-shard entries of a ``pool.health()`` block into gauges.
+
+        Sets ``repro_server_shard_up`` and the :data:`_SHARD_GAUGES`
+        series of every shard, plus the all-slot
+        ``repro_server_dispatched_jobs``.  A block without shards (the
+        thread and fusion tiers) sets nothing.
+        """
+        shards = health.get("shards") or {}
+        for index, state in shards.items():
+            labels = {"shard": str(index)}
+            self.registry.gauge(
+                "repro_server_shard_up", "Whether the shard slot is ready and alive (1) or not (0).", labels
+            ).set(1.0 if state["ready"] and not state["dead"] else 0.0)
+            for short, (key, help_text) in _SHARD_GAUGES.items():
+                self.registry.gauge(f"repro_server_shard_{short}", help_text, labels).set(state[key])
+        if shards:
+            self.registry.gauge(
+                "repro_server_dispatched_jobs",
+                "Jobs dispatched to shards and not yet finished (all slots).",
+            ).set(sum(state["assigned"] for state in shards.values()))
 
     # ------------------------------------------------------------------ #
     # Metrics federation (shard registry snapshots)
@@ -340,8 +254,8 @@ class ServerMetrics:
         parent keeps only the newest one per slot — merging happens
         afresh at exposition time, never destructively.  The store is
         guarded by the metrics lock: heartbeats land on the event loop
-        while :meth:`snapshot`/:meth:`prometheus_text` may run from a
-        benchmark thread mid-drain.
+        while :meth:`prometheus_text` may run from a benchmark thread
+        mid-drain.
         """
         with self._lock:
             self._shard_metric_snapshots[int(shard)] = snapshot
@@ -383,27 +297,35 @@ class ServerMetrics:
         inflight: Optional[int] = None,
         extra: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """Render all metrics into one JSON-friendly dictionary.
+        """The ``stats`` document: a JSON rendering of the registry.
 
-        ``queue_depth``/``inflight`` are point-in-time gauges supplied by
-        the caller (the queue and worker pool own that state); ``extra``
-        is merged in verbatim (e.g. the result-cache hit rate).
+        ``counters`` holds every unlabelled ``repro_server_<short>_total``
+        series under its short name, ``endpoints`` the per-op request
+        series, and the latency blocks are :meth:`Histogram.summary`
+        documents.  ``queue_depth``/``inflight`` are point-in-time values
+        supplied by the caller (the queue and pool own that state);
+        ``extra`` is merged in verbatim (the server adds its pool's
+        ``health`` block and the result-cache hit rate).
         """
+        counters = {
+            name[len("repro_server_") : -len("_total")]: value
+            for name, value in self.registry.counters_snapshot().items()
+        }
         with self._lock:
-            counters = {name: instrument.value for name, instrument in self._counters.items()}
-            endpoints = {
-                op: endpoint.snapshot() for op, endpoint in sorted(self._endpoints.items())
-            }
+            ops = sorted(self._ops.items())
         uptime_s = self.uptime_s()
         payload: Dict[str, Any] = {
             "uptime_s": round(uptime_s, 3),
             "counters": counters,
             "jobs_per_second": round(counters["jobs_completed"] / uptime_s, 3),
             "jobs_finished_per_second": round(counters["jobs_finished"] / uptime_s, 3),
-            "queue_wait": self.queue_wait.snapshot(),
-            "job_run": self.job_run.snapshot(),
-            "fusion_window": self.fusion_window_ms.snapshot(),
-            "endpoints": endpoints,
+            "queue_wait": self.queue_wait.summary(),
+            "job_run": self.job_run.summary(),
+            "fusion_window": self.fusion_window_ms.summary(),
+            "endpoints": {
+                op: {"requests": requests.value, "errors": errors.value, **latency.summary()}
+                for op, (requests, errors, latency) in ops
+            },
         }
         if queue_depth is not None:
             payload["queue_depth"] = queue_depth

@@ -51,8 +51,10 @@ Design points:
   a final drain-time snapshot); the parent stores the latest snapshot
   per slot and federates them into the Prometheus exposition under a
   ``shard="N"`` label.  Any inbound message refreshes the slot's
-  ``last_heartbeat``, which the ``health`` op turns into a per-shard
-  liveness age and an overall ``ok|degraded|draining`` verdict.
+  ``last_heartbeat``.  :meth:`ShardPool.health` is the one producer of
+  tier state — an ``ok|degraded|draining`` verdict plus per-shard
+  liveness, depths and counts (read from the server registry) — which
+  the ``health``, ``stats`` and ``metrics`` ops all render.
 * **Drain.** ``queue.drain()`` stops admission; the dispatcher forwards
   the backlog, every shard receives a ``stop`` sentinel *behind* its
   queued jobs (pipes are FIFO), finishes them, and exits; ``join()``
@@ -406,6 +408,8 @@ class ShardPool(BasePool):
         staleness verdict.
     """
 
+    tier = "shards"
+
     def __init__(
         self,
         frontend_factory: Callable[[], ServiceFrontend],
@@ -441,7 +445,6 @@ class ShardPool(BasePool):
             # instead of re-importing from scratch.
             self._mp.set_forkserver_preload(["repro.server.sharding"])
         self.shards: List[_Shard] = []
-        self._restarts: Dict[int, int] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         # One send thread per shard: a sender blocked on one shard's full
         # pipe must not stall writes to the others.
@@ -466,39 +469,6 @@ class ShardPool(BasePool):
         """Queued plus dispatched-but-unfinished jobs."""
         return self.queue.depth + sum(len(shard.assigned) for shard in self.shards)
 
-    def live_shards(self) -> int:
-        """Shard processes currently accepting work."""
-        return sum(1 for shard in self.shards if not shard.dead)
-
-    def ready_shards(self) -> int:
-        """Shard processes that completed startup (frontend built)."""
-        return sum(1 for shard in self.shards if shard.ready and not shard.dead)
-
-    def extra_stats(self) -> Dict[str, object]:
-        """Per-shard block merged into the ``stats`` snapshot."""
-        now = time.monotonic()
-        return {
-            "shards": {
-                "count": len(self.shards),
-                "live": self.live_shards(),
-                "ready": self.ready_shards(),
-                "restarts": sum(self._restarts.values()),
-                "per_shard": {
-                    str(shard.index): {
-                        "pid": shard.pid,
-                        "assigned": len(shard.assigned),
-                        "ready": shard.ready,
-                        "dead": shard.dead,
-                        "restarts": self._restarts.get(shard.index, 0),
-                        "outbox": shard.outbox.qsize(),
-                        "overflow": len(shard.overflow),
-                        "heartbeat_age_s": round(now - shard.last_heartbeat, 3),
-                    }
-                    for shard in self.shards
-                },
-            }
-        }
-
     def _heartbeat_stale_after(self) -> Optional[float]:
         """Heartbeat age beyond which a shard counts as unhealthy."""
         if self.heartbeat_interval_s <= 0:
@@ -514,79 +484,41 @@ class ShardPool(BasePool):
         floor three seconds — generous so a busy box never flaps), and
         ``ok`` otherwise.  Pipe EOF marks a killed shard dead within
         milliseconds; staleness is the backstop for a *hung* shard.
+        Each shard's entry also carries its ``SHARD_COUNTERS`` values.
         """
         now = time.monotonic()
         stale_after = self._heartbeat_stale_after()
         shards: Dict[str, Dict[str, Any]] = {}
-        alive = 0
-        degraded = False
         for shard in self.shards:
             age = now - shard.last_heartbeat
-            ok = shard.ready and not shard.dead
-            stale = stale_after is not None and age > stale_after
-            if ok and not stale:
-                alive += 1
-            else:
-                degraded = True
             shards[str(shard.index)] = {
                 "pid": shard.pid,
                 "ready": shard.ready,
                 "dead": shard.dead,
-                "stale": stale,
+                "stale": stale_after is not None and age > stale_after,
                 "assigned": len(shard.assigned),
                 "outbox": shard.outbox.qsize(),
                 "overflow": len(shard.overflow),
-                "restarts": self._restarts.get(shard.index, 0),
                 "heartbeat_age_s": round(age, 3),
+                **self.metrics.shard_counts(shard.index),
             }
+        alive = sum(
+            state["ready"] and not state["dead"] and not state["stale"] for state in shards.values()
+        )
         if self.queue.draining:
             verdict = "draining"
-        elif degraded:
-            verdict = "degraded"
         else:
-            verdict = "ok"
+            verdict = "ok" if alive == len(shards) else "degraded"
         return {
             "verdict": verdict,
-            "tier": "shards",
+            "tier": self.tier,
             "count": len(self.shards),
             "alive": alive,
-            "restarts": sum(self._restarts.values()),
+            "restarts": sum(state["restarts"] for state in shards.values()),
             "queue_depth": self.queue.depth,
             "draining": self.queue.draining,
             "shards": shards,
         }
-
-    def refresh_gauges(self) -> None:
-        """Refresh the per-shard gauges just before a metrics render."""
-        now = time.monotonic()
-        backlog = 0
-        for shard in self.shards:
-            backlog += len(shard.assigned)
-            index = shard.index
-            self.metrics.set_shard_gauge(
-                "inflight_jobs", index, len(shard.assigned),
-                "Jobs dispatched to the shard and not yet finished.",
-            )
-            self.metrics.set_shard_gauge(
-                "outbox_depth", index, shard.outbox.qsize(),
-                "Jobs waiting in the shard's bounded outbox.",
-            )
-            self.metrics.set_shard_gauge(
-                "overflow_depth", index, len(shard.overflow),
-                "Jobs parked in the shard's overflow deque.",
-            )
-            self.metrics.set_shard_gauge(
-                "heartbeat_age_seconds", index, round(now - shard.last_heartbeat, 3),
-                "Seconds since the shard last sent any message.",
-            )
-            self.metrics.set_shard_gauge(
-                "up", index, 1.0 if (shard.ready and not shard.dead) else 0.0,
-                "Whether the shard slot is ready and alive (1) or not (0).",
-            )
-        self.metrics.registry.gauge(
-            "repro_server_dispatched_jobs",
-            "Jobs dispatched to shards and not yet finished (all slots).",
-        ).set(backlog)
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -890,10 +822,9 @@ class ShardPool(BasePool):
 
     def _respawn(self, shard: _Shard) -> None:
         """Replace a dead slot with a fresh process (within the budget)."""
-        restarts = self._restarts.get(shard.index, 0)
+        restarts = self.metrics.shard_counts(shard.index)["restarts"]
         if restarts >= self.max_restarts_per_shard:
             return
-        self._restarts[shard.index] = restarts + 1
         self.metrics.observe_shard_restart(shard.index)
         self.shards[shard.index] = self._spawn(shard.index)
         record_event("shard_respawn", shard=shard.index, restarts=restarts + 1)

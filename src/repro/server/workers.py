@@ -80,11 +80,15 @@ class BasePool:
 
     Attributes
     ----------
+    tier:
+        The execution tier :meth:`health` names.
     finished:
         Every finished job (representative or follower) in finish
         order, appended once its result is published.  The server pops
         it from the oldest end when it prunes the jobs it tracks.
     """
+
+    tier = "threads"
 
     def __init__(
         self,
@@ -131,12 +135,8 @@ class BasePool:
     def shutdown_executor(self) -> None:
         """Tear down tier-specific execution resources (after :meth:`join`)."""
 
-    def extra_stats(self) -> Dict[str, object]:
-        """Tier-specific additions to the ``stats`` snapshot (may be empty)."""
-        return {}
-
     def health(self) -> Dict[str, object]:
-        """Structured liveness state served by the ``health`` protocol op.
+        """The tier's state, the one source of ``health`` and ``stats["health"]``.
 
         The thread tier is in-process — its workers cannot die without
         taking the server with them — so the verdict is simply ``ok``
@@ -145,14 +145,11 @@ class BasePool:
         """
         return {
             "verdict": "draining" if self.queue.draining else "ok",
-            "tier": "threads",
+            "tier": self.tier,
             "active": self.active,
             "queue_depth": self.queue.depth,
             "draining": self.queue.draining,
         }
-
-    def refresh_gauges(self) -> None:
-        """Refresh tier-specific gauges before a metrics render (no-op here)."""
 
     # ------------------------------------------------------------------ #
     # Admission
@@ -375,13 +372,14 @@ class FusionPool(WorkerPool):
     subscribers before the final result closes the channel.  Two clients
     sharing one window each receive their own stream.
 
-    Observability: every window records
-    ``repro_server_fusion_batch_size`` (gauge, last window),
-    ``repro_server_fusion_windows_total`` / ``repro_server_fusion_jobs_total``
-    (counters) and ``repro_server_fusion_window_ms`` (histogram —
-    compare against ``repro_server_job_run_ms`` for solo wall-clock),
-    plus ``server.fusion.window`` / ``server.fusion.scatter`` spans.
+    Observability: every window feeds the fusion counters, batch-size
+    gauge and window-time histogram of
+    :class:`~repro.server.metrics.ServerMetrics` plus
+    ``server.fusion.window`` / ``server.fusion.scatter`` spans;
+    :meth:`health` names the tier ``fusion`` and counts the staged jobs.
     """
+
+    tier = "fusion"
 
     def __init__(
         self,
@@ -421,17 +419,11 @@ class FusionPool(WorkerPool):
         """Executing jobs plus jobs staged in or running through a window."""
         return self._active + len(self._staged) + self._fused_running
 
-    def extra_stats(self) -> Dict[str, object]:
-        """Fusion-window state for the ``stats`` snapshot."""
-        return {
-            "fusion": {
-                "window_ms": self.fusion_window_ms,
-                "max_jobs": self.fusion_max_jobs,
-                "staged": len(self._staged),
-                "windows": self.metrics.counter_value("fusion_windows"),
-                "jobs_fused": self.metrics.counter_value("fusion_jobs"),
-            }
-        }
+    def health(self) -> Dict[str, object]:
+        """Thread-tier state plus the jobs staged in the open window."""
+        health = super().health()
+        health["staged"] = len(self._staged)
+        return health
 
     # ------------------------------------------------------------------ #
     # Lifecycle

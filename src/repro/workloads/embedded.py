@@ -1,10 +1,9 @@
 """Embedding-co-designed instances and the paper's evaluation classes.
 
-Home of the generators that previously lived in
-:mod:`repro.experiments.workloads` / :mod:`repro.experiments.scenarios`
-(both remain as thin deprecation shims): instance generation now lives
-in one place — the workload subsystem — and the Section 7.1 shape is a
-registered family (``embedded``) like every other generator.
+Instance generation lives in one place — the workload subsystem — and
+the Section 7.1 shape is a registered family (``embedded``) like every
+other generator; the experiment harness (:mod:`repro.experiments`)
+imports its test-case classes and generator from here.
 
 The paper's test cases are co-designed with the embedding: every query
 is its own cluster, and sharing links only exist where the physical

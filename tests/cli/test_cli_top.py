@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import _parse_shard_series, _render_top, build_parser, main
+from repro.cli import _render_top, build_parser, main
 from repro.server.app import ServerConfig, run_server_in_thread
 from repro.server.readiness import wait_for_server
 
@@ -26,24 +26,6 @@ class TestTopParsing:
         assert build_parser().parse_args(["serve"]).trace is None
 
 
-class TestShardSeriesParser:
-    def test_extracts_counters_and_gauges_per_shard(self):
-        text = (
-            'repro_server_shard_jobs_total{shard="0"} 5\n'
-            'repro_server_shard_jobs_total{shard="1"} 7\n'
-            'repro_server_shard_heartbeat_age_seconds{shard="0"} 0.42\n'
-            "repro_server_queue_depth 3\n"  # not a shard series: ignored
-        )
-        series = _parse_shard_series(text)
-        assert series == {
-            "0": {"jobs": 5.0, "heartbeat_age_seconds": 0.42},
-            "1": {"jobs": 7.0},
-        }
-
-    def test_malformed_lines_are_skipped(self):
-        assert _parse_shard_series('repro_server_shard_jobs_total{shard="0"} oops\n') == {}
-
-
 class TestRenderTop:
     STATS = {
         "uptime_s": 12.5,
@@ -58,7 +40,7 @@ class TestRenderTop:
 
     def test_thread_tier_renders_without_a_shard_table(self):
         health = {"verdict": "ok", "tier": "threads", "active": 1}
-        frame = _render_top("127.0.0.1", 7337, self.STATS, health, "")
+        frame = _render_top("127.0.0.1", 7337, {**self.STATS, "health": health})
         assert "verdict ok (tier threads)" in frame
         assert "9 finished, 1 failed" in frame
         assert "workers active: 1" in frame
@@ -74,14 +56,13 @@ class TestRenderTop:
             "shards": {
                 "0": {"pid": 11, "ready": True, "dead": False, "stale": False,
                       "assigned": 1, "outbox": 0, "overflow": 0, "restarts": 0,
-                      "heartbeat_age_s": 0.3},
+                      "heartbeat_age_s": 0.3, "jobs": 4},
                 "1": {"pid": None, "ready": False, "dead": True, "stale": False,
                       "assigned": 0, "outbox": 2, "overflow": 1, "restarts": 1,
                       "heartbeat_age_s": 6.2},
             },
         }
-        text = 'repro_server_shard_jobs_total{shard="0"} 4\n'
-        frame = _render_top("127.0.0.1", 7337, self.STATS, health, text)
+        frame = _render_top("127.0.0.1", 7337, {**self.STATS, "health": health})
         assert "verdict degraded" in frame
         assert "1/2 alive, 1 restarts" in frame
         lines = frame.splitlines()
@@ -97,7 +78,7 @@ class TestRenderTop:
                              "assigned": 0, "outbox": 0, "overflow": 0,
                              "restarts": 0, "heartbeat_age_s": 9.9}},
         }
-        frame = _render_top("h", 1, self.STATS, health, "")
+        frame = _render_top("h", 1, {**self.STATS, "health": health})
         assert "stale" in frame
 
 

@@ -16,7 +16,7 @@ from repro.qubo.model import QUBOModel
 
 def _embedded_mapping(topology, num_queries=8, plans_per_query=3, seed=7):
     """A co-generated (problem, embedding) pair plus its logical mapping."""
-    from repro.experiments.workloads import generate_embedded_testcase
+    from repro.workloads.embedded import generate_embedded_testcase
 
     testcase = generate_embedded_testcase(num_queries, plans_per_query, topology, seed=seed)
     return LogicalMapping(testcase.problem), testcase.embedding

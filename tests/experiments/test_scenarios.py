@@ -6,7 +6,7 @@ from repro.chimera.defects import DefectModel
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import ReproError
 from repro.experiments.profiles import PROFILES
-from repro.experiments.scenarios import PAPER_CLASS_SIZES, TestCaseClass, paper_test_classes
+from repro.workloads.embedded import PAPER_CLASS_SIZES, TestCaseClass, paper_test_classes
 
 
 class TestTestCaseClass:

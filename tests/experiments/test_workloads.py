@@ -4,7 +4,7 @@ import pytest
 
 from repro.chimera.topology import ChimeraGraph
 from repro.exceptions import EmbeddingNotFoundError, InvalidProblemError
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 from repro.mqo.generator import MQOGeneratorConfig
 
 

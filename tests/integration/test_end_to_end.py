@@ -17,7 +17,7 @@ from repro.chimera.topology import ChimeraGraph
 from repro.core.logical import LogicalMapping
 from repro.core.pipeline import QuantumMQO
 from repro.experiments.metrics import reference_cost, scaled_cost
-from repro.experiments.workloads import generate_embedded_testcase
+from repro.workloads.embedded import generate_embedded_testcase
 
 
 @pytest.fixture(scope="module")

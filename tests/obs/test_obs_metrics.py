@@ -14,7 +14,7 @@ from repro.obs.metrics import (
     percentiles,
     sorted_percentiles,
 )
-from repro.server.metrics import LatencyStats
+from repro.server.metrics import ServerMetrics
 
 
 class TestPercentile:
@@ -67,7 +67,7 @@ class TestPercentileUnification:
         for samples in self.FIXTURES:
             expected = percentile(samples, q)
             assert bench_percentile(samples, q) == expected
-            stats = LatencyStats(window=len(samples))
+            stats = ServerMetrics(window=len(samples)).queue_wait
             for sample in samples:
                 stats.observe(sample)
             assert stats.percentile(q) == expected
@@ -134,9 +134,3 @@ class TestRegistry:
         registry.counter("zzz")
         registry.counter("aaa")
         assert [family.name for family in registry.collect()] == ["aaa", "zzz"]
-
-    def test_histogram_factory_registers_subclasses(self):
-        registry = MetricsRegistry()
-        stats = registry.histogram("lat", factory=lambda: LatencyStats(name="lat"))
-        assert isinstance(stats, LatencyStats)
-        assert registry.histogram("lat") is stats

@@ -6,6 +6,10 @@ Shard-side counters (e.g. solver improvements, recorded inside the
 shard *processes*) can only reach the parent through snapshot
 federation over the control pipe — these tests are the proof that the
 heartbeat path works over a real socket, not just in unit tests.
+
+The introspection ops share one source on every tier: ``stats``
+carries the pool's ``health`` block verbatim, and its counters are the
+unlabelled ``repro_server_*_total`` series the ``metrics`` op exports.
 """
 
 import re
@@ -15,6 +19,7 @@ import pytest
 from repro.server.app import ServerConfig
 from repro.server.client import SolverClient
 
+from tests.obs.test_prometheus_exposition import validate_exposition
 from tests.server.conftest import wait_until
 
 #: A shard-side counter: incremented by TrajectoryRecorder inside the
@@ -27,6 +32,38 @@ def _series_value(text: str, name: str, labels: str = "") -> float:
     pattern = re.compile(rf"^{re.escape(name + labels)} (\S+)$", re.MULTILINE)
     match = pattern.search(text)
     return float(match.group(1)) if match else -1.0
+
+
+def _comparable(health: dict) -> dict:
+    """A health block minus what two reads never share.
+
+    ``events`` and ``uptime_s`` travel only with the ``health`` op, and
+    heartbeat ages tick between any two reads.
+    """
+    block = {key: value for key, value in health.items() if key not in ("events", "uptime_s")}
+    if "shards" in block:
+        block["shards"] = {
+            index: {key: value for key, value in state.items() if key != "heartbeat_age_s"}
+            for index, state in block["shards"].items()
+        }
+    return block
+
+
+def assert_one_source(client: SolverClient) -> dict:
+    """Check ``stats`` against ``health`` and ``metrics``; return the stats."""
+    stats = client.stats()
+    health = client.health()
+    families = validate_exposition(client.metrics_text())
+    assert _comparable(stats["health"]) == _comparable(health)
+    exported = {
+        name[len("repro_server_") : -len("_total")]: value
+        for name, family in families.items()
+        if name.startswith("repro_server_") and name.endswith("_total")
+        for labels, value in family["samples"]
+        if not labels
+    }
+    assert exported == stats["counters"]
+    return stats
 
 
 @pytest.fixture()
@@ -115,9 +152,36 @@ class TestClusterHealth:
 
     def test_stats_and_health_agree_on_shard_population(self, cluster):
         with SolverClient(port=cluster.port) as client:
-            stats = client.stats()
+            assert client.solve(
+                {"queries": 4, "plans": 2, "seed": 1}, solver="STEP", budget_ms=500.0
+            ).ok
+            stats = assert_one_source(client)
             health = client.health()
-        per_shard = stats["shards"]["per_shard"]
+        per_shard = stats["health"]["shards"]
         assert set(per_shard) == set(health["shards"])
         for index, state in health["shards"].items():
             assert state["pid"] == per_shard[index]["pid"]
+        # Each shard's entry carries its counts: one job, run once.
+        assert sum(state["jobs"] for state in per_shard.values()) == 1
+        assert sum(state["failures"] + state["retries"] for state in per_shard.values()) == 0
+        assert stats["counters"]["jobs_completed"] == 1
+
+
+class TestOneIntrospectionSource:
+    @pytest.mark.parametrize(
+        ("config", "tier"),
+        [
+            (ServerConfig(workers=2), "threads"),
+            (ServerConfig(workers=2, fusion_window_ms=50.0), "fusion"),
+        ],
+        ids=["threads", "fusion"],
+    )
+    def test_stats_carries_health_and_the_exported_counters(self, server_factory, config, tier):
+        handle = server_factory(config)
+        with SolverClient(port=handle.port) as client:
+            assert client.solve(
+                {"queries": 4, "plans": 2, "seed": 1}, solver="STEP", budget_ms=500.0
+            ).ok
+            stats = assert_one_source(client)
+        assert stats["health"]["tier"] == tier
+        assert stats["counters"]["jobs_completed"] == 1

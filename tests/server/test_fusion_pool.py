@@ -90,9 +90,10 @@ class TestFusedStreaming:
 
         with SolverClient(port=handle.port) as observer:
             stats = observer.stats()
+            hello = observer.hello()
         assert stats["counters"]["fusion_windows"] >= 1
         assert stats["counters"]["fusion_jobs"] >= 2
-        assert stats["fusion"]["max_jobs"] == 2
+        assert hello["limits"]["fusion_max_jobs"] == 2
         assert stats["fusion_window"]["count"] >= 1
 
     def test_fusion_metrics_exported_to_prometheus(self, server_factory, qa_frontend):
@@ -142,7 +143,7 @@ class TestFusionPoolBehaviour:
 
         def staged():
             with SolverClient(port=handle.port) as observer:
-                return observer.stats()["fusion"]["staged"] >= 1
+                return observer.stats()["health"]["staged"] >= 1
 
         wait_until(staged)
         handle.stop()  # graceful drain must flush the open window

@@ -54,6 +54,17 @@ class TestThreadTierHealth:
         handle.thread.join(timeout=15.0)
 
 
+class TestFusionTierHealth:
+    def test_fusion_server_names_its_tier_and_staged_jobs(self, server_factory):
+        handle = server_factory(ServerConfig(workers=2, fusion_window_ms=50.0))
+        with SolverClient(port=handle.port) as client:
+            health = client.health()
+        assert health["verdict"] == "ok"
+        assert health["tier"] == "fusion"
+        assert health["staged"] == 0
+        assert health["active"] == 0
+
+
 class TestShardTierHealth:
     def test_sharded_server_reports_per_shard_state(self, server_factory):
         handle = server_factory(ServerConfig(workers=2, shards=2))

@@ -88,7 +88,10 @@ class TestFederatedExposition:
         metrics.observe_job(queue_wait_ms=1.0, run_ms=2.0, failed=False)
         metrics.observe_shard_job(0, failed=False)
         metrics.observe_shard_retry(0)
-        metrics.set_shard_gauge("outbox_depth", 0, 3.0, "Outbox depth.")
+        metrics.set_shard_gauges(
+            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "outbox": 3,
+                              "overflow": 0, "heartbeat_age_s": 0.2}}}
+        )
         metrics.record_shard_snapshot(0, shard_registry().to_snapshot())
         validate_exposition(metrics.prometheus_text(queue_depth=0, inflight=0))
 

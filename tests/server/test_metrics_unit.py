@@ -5,7 +5,11 @@ only (a stream of failing jobs must not inflate ``jobs_per_second``),
 ``jobs_failed`` counts failures, and ``jobs_finished`` is their total.
 """
 
-from repro.server.metrics import EndpointStats, LatencyStats, ServerMetrics
+import re
+from pathlib import Path
+
+import repro.server
+from repro.server.metrics import COUNTERS, ServerMetrics
 
 
 class TestJobCounting:
@@ -14,9 +18,9 @@ class TestJobCounting:
         metrics.observe_job(queue_wait_ms=1.0, run_ms=5.0, failed=False)
         metrics.observe_job(queue_wait_ms=1.0, run_ms=5.0, failed=True)
         metrics.observe_job(queue_wait_ms=1.0, run_ms=5.0, failed=True)
-        assert metrics.counter("jobs_completed") == 1
-        assert metrics.counter("jobs_failed") == 2
-        assert metrics.counter("jobs_finished") == 3
+        assert metrics.counter_value("jobs_completed") == 1
+        assert metrics.counter_value("jobs_failed") == 2
+        assert metrics.counter_value("jobs_finished") == 3
 
     def test_snapshot_rates_split_successes_from_finished(self):
         metrics = ServerMetrics()
@@ -38,23 +42,23 @@ class TestJobCounting:
 
     def test_unknown_counter_reads_zero_and_lazily_creates(self):
         metrics = ServerMetrics()
-        assert metrics.counter("never_touched") == 0
+        assert metrics.counter_value("never_touched") == 0
         metrics.increment("custom_events", 3)
-        assert metrics.counter("custom_events") == 3
+        assert metrics.counter_value("custom_events") == 3
 
     def test_instances_are_isolated(self):
         first = ServerMetrics()
         second = ServerMetrics()
         first.increment("jobs_submitted")
-        assert second.counter("jobs_submitted") == 0
+        assert second.counter_value("jobs_submitted") == 0
 
 
 class TestLatencyStats:
     def test_snapshot_shape_and_values(self):
-        stats = LatencyStats(window=8)
+        stats = ServerMetrics(window=8).queue_wait
         for value in (10.0, 20.0, 30.0, 40.0):
             stats.observe(value)
-        snapshot = stats.snapshot()
+        snapshot = stats.summary()
         assert snapshot == {
             "count": 4,
             "mean_ms": 25.0,
@@ -64,7 +68,7 @@ class TestLatencyStats:
         }
 
     def test_empty_snapshot_is_all_zero(self):
-        assert LatencyStats().snapshot() == {
+        assert ServerMetrics().queue_wait.summary() == {
             "count": 0,
             "mean_ms": 0.0,
             "p50_ms": 0.0,
@@ -73,23 +77,26 @@ class TestLatencyStats:
         }
 
     def test_window_bounds_percentiles_but_not_lifetime_stats(self):
-        stats = LatencyStats(window=2)
+        stats = ServerMetrics(window=2).queue_wait
         for value in (100.0, 1.0, 2.0):
             stats.observe(value)
         assert stats.count == 3
-        assert stats.max_ms == 100.0
+        assert stats.max_value == 100.0
         # The 100 ms outlier scrolled out of the percentile window.
         assert stats.percentile(1.0) == 2.0
 
 
 class TestEndpointStats:
     def test_requests_errors_and_snapshot(self):
-        endpoint = EndpointStats(op="solve")
-        endpoint.observe(5.0, error=False)
-        endpoint.observe(7.0, error=True)
-        assert endpoint.requests == 2
-        assert endpoint.errors == 1
-        snapshot = endpoint.snapshot()
+        metrics = ServerMetrics()
+        metrics.observe_request("solve", 5.0, error=False)
+        metrics.observe_request("solve", 7.0, error=True)
+        labels = {"op": "solve"}
+        assert metrics.registry.counter("repro_server_requests_total", labels=labels).value == 2
+        assert (
+            metrics.registry.counter("repro_server_request_errors_total", labels=labels).value == 1
+        )
+        snapshot = metrics.snapshot()["endpoints"]["solve"]
         assert snapshot["requests"] == 2
         assert snapshot["errors"] == 1
         assert snapshot["count"] == 2
@@ -112,3 +119,37 @@ class TestPrometheusText:
         assert 'repro_server_requests_total{op="solve"} 1' in text
         assert 'repro_server_queue_wait_ms_bucket{le="+Inf"} 2' in text
         assert "repro_server_job_run_ms_count 2" in text
+
+    def test_every_server_series_has_a_help_line(self):
+        metrics = ServerMetrics()
+        metrics.observe_request("solve", 3.0, error=True)
+        metrics.observe_job(queue_wait_ms=1.0, run_ms=5.0, failed=True)
+        for name in COUNTERS:
+            metrics.increment(name)
+        metrics.observe_fusion_window(batch_size=2, window_ms=4.0)
+        metrics.observe_shard_job(0, failed=True)
+        metrics.observe_shard_restart(0)
+        metrics.observe_shard_retry(0)
+        metrics.set_shard_gauges(
+            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "outbox": 0,
+                              "overflow": 0, "heartbeat_age_s": 0.1}}}
+        )
+        lines = metrics.prometheus_text(queue_depth=0, inflight=0).splitlines()
+
+        def families(prefix):
+            return {
+                line.split()[2]
+                for line in lines
+                if line.startswith(prefix) and line.split()[2].startswith("repro_server_")
+            }
+
+        typed = families("# TYPE ")
+        assert len(typed) >= len(COUNTERS)
+        assert typed - families("# HELP ") == set()
+
+    def test_server_code_counts_only_registered_names(self):
+        """A counter bumped outside the table would export without HELP."""
+        package = Path(repro.server.__file__).parent
+        source = "\n".join(path.read_text() for path in package.glob("*.py"))
+        names = set(re.findall(r'increment\(\s*"(\w+)"', source))
+        assert names and names <= set(COUNTERS)

@@ -37,17 +37,17 @@ class TestShardedBasics:
     def test_stats_expose_per_shard_block(self, sharded_server):
         with SolverClient(port=sharded_server.port) as client:
             client.solve(tiny_problem(), solver="STEP", budget_ms=500.0)
-            shards = client.stats()["shards"]
-        assert shards["count"] == 2
-        assert shards["live"] == 2
-        assert shards["ready"] == 2
-        assert shards["restarts"] == 0
-        assert set(shards["per_shard"]) == {"0", "1"}
-        for state in shards["per_shard"].values():
+            health = client.stats()["health"]
+        assert health["count"] == 2
+        assert health["alive"] == 2
+        assert sum(state["ready"] for state in health["shards"].values()) == 2
+        assert health["restarts"] == 0
+        assert set(health["shards"]) == {"0", "1"}
+        for state in health["shards"].values():
             assert state["pid"] is not None
             assert state["dead"] is False
         # Exactly one shard executed the job (hash routing, one job).
-        executed = [s for s in shards["per_shard"].values() if s["assigned"] == 0]
+        executed = [s for s in health["shards"].values() if s["assigned"] == 0]
         assert len(executed) == 2  # finished: nothing left assigned
 
     def test_jobs_spread_across_shards_by_hash(self, sharded_server):
@@ -105,7 +105,7 @@ class TestShardedCoalescing:
         assert stats["counters"]["jobs_coalesced"] == 1
         # Nothing is left assigned: one execution crossed into a shard
         # and its twin was answered from the parent without a dispatch.
-        per_shard = stats["shards"]["per_shard"]
+        per_shard = stats["health"]["shards"]
         assert sum(state["assigned"] for state in per_shard.values()) == 0
 
 

@@ -153,8 +153,8 @@ class TestSingleOwnerFailover:
             # Nobody was spuriously failed: every job was retried, once.
             assert all(job.result is None for job in jobs)
             assert all(job.retries == 1 for job in jobs)
-            assert pool.metrics.counter("jobs_retried") == len(jobs)
-            assert pool.metrics.counter("jobs_finished") == 0
+            assert pool.metrics.counter_value("jobs_retried") == len(jobs)
+            assert pool.metrics.counter_value("jobs_finished") == 0
             # Each retried copy is owned by the live shard exactly once.
             assert set(live.assigned) == {job.job_id for job in jobs}
             handoff_ids = [job.job_id for job, _ in drain_handoff(live)]
@@ -187,7 +187,7 @@ class TestSingleOwnerFailover:
             assert done.retries == 0 and done.result.ok
             assert running.retries == 1 and running.request is not None
             assert set(live.assigned) == {"sj-run"}
-            assert pool.metrics.counter("jobs_finished") == 1
+            assert pool.metrics.counter_value("jobs_finished") == 1
 
         asyncio.run(scenario())
 
@@ -211,8 +211,8 @@ class TestSingleOwnerFailover:
             assert job.result is not None and not job.result.ok
             assert "shard 1" in job.result.error
             assert job.request is None  # released once the failure was published
-            assert pool.metrics.counter("jobs_failed") == 1
-            assert pool.metrics.counter("jobs_finished") == 1
+            assert pool.metrics.counter_value("jobs_failed") == 1
+            assert pool.metrics.counter_value("jobs_finished") == 1
 
         asyncio.run(scenario())
 

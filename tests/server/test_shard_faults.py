@@ -30,7 +30,7 @@ pytestmark = pytest.mark.stress
 
 def executing_shard(client: SolverClient):
     """The ``(index, state)`` of the shard currently running a job."""
-    per_shard = client.stats()["shards"]["per_shard"]
+    per_shard = client.stats()["health"]["shards"]
     busy = [(index, state) for index, state in per_shard.items() if state["assigned"] > 0]
     return busy[0] if len(busy) == 1 else None
 
@@ -74,7 +74,7 @@ class TestShardKilledMidJob:
             assert result.winner == "SLEEPY"
             stats = client.stats()
             assert stats["counters"].get("jobs_retried", 0) >= 1
-            assert stats["shards"]["restarts"] >= 1
+            assert stats["health"]["restarts"] >= 1
 
     def test_dead_slot_is_respawned_with_a_new_pid(self, server_factory):
         handle = server_factory(ServerConfig(workers=2, shards=2, shard_retry=True))
@@ -83,7 +83,7 @@ class TestShardKilledMidJob:
             client.wait(job_id)
 
             def respawned():
-                state = client.stats()["shards"]["per_shard"][index]
+                state = client.stats()["health"]["shards"][index]
                 return state if state["ready"] and state["pid"] != pid else None
 
             state = wait_until(respawned)
@@ -118,7 +118,7 @@ class TestShardKilledWithBacklog:
             ]
 
             def shard_with_full_backlog():
-                per_shard = client.stats()["shards"]["per_shard"]
+                per_shard = client.stats()["health"]["shards"]
                 busy = [(i, s) for i, s in per_shard.items() if s["assigned"] == 3]
                 return busy[0] if busy else None
 
@@ -132,19 +132,19 @@ class TestShardKilledWithBacklog:
             assert stats["counters"].get("jobs_retried", 0) == 3
             assert stats["counters"].get("jobs_failed", 0) == 0
             assert stats["counters"]["jobs_finished"] == 3
-            assert stats["shards"]["restarts"] >= 1
+            assert stats["health"]["restarts"] >= 1
 
 
 class TestIdleKill:
     def test_idle_shard_kill_heals_without_failing_anything(self, server_factory):
         handle = server_factory(ServerConfig(workers=2, shards=2))
         with SolverClient(port=handle.port) as client:
-            pid = client.stats()["shards"]["per_shard"]["0"]["pid"]
+            pid = client.stats()["health"]["shards"]["0"]["pid"]
             os.kill(pid, signal.SIGKILL)
             wait_until(
                 lambda: (
-                    client.stats()["shards"]["ready"] == 2
-                    and client.stats()["shards"]["restarts"] >= 1
+                    client.stats()["health"]["alive"] == 2
+                    and client.stats()["health"]["restarts"] >= 1
                 )
             )
             for seed in range(4):

@@ -109,9 +109,9 @@ class TestCoalescing:
         delivered, statuses, metrics = _run_pool(frontend, jobs, num_workers=1)
         assert statuses == {"rep": "queued", "twin": "coalesced"}
         assert len(frontend.calls) == 1  # one execution served both
-        assert metrics.counter("jobs_coalesced") == 1
-        assert metrics.counter("jobs_submitted") == 2
-        assert metrics.counter("jobs_completed") == 2
+        assert metrics.counter_value("jobs_coalesced") == 1
+        assert metrics.counter_value("jobs_submitted") == 2
+        assert metrics.counter_value("jobs_completed") == 2
 
     def test_follower_result_is_marked_from_cache(self):
         frontend = StubFrontend()
@@ -130,7 +130,7 @@ class TestCoalescing:
         _, statuses, metrics = _run_pool(frontend, jobs, num_workers=1)
         assert statuses == {"a": "queued", "b": "queued"}
         assert len(frontend.calls) == 2
-        assert metrics.counter("jobs_coalesced") == 0
+        assert metrics.counter_value("jobs_coalesced") == 0
 
     def test_coalescing_can_be_disabled(self):
         frontend = StubFrontend()
@@ -231,7 +231,7 @@ class TestFailureHandling:
         result = SolveResult.from_dict(delivered["a"][0]["result"])
         assert not result.ok
         assert "RuntimeError" in result.error
-        assert metrics.counter("jobs_failed") == 1
+        assert metrics.counter_value("jobs_failed") == 1
 
     def test_follower_of_failed_job_gets_the_error(self):
         frontend = StubFrontend(fail=True)
@@ -240,7 +240,7 @@ class TestFailureHandling:
         twin = SolveResult.from_dict(delivered["twin"][0]["result"])
         assert not twin.ok
         assert "RuntimeError" in twin.error
-        assert metrics.counter("jobs_failed") == 2
+        assert metrics.counter_value("jobs_failed") == 2
 
 
 class TestProgressForwarding:

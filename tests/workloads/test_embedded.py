@@ -1,13 +1,9 @@
-"""Tests for the embedded family and the experiments-module migration."""
+"""Tests for the ``embedded`` workload family and its direct generator."""
 
 from repro.chimera.topology import ChimeraGraph
 from repro.mqo.serialization import problem_to_dict
 from repro.workloads import get_family
-from repro.workloads.embedded import (
-    PAPER_CLASS_SIZES,
-    EmbeddedTestCase,
-    generate_embedded_testcase,
-)
+from repro.workloads.embedded import EmbeddedTestCase, generate_embedded_testcase
 
 
 class TestEmbeddedFamily:
@@ -30,19 +26,3 @@ class TestEmbeddedFamily:
         a = family.build(11, num_queries=4, plans_per_query=3)
         b = family.build(11, num_queries=4, plans_per_query=3)
         assert problem_to_dict(a) == problem_to_dict(b)
-
-
-class TestDeprecationShims:
-    def test_experiments_modules_reexport(self):
-        """The legacy import locations keep working (thin shims)."""
-        from repro.experiments import scenarios as legacy_scenarios
-        from repro.experiments import workloads as legacy_workloads
-        from repro.workloads import embedded
-
-        assert legacy_workloads.EmbeddedTestCase is embedded.EmbeddedTestCase
-        assert legacy_workloads.generate_embedded_testcase is (
-            embedded.generate_embedded_testcase
-        )
-        assert legacy_scenarios.TestCaseClass is embedded.TestCaseClass
-        assert legacy_scenarios.paper_test_classes is embedded.paper_test_classes
-        assert legacy_scenarios.PAPER_CLASS_SIZES is PAPER_CLASS_SIZES
