@@ -219,7 +219,7 @@ class ServerMetrics:
         self._shard_counter("retries", shard).inc()
 
     def shard_counts(self, shard: int) -> Dict[str, int]:
-        """Shard ``shard``'s counters by :data:`SHARD_COUNTERS` short name."""
+        """Shard ``shard``'s counters by :data:`SHARD_COUNTERS` name, registered at zero on first read."""
         return {short: self._shard_counter(short, shard).value for short in SHARD_COUNTERS}
 
     def set_shard_gauges(self, health: Dict[str, Any]) -> None:

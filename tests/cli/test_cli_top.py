@@ -46,6 +46,12 @@ class TestRenderTop:
         assert "workers active: 1" in frame
         assert "shard" not in frame
 
+    def test_fusion_tier_shows_its_staged_jobs(self):
+        health = {"verdict": "ok", "tier": "fusion", "active": 3, "staged": 2}
+        frame = _render_top("127.0.0.1", 7337, {**self.STATS, "health": health})
+        assert "verdict ok (tier fusion)" in frame
+        assert "workers active: 3 | fusion window staged: 2" in frame
+
     def test_shard_tier_renders_one_row_per_shard(self):
         health = {
             "verdict": "degraded",
