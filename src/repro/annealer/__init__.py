@@ -25,7 +25,7 @@ from repro.annealer.compile import (
     default_compile_cache,
 )
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
-from repro.annealer.fusion import FusionGroup, FusionWindow, fused_sample_block_states
+from repro.annealer.fusion import FusionGroup, FusionWindow
 from repro.annealer.noise import NoiseModel
 from repro.annealer.device import DWaveSamplerSimulator, ProgrammedAnneal
 
@@ -42,7 +42,6 @@ __all__ = [
     "SimulatedAnnealingSampler",
     "FusionGroup",
     "FusionWindow",
-    "fused_sample_block_states",
     "NoiseModel",
     "DWaveSamplerSimulator",
     "ProgrammedAnneal",

@@ -26,6 +26,7 @@ from typing import List, Sequence
 
 import numpy as np
 
+from repro.annealer.fusion import FusionGroup, FusionWindow
 from repro.annealer.noise import NoiseModel
 from repro.annealer.sampleset import SampleSet
 from repro.annealer.schedule import AnnealingSchedule
@@ -114,16 +115,10 @@ class DWaveSamplerSimulator:
     seed:
         Seed controlling the device's static bias, gauge draws and
         annealing randomness.
-    batch_gauges:
-        When true (the default) all gauge batches of a request are
-        packed into one block-diagonal problem and annealed in a single
-        fused state tensor (one group of many blocks in the annealing
-        kernel), amortising the numpy dispatch cost across batches.
-        Disable to anneal the batches one by one, in gauge order.  The
-        two modes draw different random streams but sample the same
-        distribution; neither replays the per-seed sample values of
-        pre-sparse-engine releases, because all gauge/noise draws now
-        happen before any annealing.
+
+    All gauge batches of a request anneal as one group of the annealing
+    kernel (one block per batch, see :meth:`fusion_group`), which
+    amortises the numpy dispatch cost across batches.
     """
 
     def __init__(
@@ -135,7 +130,6 @@ class DWaveSamplerSimulator:
         schedule: AnnealingSchedule | None = None,
         seed: SeedLike = None,
         programming_time_ms: float = 0.0,
-        batch_gauges: bool = True,
     ) -> None:
         if programming_time_ms < 0:
             raise DeviceError("programming_time_ms must be non-negative")
@@ -145,7 +139,6 @@ class DWaveSamplerSimulator:
         self.noise = noise if noise is not None else NoiseModel()
         #: The device's annealer: every gauge batch anneals through it.
         self.batched_sampler = SimulatedAnnealingSampler(num_sweeps=num_sweeps, schedule=schedule)
-        self.batch_gauges = batch_gauges
         self.programming_time_ms = programming_time_ms
         bias = self.noise.static_bias(self.topology.qubits, seed=self._rng)
         #: Static bias per qubit index (broken qubits keep 0.0).
@@ -324,26 +317,28 @@ class DWaveSamplerSimulator:
             rng=rng,
         )
 
-    def anneal_programmed(self, programmed: ProgrammedAnneal) -> np.ndarray:
-        """Anneal a programmed request into its read-out state matrix.
+    def fusion_group(self, programmed: ProgrammedAnneal) -> FusionGroup:
+        """A programmed request as one group of the annealing kernel.
 
-        Fused in one block-diagonal problem when gauge batching is on,
-        sequentially otherwise; either way :meth:`batch_assignments`
-        turns the per-gauge blocks into the ``(num_reads, n)`` matrix.
+        One block per gauge batch, all on the request stream.  Fused
+        blocks share one read count, so the group anneals the largest
+        batch size and :meth:`batch_assignments` keeps each batch's first
+        ``batch_size`` reads.  The solo anneal and the server's fusion
+        window both build a request's group here.
         """
-        batch_sizes = programmed.batch_sizes
-        rng = programmed.rng
-        if self.batch_gauges:
-            # Fused blocks share one read count; anneal the maximum and let
-            # each batch keep only its first batch_size reads.
-            block_states, _compiled = self.batched_sampler.sample_block_states(
-                programmed.programmed_qubos, num_reads=max(batch_sizes), seed=rng
-            )
-        else:
-            block_states = [
-                self.batched_sampler.sample_states(programmed_qubo, num_reads=batch_size, seed=rng)[0]
-                for programmed_qubo, batch_size in zip(programmed.programmed_qubos, batch_sizes)
-            ]
+        return FusionGroup(
+            qubos=programmed.programmed_qubos,
+            num_reads=max(programmed.batch_sizes),
+            rng=programmed.rng,
+            num_sweeps=self.batched_sampler.num_sweeps,
+            schedule=self.batched_sampler.schedule,
+        )
+
+    def anneal_programmed(self, programmed: ProgrammedAnneal) -> np.ndarray:
+        """Anneal a programmed request alone into its read-out state matrix."""
+        ((block_states, _compiled),) = FusionWindow(self.batched_sampler.compile_cache).sample(
+            [self.fusion_group(programmed)]
+        )
         return self.batch_assignments(programmed, block_states)
 
     @staticmethod

@@ -71,7 +71,7 @@ try:  # the raw kernel behind ``csr_matrix @ dense``, without the per-call
 except ImportError:  # pragma: no cover - version drift guard
     _csr_matvecs = None
 
-__all__ = ["FusionGroup", "FusionWindow", "fused_sample_block_states"]
+__all__ = ["FusionGroup", "FusionWindow"]
 
 #: Per group: its blocks' states and compiled models.
 GroupResult = Tuple[List[np.ndarray], List[CompiledQUBO]]
@@ -397,10 +397,3 @@ def _anneal(states: np.ndarray, classes: List[_FusedClass], neg_betas: np.ndarra
                 np.copyto(x, fl)
         start = horizon
 
-
-def fused_sample_block_states(
-    groups: Sequence[FusionGroup],
-    compile_cache: CompileCache | None = None,
-) -> List[GroupResult]:
-    """Convenience wrapper: anneal ``groups`` in one fusion window."""
-    return FusionWindow(compile_cache=compile_cache).sample(groups)

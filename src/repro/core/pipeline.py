@@ -21,6 +21,7 @@ from typing import List, Tuple
 
 from repro.annealer.device import DWaveSamplerSimulator
 from repro.annealer.sampleset import SampleSet
+from repro.baselines.anytime import SolverTrajectory
 from repro.core.logical import LogicalMapping, LogicalMappingConfig
 from repro.core.physical import PhysicalMapping, PhysicalMappingConfig, embed_logical_qubo
 from repro.embedding.base import Embedding
@@ -115,6 +116,27 @@ class QuantumMQOResult:
             return float("inf")
         index = min(num_reads, len(self.trajectory)) - 1
         return self.trajectory[index][1]
+
+    def anytime_trajectory(self, solver_name: str) -> SolverTrajectory:
+        """The run as an anytime trajectory on the device-time axis.
+
+        Keeps the strict improvements of :attr:`trajectory`, which is how
+        the paper's Figures 4 and 5 plot the annealer against the
+        classical solvers.
+        """
+        points: List[Tuple[float, float]] = []
+        best = float("inf")
+        for time_ms, cost in self.trajectory:
+            if cost < best - 1e-12:
+                best = cost
+                points.append((time_ms, cost))
+        return SolverTrajectory(
+            solver_name=solver_name,
+            points=points,
+            best_solution=self.best_solution,
+            proved_optimal=False,
+            total_time_ms=self.device_time_ms,
+        )
 
     def cost_at_time(self, time_ms: float) -> float:
         """Best (valid) cost achieved within ``time_ms`` of device time."""
@@ -275,17 +297,25 @@ class QuantumMQO:
             raise InvalidProblemError(
                 "the prepared pipeline was built for a different problem instance"
             )
-        mapping, physical = prepared.mapping, prepared.physical
-
-        tracer = get_tracer()
-        with tracer.span("mqo.anneal") as span:
+        with get_tracer().span("mqo.anneal") as span:
             sample_set = self.device.sample_qubo(
-                physical.physical_qubo, num_reads=num_reads, num_gauges=num_gauges, seed=seed
+                prepared.physical.physical_qubo, num_reads=num_reads, num_gauges=num_gauges, seed=seed
             )
             span.set_attribute("num_reads", len(sample_set))
-        with tracer.span("mqo.decode") as span:
+        return self.decode(problem, prepared, sample_set)
+
+    def decode(
+        self, problem: MQOProblem, prepared: PreparedProblem, sample_set: SampleSet
+    ) -> QuantumMQOResult:
+        """Map read-outs back to plan selections (the two inverse mappings).
+
+        The last stage of :meth:`solve`; the fused executor
+        (:mod:`repro.service.fusion`) calls it on each request's share of
+        a fused anneal.
+        """
+        with get_tracer().span("mqo.decode") as span:
             result = self._collect_result(
-                problem, mapping, physical, sample_set, prepared.preprocessing_time_ms
+                problem, prepared.mapping, prepared.physical, sample_set, prepared.preprocessing_time_ms
             )
             span.set_attribute("num_broken_chain_reads", result.num_broken_chain_reads)
             span.set_attribute("num_invalid_reads", result.num_invalid_reads)

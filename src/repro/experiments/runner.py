@@ -75,20 +75,7 @@ class QuantumAnnealingFrontend:
         result = pipeline.solve(
             testcase.problem, num_reads=num_reads, num_gauges=num_gauges, seed=seed
         )
-        points: List[Tuple[float, float]] = []
-        best = float("inf")
-        for time_ms, cost in result.trajectory:
-            if cost < best - 1e-12:
-                best = cost
-                points.append((time_ms, cost))
-        trajectory = SolverTrajectory(
-            solver_name=self.name,
-            points=points,
-            best_solution=result.best_solution,
-            proved_optimal=False,
-            total_time_ms=result.device_time_ms,
-        )
-        return trajectory, result
+        return result.anytime_trajectory(self.name), result
 
 
 @dataclass

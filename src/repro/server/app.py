@@ -29,7 +29,7 @@ import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional, Set
+from typing import Any, Callable, Dict, Optional
 
 from repro.exceptions import (
     AdmissionError,
@@ -48,6 +48,10 @@ from repro.service.frontend import ServiceFrontend
 from repro.service.jobs import request_from_spec
 
 __all__ = ["ServerConfig", "SolverServer", "ServerHandle", "run_server_in_thread"]
+
+#: How long a graceful drain keeps serving open connections (answering
+#: ``wait`` frames for jobs it admitted) before it closes them.
+DRAIN_GRACE_S = 1.0
 
 
 @dataclass
@@ -286,7 +290,8 @@ class SolverServer:
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._connections: Set[_Connection] = set()
+        # Every open connection, with the task reading its frames.
+        self._connections: Dict[_Connection, "asyncio.Task[None]"] = {}
         # Every admitted job by id, for wait/subscribe; the pool keeps the
         # finished ones in finish order, which is the order they are pruned in.
         self._jobs: Dict[str, ServerJob] = {}
@@ -327,9 +332,11 @@ class SolverServer:
         """Stop the server; with ``drain`` (default) finish admitted jobs.
 
         The queue stops admitting immediately.  Worker tasks finish the
-        backlog (bounded by ``drain_timeout_s``), results are flushed to
-        their connections, then every socket closes and
-        :meth:`wait_stopped` unblocks.
+        backlog (bounded by ``drain_timeout_s``) and the listening socket
+        closes.  A graceful drain then keeps serving each open connection
+        until its client hangs up or :data:`DRAIN_GRACE_S` passes, so a
+        ``wait`` sent after the ``shutdown`` ack is still answered.
+        Every remaining socket closes and :meth:`wait_stopped` unblocks.
         """
         if self._stopped is None:
             raise ServerError("server was never started")
@@ -348,9 +355,13 @@ class SolverServer:
             self.pool.cancel_tasks()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
+        if drain and self._connections:
+            await asyncio.wait(list(self._connections.values()), timeout=DRAIN_GRACE_S)
         for connection in list(self._connections):
             await connection.close()
+        if self._server is not None:
+            # Only now: on Python 3.12.1+ this waits for every connection.
+            await self._server.wait_closed()
         self.pool.shutdown_executor()
         record_event("drain_end", host=self.host, port=self.port)
         self._stopped.set()
@@ -366,7 +377,7 @@ class SolverServer:
         connection = _Connection(
             writer, f"conn-{self._connection_counter}", self.config.max_frame_bytes
         )
-        self._connections.add(connection)
+        self._connections[connection] = asyncio.current_task()
         self.metrics.increment("connections_opened")
         try:
             while True:
@@ -389,7 +400,7 @@ class SolverServer:
                 # parse of a large problem frame runs off the event loop.
                 await self._dispatch(connection, line)
         finally:
-            self._connections.discard(connection)
+            self._connections.pop(connection, None)
             await connection.close()
             self.metrics.increment("connections_closed")
 
@@ -455,7 +466,7 @@ class SolverServer:
 
     @staticmethod
     def _updates_only(sink: Callable[[Dict[str, Any]], None]) -> Callable[[Dict[str, Any]], None]:
-        """Filter a sink down to ``update`` payloads.
+        """Filter a sink down to stream payloads (``update``, ``progress``).
 
         Used when a coalesced follower listens on its representative's
         channel: the follower must stream the representative's updates
@@ -464,7 +475,7 @@ class SolverServer:
         """
 
         def filtered(payload: Dict[str, Any]) -> None:
-            if payload.get("type") == "update":
+            if payload.get("type") != "result":
                 sink(payload)
 
         return filtered

@@ -187,10 +187,10 @@ class SolverClient:
         """Read frames until a terminal frame for ``request_id`` arrives.
 
         Frames addressed to other request ids are stashed for their own
-        pump (pipelined submits).  ``error`` frames raise; ``update``
-        frames go to ``on_update``; any other non-terminal frame for this
-        request goes to ``on_frame`` (e.g. ``queued`` acks carrying the
-        job id).
+        pump (pipelined submits).  ``error`` frames raise; ``update`` and
+        ``progress`` frames go to ``on_update``; any other non-terminal
+        frame for this request goes to ``on_frame`` (e.g. ``queued`` acks
+        carrying the job id).
         """
         stashed = self._stash.get(request_id)
         while stashed:
@@ -224,7 +224,7 @@ class SolverClient:
             self._raise_error_frame(frame)
         if frame_type in terminal_types:
             return frame
-        if frame_type == "update" and on_update is not None:
+        if frame_type in ("update", "progress") and on_update is not None:
             on_update(frame)
         elif on_frame is not None:
             on_frame(frame)
@@ -284,7 +284,9 @@ class SolverClient:
 
         With ``on_update`` the request subscribes to the job's anytime
         stream and the callback receives every incremental improvement
-        before this method returns the final :class:`SolveResult`.
+        (``update`` frames) and decomposition progress report
+        (``progress`` frames) before this method returns the final
+        :class:`SolveResult`.
         """
         request_id = self._job_request(
             "solve", spec, solver, budget_ms, seed, job_id, priority,
@@ -329,9 +331,9 @@ class SolverClient:
     def subscribe(self, job_id: str, on_update: Optional[UpdateCallback] = None) -> SolveResult:
         """Attach to a running job's anytime stream until it finishes.
 
-        ``on_update`` receives each incremental improvement; the final
-        :class:`SolveResult` is returned.  Subscribing to an already
-        finished job returns its result immediately (no updates).
+        ``on_update`` receives each ``update`` and ``progress`` frame;
+        the final :class:`SolveResult` is returned.  Subscribing to an
+        already finished job returns its result immediately (no updates).
         """
         request_id = self._next_id()
         self._send({"op": "subscribe", "id": request_id, "job_id": job_id})

@@ -20,10 +20,12 @@ Design points:
   the receiving arrays wrap the received buffers directly.  The shard
   rebuilds the problem object around the transferred columns
   (:func:`~repro.mqo.arrays.problem_from_arrays`).
-* **Streaming.** Anytime improvements observed inside a shard are
-  forwarded over the pipe and republished on the parent's event loop
-  through the :class:`~repro.server.streaming.StreamBroker`, so clients
-  see the same live update stream as with the thread tier.
+* **Streaming.** Anytime improvements and decomposition progress
+  observed inside a shard are forwarded over the pipe
+  (:func:`~repro.server.streaming.forward_job_stream`) and republished
+  on the parent's event loop through the
+  :class:`~repro.server.streaming.StreamBroker`, so clients see the same
+  live ``update`` and ``progress`` stream as with the thread tier.
 * **Coalescing** stays in the parent (:class:`BasePool.admit`): only
   execution moves into the shards, so duplicate in-flight requests are
   folded before any bytes cross a pipe.
@@ -80,7 +82,6 @@ from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import Connection
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.baselines.anytime import observe_improvements
 from repro.exceptions import AdmissionError
 from repro.mqo.arrays import problem_from_arrays
 from repro.obs.events import record_event
@@ -88,7 +89,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import configure_tracer, get_tracer
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import JobQueue, ServerJob
-from repro.server.streaming import StreamBroker
+from repro.server.streaming import StreamBroker, forward_job_stream
 from repro.server.workers import BasePool
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
@@ -235,10 +236,10 @@ def _shard_main(
     """Child-process body: serve jobs off the pipe until ``stop`` or EOF.
 
     One job executes at a time (parallelism comes from the shard count).
-    Improvement updates are sent from solver threads while the main
-    thread is blocked inside ``frontend.submit``, so every pipe write
-    goes through one lock — frames never interleave, and updates always
-    precede their job's result frame.
+    Improvement updates and progress reports are sent from solver
+    threads while the main thread is blocked inside ``frontend.submit``,
+    so every pipe write goes through one lock — frames never interleave,
+    and a job's stream always precedes its result frame.
 
     A daemon heartbeat thread ships the shard's process-global metrics
     registry (:meth:`~repro.obs.metrics.MetricsRegistry.to_snapshot`)
@@ -256,6 +257,13 @@ def _shard_main(
 
     def send_metrics() -> None:
         send(("metrics", get_registry().to_snapshot()))
+
+    def forward(message: Tuple[Any, ...]) -> None:
+        # Solver-thread context: a broken pipe surfaces on the result send.
+        try:
+            send(message)
+        except (BrokenPipeError, OSError):
+            pass
 
     frontend = frontend_factory()
     try:
@@ -287,22 +295,12 @@ def _shard_main(
         try:
             send(("started", job_id))
             request = decode_shard_request(payload)
-            started = time.monotonic()
-
-            def forward(solver_name: str, _elapsed_ms: float, cost: float) -> None:
-                # Solver-thread context; re-measure elapsed against the
-                # job start so racing members share one time axis.
-                elapsed_ms = (time.monotonic() - started) * 1000.0
-                try:
-                    send(("update", job_id, solver_name, elapsed_ms, cost))
-                except (BrokenPipeError, OSError):
-                    pass
-
+            stream = forward_job_stream(job_id, time.monotonic(), forward)
             spans: List[Dict[str, Any]] = []
             if collect_spans:
                 tracer = configure_tracer(True)
                 try:
-                    with observe_improvements(forward):
+                    with stream:
                         result = frontend.submit(request)
                     spans = [span.to_dict() for span in tracer.drain()]
                     for record in spans:
@@ -312,7 +310,7 @@ def _shard_main(
                 finally:
                     configure_tracer(False)
             else:
-                with observe_improvements(forward):
+                with stream:
                     result = frontend.submit(request)
             send(("result", job_id, result.to_dict(), spans))
         except (BrokenPipeError, OSError):
@@ -755,9 +753,8 @@ class ShardPool(BasePool):
             job = shard.assigned.get(message[1])
             if job is not None and job.started_at is None:
                 job.started_at = time.monotonic()
-        elif kind == "update":
-            _, job_id, solver_name, elapsed_ms, cost = message
-            self.broker.publish_improvement(job_id, solver_name, elapsed_ms, cost)
+        elif kind in ("update", "progress"):
+            self.broker.publish(message)
         elif kind == "result":
             _, job_id, result_dict, spans = message
             job = shard.assigned.pop(job_id, None)

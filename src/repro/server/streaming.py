@@ -10,6 +10,13 @@ portfolio members each report their own improvements, but subscribers
 only care when the job-level incumbent improves — stamps a sequence
 number, and fans the update out to every sink.
 
+Decomposed solves also report cluster completions; those become
+``progress`` frames on the same channel.  :func:`forward_job_stream`
+installs both observers around a job's solve and turns each report into
+a message that :meth:`StreamBroker.publish` replays on the event loop —
+handed over with ``call_soon_threadsafe`` on the thread tier, sent over
+the pipe by a shard.
+
 Sinks are plain callables ``sink(payload: dict) -> None`` supplied by
 the connection layer; a payload is a protocol frame *without* the ``id``
 field, which each sink injects for its own request before writing.  The
@@ -19,15 +26,44 @@ which keeps it directly unit-testable.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import time
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["StreamBroker", "StreamSink"]
+from repro.baselines.anytime import observe_improvements
+from repro.core.decomposition import observe_decomposition_progress
+
+__all__ = ["StreamBroker", "StreamSink", "forward_job_stream"]
 
 #: A subscriber callback; receives protocol frames without the ``id`` field.
 StreamSink = Callable[[Dict[str, Any]], None]
 
 #: Improvements smaller than this are noise, not updates.
 _IMPROVEMENT_EPS = 1e-12
+
+
+@contextmanager
+def forward_job_stream(
+    job_id: str, started: float, send: Callable[[Tuple[Any, ...]], None]
+) -> Iterator[None]:
+    """Forward a running job's reports to ``send`` from the solving thread.
+
+    An anytime improvement becomes ``("update", job_id, solver,
+    elapsed_ms, cost)``, with the elapsed time re-measured against the
+    job's ``started`` (``time.monotonic``) so racing portfolio members
+    share one time axis.  A decomposition cluster completion becomes
+    ``("progress", job_id, solver, completed, total)``.
+    """
+
+    def improvement(solver_name: str, _elapsed_ms: float, cost: float) -> None:
+        elapsed_ms = (time.monotonic() - started) * 1000.0
+        send(("update", job_id, solver_name, elapsed_ms, cost))
+
+    def progress(solver_name: str, completed: int, total: int) -> None:
+        send(("progress", job_id, solver_name, completed, total))
+
+    with observe_improvements(improvement), observe_decomposition_progress(progress):
+        yield
 
 
 class _Channel:
@@ -90,6 +126,13 @@ class StreamBroker:
     # ------------------------------------------------------------------ #
     # Publishing
     # ------------------------------------------------------------------ #
+    def publish(self, message: Tuple[Any, ...]) -> bool:
+        """Replay one message of :func:`forward_job_stream` on its channel."""
+        kind, *fields = message
+        if kind == "progress":
+            return self.publish_progress(*fields)
+        return self.publish_improvement(*fields)
+
     def publish_improvement(
         self, job_id: str, solver: str, elapsed_ms: float, cost: float
     ) -> bool:

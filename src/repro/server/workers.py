@@ -32,15 +32,13 @@ import asyncio
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List
+from typing import Any, Deque, Dict, List, Tuple
 
-from repro.baselines.anytime import observe_improvements
-from repro.core.decomposition import observe_decomposition_progress
 from repro.exceptions import AdmissionError
 from repro.obs.trace import get_tracer
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import JobQueue, ServerJob
-from repro.server.streaming import StreamBroker
+from repro.server.streaming import StreamBroker, forward_job_stream
 from repro.service.frontend import ServiceFrontend
 from repro.service.jobs import SolveResult, dedupe_key, echo_result_for_duplicate
 
@@ -317,31 +315,15 @@ class WorkerPool(BasePool):
         loop = asyncio.get_running_loop()
         job.started_at = time.monotonic()
 
-        def forward_improvement(solver_name: str, _elapsed_ms: float, cost: float) -> None:
-            # Runs on the solver thread; elapsed is re-measured against the
-            # job's start so updates of racing members share one time axis.
-            elapsed_ms = (time.monotonic() - job.started_at) * 1000.0
+        def forward(message: Tuple[Any, ...]) -> None:
             try:
-                loop.call_soon_threadsafe(
-                    self.broker.publish_improvement, job.job_id, solver_name, elapsed_ms, cost
-                )
-            except RuntimeError:  # loop already closed mid-shutdown
-                pass
-
-        def forward_progress(solver_name: str, completed: int, total: int) -> None:
-            # Decomposed solves report cluster completions; forwarded as
-            # "progress" frames (old clients ignore the unknown type).
-            try:
-                loop.call_soon_threadsafe(
-                    self.broker.publish_progress, job.job_id, solver_name, completed, total
-                )
+                loop.call_soon_threadsafe(self.broker.publish, message)
             except RuntimeError:  # loop already closed mid-shutdown
                 pass
 
         def execute() -> SolveResult:
-            with observe_improvements(forward_improvement):
-                with observe_decomposition_progress(forward_progress):
-                    return self.frontend.submit(job.request)
+            with forward_job_stream(job.job_id, job.started_at, forward):
+                return self.frontend.submit(job.request)
 
         try:
             result = await loop.run_in_executor(self._executor, execute)

@@ -24,8 +24,8 @@ first occurrence is solved and the twins receive an echo of its result.
 
 Annealer jobs additionally benefit from two process-wide caches that
 this executor warms as a side effect: the QA adapter's prepared-pipeline
-LRU (embedding + physical mapping per instance, keyed by canonical
-hash) and the sparse compile-structure cache of
+LRU (embedding + physical mapping per instance, keyed by the exact
+problem token) and the sparse compile-structure cache of
 :mod:`repro.annealer.compile`, so repeated QA solves skip recompilation.
 """
 
@@ -60,7 +60,6 @@ def derive_job_seed(base_seed: Optional[int], job_index: int) -> int:
 def execute_request(
     request: SolveRequest,
     registry: SolverRegistry | None = None,
-    portfolio_mode: str = "threads",
 ) -> SolveResult:
     """Solve one request synchronously in the current process.
 
@@ -76,8 +75,7 @@ def execute_request(
     ) as span:
         try:
             if request.solver == PORTFOLIO_SOLVER:
-                scheduler = PortfolioScheduler(registry=registry, mode=portfolio_mode)
-                outcome = scheduler.solve(
+                outcome = PortfolioScheduler(registry=registry).solve(
                     request.problem,
                     request.time_budget_ms,
                     seed=request.seed,
@@ -117,7 +115,6 @@ def execute_request(
 
 def _execute_job_payload(
     payload: Dict[str, Any],
-    portfolio_mode: str,
     trace_context: Optional[Dict[str, str]] = None,
     collect_spans: bool = False,
 ) -> Dict[str, Any]:
@@ -132,12 +129,12 @@ def _execute_job_payload(
     """
     request = SolveRequest.from_dict(payload)
     if not collect_spans:
-        return execute_request(request, portfolio_mode=portfolio_mode).to_dict()
+        return execute_request(request).to_dict()
     tracer = configure_tracer(True)
     context = SpanContext.from_dict(trace_context) if trace_context else None
     try:
         with tracer.activate(context):
-            result = execute_request(request, portfolio_mode=portfolio_mode)
+            result = execute_request(request)
         spans = [span.to_dict() for span in tracer.drain()]
     finally:
         configure_tracer(False)
@@ -163,13 +160,6 @@ class BatchExecutor:
     base_seed:
         Default base seed for :func:`derive_job_seed`; can be overridden
         per run.
-    portfolio_mode:
-        Racing mode forwarded to the portfolio scheduler.
-    dedupe:
-        Solve identical jobs (same cache key: problem, solver, budget
-        and seed) once per batch and echo the result to the duplicates
-        (default).  Duplicates are marked ``from_cache`` since no solver
-        ran for them.
     autosave:
         Persist a file-backed cache after every batch (default).
         Callers that run many small batches against one cache (the
@@ -187,8 +177,6 @@ class BatchExecutor:
         cache: ResultCache | None = None,
         registry: SolverRegistry | None = None,
         base_seed: Optional[int] = None,
-        portfolio_mode: str = "threads",
-        dedupe: bool = True,
         autosave: bool = True,
         keep_pool: bool = False,
     ) -> None:
@@ -203,8 +191,6 @@ class BatchExecutor:
         self.cache = cache
         self.registry = registry
         self.base_seed = base_seed
-        self.portfolio_mode = portfolio_mode
-        self.dedupe = dedupe
         self.autosave = autosave
         self.keep_pool = keep_pool
         self._pool: ProcessPoolExecutor | None = None
@@ -242,14 +228,7 @@ class BatchExecutor:
         cached = self.cache.get(request.cache_key())
         if cached is None:
             return None
-        result = SolveResult.from_dict(cached)
-        # Identity fields echo the *current* request, not the one that
-        # populated the cache (neither is part of the cache key).
-        result.job_id = request.job_id
-        result.metadata = dict(request.metadata)
-        result.from_cache = True
-        result.total_time_ms = 0.0
-        return result
+        return echo_result_for_duplicate(SolveResult.from_dict(cached), request)
 
     def _cache_store(self, request: SolveRequest, result: SolveResult) -> None:
         if self.cache is not None and result.ok:
@@ -288,13 +267,12 @@ class BatchExecutor:
             if hit is not None:
                 yield index, hit
                 continue
-            if self.dedupe:
-                key = dedupe_key(request)
-                rep_index = representative_by_key.get(key)
-                if rep_index is not None:
-                    duplicates.setdefault(rep_index, []).append((index, request))
-                    continue
-                representative_by_key[key] = index
+            key = dedupe_key(request)
+            rep_index = representative_by_key.get(key)
+            if rep_index is not None:
+                duplicates.setdefault(rep_index, []).append((index, request))
+                continue
+            representative_by_key[key] = index
             pending.append((index, request))
 
         try:
@@ -305,7 +283,7 @@ class BatchExecutor:
             for index, result in source:
                 yield index, result
                 for dup_index, dup_request in duplicates.get(index, ()):
-                    yield dup_index, self._duplicate_result(result, dup_request)
+                    yield dup_index, echo_result_for_duplicate(result, dup_request)
         finally:
             if self.autosave and self.cache is not None and self.cache.path is not None:
                 self.cache.save()
@@ -315,16 +293,9 @@ class BatchExecutor:
     ) -> Iterator[Tuple[int, SolveResult]]:
         """Solve pending jobs one by one in this process."""
         for index, request in pending:
-            result = execute_request(
-                request, registry=self.registry, portfolio_mode=self.portfolio_mode
-            )
+            result = execute_request(request, registry=self.registry)
             self._cache_store(request, result)
             yield index, result
-
-    @staticmethod
-    def _duplicate_result(result: SolveResult, request: SolveRequest) -> SolveResult:
-        """Echo a representative's result to a deduplicated twin request."""
-        return echo_result_for_duplicate(result, request)
 
     def close(self) -> None:
         """Shut down a kept process pool (no-op otherwise)."""
@@ -355,7 +326,6 @@ class BatchExecutor:
                 future = pool.submit(
                     _execute_job_payload,
                     request.to_dict(),
-                    self.portfolio_mode,
                     parent_dict,
                     collect_spans,
                 )

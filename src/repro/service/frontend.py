@@ -6,8 +6,8 @@ outer layers need:
 
 * :meth:`ServiceFrontend.solve` — one problem, cache-aware, portfolio or
   named solver,
-* :meth:`ServiceFrontend.solve_batch` — many problems, concurrent, with
-  per-job seeds,
+* :meth:`ServiceFrontend.solve_batch` — many problems, with per-job
+  seeds and in-batch dedupe,
 * :meth:`ServiceFrontend.race` — raw portfolio access returning every
   member's trajectory, which is what
   :class:`~repro.experiments.runner.ExperimentRunner` uses to run its
@@ -23,7 +23,12 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.service.batch import BatchExecutor, execute_request
 from repro.service.cache import ResultCache
-from repro.service.jobs import PORTFOLIO_SOLVER, SolveRequest, SolveResult
+from repro.service.jobs import (
+    PORTFOLIO_SOLVER,
+    SolveRequest,
+    SolveResult,
+    echo_result_for_duplicate,
+)
 from repro.service.portfolio import PortfolioResult, PortfolioScheduler
 from repro.service.registry import SolverRegistry, default_registry
 
@@ -55,34 +60,20 @@ class ServiceFrontend:
     cache:
         Optional result cache shared by :meth:`solve` and
         :meth:`solve_batch`.
-    workers:
-        Worker processes for batches (0 = inline).
     portfolio_solvers:
         Default portfolio line-up (``None`` = every capable solver).
-    portfolio_mode:
-        ``"threads"`` (concurrent racing) or ``"split"`` (sequential
-        budget slices).
     """
 
     def __init__(
         self,
         registry: SolverRegistry | None = None,
         cache: ResultCache | None = None,
-        workers: int = 0,
         portfolio_solvers: Sequence[str] | None = None,
-        portfolio_mode: str = "threads",
     ) -> None:
         self.registry = registry if registry is not None else default_registry()
         self.cache = cache
-        self.scheduler = PortfolioScheduler(
-            registry=self.registry, solvers=portfolio_solvers, mode=portfolio_mode
-        )
-        self.executor = BatchExecutor(
-            workers=workers,
-            cache=cache,
-            registry=registry,  # None keeps process workers usable
-            portfolio_mode=portfolio_mode,
-        )
+        self.scheduler = PortfolioScheduler(registry=self.registry, solvers=portfolio_solvers)
+        self.executor = BatchExecutor(cache=cache, registry=self.registry)
 
     # ------------------------------------------------------------------ #
     # Single-instance entry points
@@ -127,6 +118,24 @@ class ServiceFrontend:
             metadata=request.metadata,
         )
 
+    def _cached(self, request: SolveRequest) -> Optional[SolveResult]:
+        """The cache's answer to ``request``, echoed with its identity."""
+        if self.cache is None:
+            return None
+        cached = self.cache.get(request.cache_key())
+        if cached is None:
+            _CACHE_MISSES.inc()
+            return None
+        _CACHE_HITS.inc()
+        return echo_result_for_duplicate(SolveResult.from_dict(cached), request)
+
+    def _record(self, request: SolveRequest, result: SolveResult) -> None:
+        """Attribute a fresh success to its winner and cache it."""
+        if result.ok:
+            _attribute_winner(result.winner)
+            if self.cache is not None:
+                self.cache.put(request.cache_key(), result.to_dict())
+
     def submit(self, request: SolveRequest) -> SolveResult:
         """Solve one prepared request (cache-aware)."""
         request = self._with_default_lineup(request)
@@ -134,29 +143,15 @@ class ServiceFrontend:
         with tracer.span(
             "service.submit", {"solver": request.solver, "job_id": request.job_id or ""}
         ) as span:
+            cached = self._cached(request)
             if self.cache is not None:
-                cached = self.cache.get(request.cache_key())
-                if cached is not None:
-                    _CACHE_HITS.inc()
-                    span.set_attribute("cache", "hit")
-                    result = SolveResult.from_dict(cached)
-                    # Identity fields echo the current request, not the one
-                    # that populated the cache.
-                    result.job_id = request.job_id
-                    result.metadata = dict(request.metadata)
-                    result.from_cache = True
-                    result.total_time_ms = 0.0
-                    return result
-                _CACHE_MISSES.inc()
-                span.set_attribute("cache", "miss")
-            result = execute_request(
-                request, registry=self.registry, portfolio_mode=self.scheduler.mode
-            )
+                span.set_attribute("cache", "miss" if cached is None else "hit")
+            if cached is not None:
+                return cached
+            result = execute_request(request, registry=self.registry)
+            self._record(request, result)
             if result.ok:
-                _attribute_winner(result.winner)
                 span.set_attribute("winner", result.winner)
-            if self.cache is not None and result.ok:
-                self.cache.put(request.cache_key(), result.to_dict())
             return result
 
     def submit_fused(self, requests: Sequence[SolveRequest]) -> List[SolveResult]:
@@ -167,46 +162,24 @@ class ServiceFrontend:
         exactly as :meth:`submit` serves them, and the misses run
         through :func:`~repro.service.fusion.execute_fused_requests`,
         which anneals every annealing-backed request in one fused
-        block-diagonal sweep and falls back to the solo path for the
-        rest.  Results come back in request order; each is bit-identical
-        to what :meth:`submit` would have returned (wall-clock timing
-        aside).
+        block-diagonal sweep and runs the rest solo.  Results come back
+        in request order; each is bit-identical to what :meth:`submit`
+        would have returned (wall-clock timing aside).
         """
         from repro.service.fusion import execute_fused_requests
 
         requests = [self._with_default_lineup(request) for request in requests]
-        results: List[Optional[SolveResult]] = [None] * len(requests)
-        misses: List[int] = []
-        tracer = get_tracer()
-        with tracer.span("service.submit_fused", {"jobs": len(requests)}) as span:
-            for index, request in enumerate(requests):
-                if self.cache is not None:
-                    cached = self.cache.get(request.cache_key())
-                    if cached is not None:
-                        _CACHE_HITS.inc()
-                        result = SolveResult.from_dict(cached)
-                        result.job_id = request.job_id
-                        result.metadata = dict(request.metadata)
-                        result.from_cache = True
-                        result.total_time_ms = 0.0
-                        results[index] = result
-                        continue
-                    _CACHE_MISSES.inc()
-                misses.append(index)
+        with get_tracer().span("service.submit_fused", {"jobs": len(requests)}) as span:
+            results = [self._cached(request) for request in requests]
+            misses = [index for index, result in enumerate(results) if result is None]
             span.set_attribute("cache_hits", len(requests) - len(misses))
             if misses:
                 executed = execute_fused_requests(
-                    [requests[index] for index in misses],
-                    registry=self.registry,
-                    portfolio_mode=self.scheduler.mode,
+                    [requests[index] for index in misses], registry=self.registry
                 )
                 for index, result in zip(misses, executed):
-                    if result.ok:
-                        _attribute_winner(result.winner)
-                        if self.cache is not None:
-                            self.cache.put(requests[index].cache_key(), result.to_dict())
+                    self._record(requests[index], result)
                     results[index] = result
-        assert all(result is not None for result in results)
         return results  # type: ignore[return-value]
 
     def race(

@@ -283,10 +283,10 @@ def dedupe_key(request: SolveRequest) -> str:
 def echo_result_for_duplicate(result: SolveResult, request: SolveRequest) -> SolveResult:
     """Echo a representative's result to a deduplicated twin request.
 
-    Used by the batch executor's in-batch dedupe and the server's
-    in-flight coalescing: the twin gets a copy of the representative's
-    outcome carrying its *own* identity fields, marked ``from_cache``
-    (no solver ran for it) with zero attributed time.
+    Used by the batch executor's in-batch dedupe, the server's in-flight
+    coalescing and every result-cache hit: the twin gets a copy of the
+    representative's outcome carrying its *own* identity fields, marked
+    ``from_cache`` (no solver ran for it) with zero attributed time.
     """
     if result.error is not None:
         return SolveResult.from_error(request, result.error)

@@ -3,10 +3,10 @@
 Algorithm-portfolio scheduling is the classical answer to "which solver
 should I run?": run several and keep the best.  The scheduler takes a
 list of registered solver names, gives every member its own child seed
-derived from the job seed, runs them under a shared wall-clock budget —
-either truly concurrently on threads or sequentially on equal budget
-slices — and returns the best-cost winner together with every member's
-trajectory and the merged anytime trajectory of the whole portfolio.
+derived from the job seed, races them concurrently on threads, each
+under the full wall-clock budget, and returns the best-cost winner
+together with every member's trajectory and the merged anytime
+trajectory of the whole portfolio.
 
 Winner selection is deterministic: lowest best cost, ties broken by the
 position of the solver in the raced line-up (registration order when the
@@ -109,27 +109,19 @@ class PortfolioScheduler:
         Default line-up raced by :meth:`solve` when the call does not
         specify one.  ``None`` means "every registered solver that
         supports the instance".
-    mode:
-        ``"threads"`` races all members concurrently, each under the full
-        wall-clock budget — real racing, finishing when the slowest
-        member's budget expires.  ``"split"`` runs members sequentially
-        on equal slices of the budget, which trades concurrency for
-        per-member timing that is unaffected by GIL contention.
-    """
 
-    MODES = ("threads", "split")
+    Members race on threads, each under the full wall-clock budget, so
+    a race finishes when the slowest member's budget expires; a
+    one-member line-up runs on the calling thread.
+    """
 
     def __init__(
         self,
         registry: SolverRegistry | None = None,
         solvers: Sequence[str] | None = None,
-        mode: str = "threads",
     ) -> None:
-        if mode not in self.MODES:
-            raise ServiceError(f"unknown portfolio mode {mode!r}; expected {self.MODES}")
         self.registry = registry if registry is not None else default_registry()
         self.solvers = tuple(solvers) if solvers is not None else None
-        self.mode = mode
 
     # ------------------------------------------------------------------ #
     # Line-up selection
@@ -204,21 +196,17 @@ class PortfolioScheduler:
             name: str,
             observers: Tuple[ImprovementObserver, ...] = (),
         ) -> SolverTrajectory:
-            solver = members[name]
-            budget = (
-                time_budget_ms if self.mode == "threads" else time_budget_ms / len(raced)
-            )
             with tracer.activate(parent_context):
                 with tracer.span("portfolio.member", {"solver": name}):
                     with observe_improvements(*observers):
-                        return solver.solve(
-                            problem, budget, seed=_member_seed(seed, position)
+                        return members[name].solve(
+                            problem, time_budget_ms, seed=_member_seed(seed, position)
                         )
 
         trajectories: Dict[str, SolverTrajectory] = {}
         errors: Dict[str, str] = {}
         start_offsets: Dict[str, float] = {}
-        if self.mode == "threads" and len(raced) > 1:
+        if len(raced) > 1:
             start_offsets = {name: 0.0 for name in raced}  # all start together
             with ThreadPoolExecutor(max_workers=len(raced)) as pool:
                 futures = {
@@ -233,12 +221,12 @@ class PortfolioScheduler:
                         # member succeeds.
                         errors[name] = f"{type(exc).__name__}: {exc}"
         else:
-            for position, name in enumerate(raced):
-                start_offsets[name] = stopwatch.elapsed_ms()
-                try:
-                    trajectories[name] = run_member(position, name)
-                except Exception as exc:  # noqa: BLE001 — see above
-                    errors[name] = f"{type(exc).__name__}: {exc}"
+            (name,) = raced
+            start_offsets[name] = stopwatch.elapsed_ms()
+            try:
+                trajectories[name] = run_member(0, name)
+            except Exception as exc:  # noqa: BLE001 — see above
+                errors[name] = f"{type(exc).__name__}: {exc}"
 
         winner = self._pick_winner(raced, trajectories)
         merged = self._merge(raced, trajectories, winner, start_offsets)
@@ -279,7 +267,8 @@ class PortfolioScheduler:
         Member trajectories keep their solver-local time axes; the merged
         envelope lives on the race's wall-clock axis, so each member's
         points are shifted by its start offset (zero when racing on
-        threads, the member's sequential start time in split mode).
+        threads, the race clock at its start when one member runs
+        inline).
         """
         ordered = [(name, trajectories[name]) for name in raced if name in trajectories]
         merged = SolverTrajectory.envelope(

@@ -24,7 +24,9 @@ instances (equal canonical hash, different token) get their own slots.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from repro.annealer.compile import CompileCache
 from repro.baselines.anytime import AnytimeSolver, SolverTrajectory
@@ -35,7 +37,7 @@ from repro.mqo.serialization import exact_problem_token
 from repro.obs.metrics import get_registry
 from repro.utils.rng import SeedLike, ensure_rng
 
-__all__ = ["QuantumAnnealingSolver"]
+__all__ = ["QuantumAnnealingSolver", "StagedSolve"]
 
 #: Hit/miss counters of the process-wide prepared-pipeline cache.
 _PREPARED_HITS = get_registry().counter(
@@ -44,6 +46,19 @@ _PREPARED_HITS = get_registry().counter(
 _PREPARED_MISSES = get_registry().counter(
     "repro_prepared_cache_misses_total", "Prepared-pipeline cache misses (compilations)."
 )
+
+
+class StagedSolve(NamedTuple):
+    """A request staged up to its anneal by :meth:`QuantumAnnealingSolver.stage`.
+
+    ``rng`` is the request stream, positioned after the pipeline's
+    construction; programming and annealing continue it.
+    """
+
+    pipeline: QuantumMQO
+    prepared: PreparedProblem
+    num_reads: int
+    rng: np.random.Generator
 
 
 class QuantumAnnealingSolver(AnytimeSolver):
@@ -63,12 +78,11 @@ class QuantumAnnealingSolver(AnytimeSolver):
         time.
     num_sweeps:
         Simulated-annealing sweeps per read.
-    batch_gauges:
-        Forwarded to the device: anneal all gauge batches fused in one
-        block-diagonal problem (default) instead of sequentially.
-    reuse_prepared:
-        Consult the process-wide prepared-pipeline cache (default).
-        Disable to recompile the instance on every solve.
+
+    A solve runs in stages that the fused executor
+    (:mod:`repro.service.fusion`) calls one by one: :meth:`stage`, the
+    device's ``program_anneal``, the anneal, :meth:`QuantumMQO.decode
+    <repro.core.pipeline.QuantumMQO.decode>` and :meth:`trajectory`.
     """
 
     name = "QA"
@@ -85,8 +99,6 @@ class QuantumAnnealingSolver(AnytimeSolver):
         min_reads: int = 10,
         max_reads: int = 200,
         num_sweeps: int = 100,
-        batch_gauges: bool = True,
-        reuse_prepared: bool = True,
     ) -> None:
         if not 0 < min_reads <= max_reads:
             raise ValueError(f"need 0 < min_reads <= max_reads, got {min_reads}/{max_reads}")
@@ -95,8 +107,6 @@ class QuantumAnnealingSolver(AnytimeSolver):
         self.min_reads = min_reads
         self.max_reads = max_reads
         self.num_sweeps = num_sweeps
-        self.batch_gauges = batch_gauges
-        self.reuse_prepared = reuse_prepared
         self.last_result: Optional[QuantumMQOResult] = None
 
     @classmethod
@@ -140,7 +150,6 @@ class QuantumAnnealingSolver(AnytimeSolver):
             noise=NoiseModel(0.0, 0.0),
             num_sweeps=self.num_sweeps,
             seed=rng,
-            batch_gauges=self.batch_gauges,
         )
         return QuantumMQO(device=device, embedder=self.embedder, seed=rng)
 
@@ -161,12 +170,11 @@ class QuantumAnnealingSolver(AnytimeSolver):
         # embedding is tied to concrete plan indices, so a merely
         # isomorphic instance must not be served (nor evict this one).
         key = (exact_problem_token(problem), self.spec.name, str(self.embedder))
-        if self.reuse_prepared:
-            prepared = self.prepared_cache.get(key)
-            if prepared is not None:
-                _PREPARED_HITS.inc()
-                return prepared
-            _PREPARED_MISSES.inc()
+        prepared = self.prepared_cache.get(key)
+        if prepared is not None:
+            _PREPARED_HITS.inc()
+            return prepared
+        _PREPARED_MISSES.inc()
         embedding_seed = self._embedding_seed(problem)
         if pipeline is None:
             compile_pipeline = self._build_pipeline(seed=embedding_seed)
@@ -175,13 +183,27 @@ class QuantumAnnealingSolver(AnytimeSolver):
                 device=pipeline.device, embedder=self.embedder, seed=embedding_seed
             )
         prepared = compile_pipeline.prepare(problem)
-        if self.reuse_prepared:
-            self.prepared_cache.put(key, prepared)
+        self.prepared_cache.put(key, prepared)
         return prepared
 
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
+    def stage(
+        self, problem: MQOProblem, time_budget_ms: float, seed: SeedLike = None
+    ) -> StagedSolve:
+        """Everything a solve does before annealing.
+
+        Checks the budget, opens the request stream, builds a fresh
+        pipeline on it and fetches the (cached) preparation; programming
+        and annealing continue the returned stream.
+        """
+        self._check_budget(time_budget_ms)
+        rng = ensure_rng(seed)
+        pipeline = self._build_pipeline(seed=rng)
+        prepared = self.prepare(problem, pipeline=pipeline)
+        return StagedSolve(pipeline, prepared, self.reads_for_budget(time_budget_ms), rng)
+
     def solve(
         self,
         problem,
@@ -189,28 +211,13 @@ class QuantumAnnealingSolver(AnytimeSolver):
         seed: SeedLike = None,
     ) -> SolverTrajectory:
         """Anneal ``problem`` within ``time_budget_ms`` of device time."""
-        self._check_budget(time_budget_ms)
-        rng = ensure_rng(seed)
-        pipeline = self._build_pipeline(seed=rng)
-        prepared = self.prepare(problem, pipeline=pipeline)
-        result = pipeline.solve(
-            problem,
-            num_reads=self.reads_for_budget(time_budget_ms),
-            seed=rng,
-            prepared=prepared,
+        staged = self.stage(problem, time_budget_ms, seed)
+        result = staged.pipeline.solve(
+            problem, num_reads=staged.num_reads, seed=staged.rng, prepared=staged.prepared
         )
-        self.last_result = result
+        return self.trajectory(result)
 
-        points = []
-        best = float("inf")
-        for time_ms, cost in result.trajectory:
-            if cost < best - 1e-12:
-                best = cost
-                points.append((time_ms, cost))
-        return SolverTrajectory(
-            solver_name=self.name,
-            points=points,
-            best_solution=result.best_solution,
-            proved_optimal=False,
-            total_time_ms=result.device_time_ms,
-        )
+    def trajectory(self, result: QuantumMQOResult) -> SolverTrajectory:
+        """Report a finished run on the device-time axis (kept as :attr:`last_result`)."""
+        self.last_result = result
+        return result.anytime_trajectory(self.name)

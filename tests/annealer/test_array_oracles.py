@@ -170,26 +170,18 @@ class TestReadOut:
             assert sample.energy == pytest.approx(energy, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("noise", sorted(NOISE_MODELS))
-    @pytest.mark.parametrize("batch_gauges", [True, False])
-    def test_annealed_reads_match_dict_programming(self, noise, batch_gauges):
+    def test_annealed_reads_match_dict_programming(self, noise):
         """Same programmed weights, same stream: the annealed reads agree too."""
         qubo = _chimera_qubo(7, as_arrays=False)
-        device = _device(noise, 5, num_sweeps=20, batch_gauges=batch_gauges)
+        device = _device(noise, 5, num_sweeps=20)
         sample_set = device.sample_qubo(qubo, num_reads=9, num_gauges=3, seed=11)
 
         rng = np.random.default_rng(11)
         programmed = program_gauges(qubo, NOISE_MODELS[noise], _oracle_bias(noise, 5), 3, rng)
         gauges = [gauge for gauge, _ in programmed]
-        sampler = device.batched_sampler
-        if batch_gauges:
-            block_states, _ = sampler.sample_block_states(
-                [programmed_qubo for _, programmed_qubo in programmed], num_reads=3, seed=rng
-            )
-        else:
-            block_states = [
-                sampler.sample_states(programmed_qubo, num_reads=3, seed=rng)[0]
-                for _, programmed_qubo in programmed
-            ]
+        block_states, _ = device.batched_sampler.sample_block_states(
+            [programmed_qubo for _, programmed_qubo in programmed], num_reads=3, seed=rng
+        )
         expected = read_out(qubo, gauges, block_states, qubo.variables, [3, 3, 3])
         assert [sample.assignment for sample in sample_set] == [read[0] for read in expected]
 

@@ -95,7 +95,7 @@ class TestBatchedAnnealer:
 
 class TestDeviceGaugeBatching:
     def test_fused_and_sequential_sample_same_distribution(self):
-        """Both modes must find the optimum of a small native problem."""
+        """Gauge batches annealed as one group find the optimum of a small native problem."""
         from repro.annealer.device import DWaveSamplerSimulator
         from repro.annealer.noise import NoiseModel
         from repro.chimera.hardware import DWAVE_2X
@@ -103,18 +103,16 @@ class TestDeviceGaugeBatching:
         topology = ChimeraGraph(1, 2)
         qubo = random_chimera_qubo(topology.edges(), topology.qubits, seed=5)
         _opt, opt_energy = solve_bruteforce(qubo)
-        for batch_gauges in (True, False):
-            device = DWaveSamplerSimulator(
-                spec=DWAVE_2X,
-                topology=topology,
-                noise=NoiseModel(0.0, 0.0),
-                num_sweeps=150,
-                seed=3,
-                batch_gauges=batch_gauges,
-            )
-            sample_set = device.sample_qubo(qubo, num_reads=30, num_gauges=5)
-            assert sample_set.num_reads == 30
-            assert sample_set.best().energy == pytest.approx(opt_energy, abs=1e-9)
+        device = DWaveSamplerSimulator(
+            spec=DWAVE_2X,
+            topology=topology,
+            noise=NoiseModel(0.0, 0.0),
+            num_sweeps=150,
+            seed=3,
+        )
+        sample_set = device.sample_qubo(qubo, num_reads=30, num_gauges=5)
+        assert sample_set.num_reads == 30
+        assert sample_set.best().energy == pytest.approx(opt_energy, abs=1e-9)
 
     def test_gauge_indices_preserved_in_fused_mode(self):
         from repro.annealer.device import DWaveSamplerSimulator
@@ -129,7 +127,6 @@ class TestDeviceGaugeBatching:
             noise=NoiseModel(0.0, 0.0),
             num_sweeps=10,
             seed=0,
-            batch_gauges=True,
         )
         sample_set = device.sample_qubo(qubo, num_reads=10, num_gauges=4)
         assert [s.read_index for s in sample_set] == list(range(10))

@@ -52,8 +52,7 @@ class TestValidation:
                 spec=small_spec, topology=small_chimera, programming_time_ms=-1.0
             )
 
-    @pytest.mark.parametrize("batch_gauges", [True, False])
-    def test_schedule_length_must_match_sweeps(self, small_chimera, small_spec, batch_gauges):
+    def test_schedule_length_must_match_sweeps(self, small_chimera, small_spec):
         """A contradictory schedule fails at construction, whatever the request."""
         with pytest.raises(DeviceError, match="50 sweeps"):
             DWaveSamplerSimulator(
@@ -61,7 +60,6 @@ class TestValidation:
                 topology=small_chimera,
                 num_sweeps=200,
                 schedule=geometric_beta_schedule(0.1, 5.0, 50),
-                batch_gauges=batch_gauges,
             )
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import dense_anneal
 
-from repro.annealer.fusion import FusionGroup, FusionWindow, fused_sample_block_states
+from repro.annealer.fusion import FusionGroup, FusionWindow
 from repro.annealer.schedule import geometric_beta_schedule
 from repro.annealer.simulated_annealing import SimulatedAnnealingSampler
 from repro.exceptions import DeviceError
@@ -81,14 +81,13 @@ class TestFusionBitIdentity:
     def test_single_block_group_matches_plain_sampler(self):
         """A one-block group reproduces the plain sampler exactly.
 
-        This is what lets the server fuse single-gauge jobs: the device's
-        sequential path anneals one batch as one single-block call, and
-        the fused path must replay its stream bit-for-bit.
+        A single-gauge request is a one-block group, so its fused anneal
+        must replay the plain sampler's stream bit-for-bit.
         """
         qubo = random_qubo(9, density=0.5, seed=3)
         sampler = SimulatedAnnealingSampler(num_sweeps=40)
         solo, _ = sampler.sample_states(qubo, num_reads=6, seed=42)
-        ((block_states, _compiled),) = fused_sample_block_states(
+        ((block_states, _compiled),) = FusionWindow().sample(
             [
                 FusionGroup(
                     qubos=[qubo],

@@ -9,8 +9,12 @@ them with ``qa_pinned.json``:
 * one Section 7.1 instance per paper class through ``ServiceFrontend.submit``,
 * the same requests as one ``ServiceFrontend.submit_fused`` window,
 * a default (noisy, defective) device through ``QuantumMQO.solve``,
-* a device with sequential gauge batches (``batch_gauges=False``),
 * noisy solves with the ``FIRST`` and ``DISCARD`` chain read-outs.
+
+The paper-class requests also run over a socket through a thread
+server, a fusion server and a 2-shard server, and each answer must equal
+its pinned ``submit`` record: a seeded request gets one answer on every
+execution tier.
 
 Regenerate the fixture only when a change is *meant* to alter answers::
 
@@ -32,6 +36,9 @@ from repro.core.physical import PhysicalMappingConfig
 from repro.core.pipeline import QuantumMQO, QuantumMQOResult
 from repro.embedding.unembed import ChainReadout
 from repro.mqo.generator import generate_paper_testcase
+from repro.server.app import ServerConfig, run_server_in_thread
+from repro.server.client import SolverClient
+from repro.server.readiness import wait_for_server
 from repro.service.frontend import ServiceFrontend
 from repro.service.jobs import SolveRequest, SolveResult
 from repro.workloads.embedded import generate_embedded_testcase
@@ -81,9 +88,9 @@ def _pipeline_record(result: QuantumMQOResult) -> Dict[str, Any]:
     }
 
 
-def _noisy_solve(readout: ChainReadout = ChainReadout.MAJORITY, **device_kwargs) -> QuantumMQOResult:
+def _noisy_solve(readout: ChainReadout) -> QuantumMQOResult:
     problem = generate_paper_testcase(5, 4, seed=3)
-    device = DWaveSamplerSimulator(seed=11, **device_kwargs)
+    device = DWaveSamplerSimulator(seed=11)
     pipeline = QuantumMQO(
         device=device, physical_config=PhysicalMappingConfig(readout=readout), seed=11
     )
@@ -101,9 +108,6 @@ def pinned_outputs() -> Dict[str, Dict[str, Any]]:
         outputs[f"submit_fused/{plans}-plans"] = _service_record(result)
     outputs["noisy-default-device"] = _pipeline_record(
         QuantumMQO(seed=21).solve(generate_paper_testcase(6, 3, seed=5), num_reads=50)
-    )
-    outputs["sequential-gauges"] = _pipeline_record(
-        _noisy_solve(num_sweeps=100, batch_gauges=False)
     )
     for readout in (ChainReadout.FIRST, ChainReadout.DISCARD):
         outputs[f"readout/{readout.value}"] = _pipeline_record(
@@ -129,7 +133,7 @@ def test_fixture_covers_every_case(computed, pinned):
 CASES = (
     [f"submit/{plans}-plans" for plans, _ in PAPER_CLASSES]
     + [f"submit_fused/{plans}-plans" for plans, _ in PAPER_CLASSES]
-    + ["noisy-default-device", "sequential-gauges", "readout/first", "readout/discard"]
+    + ["noisy-default-device", "readout/first", "readout/discard"]
 )
 
 
@@ -149,6 +153,40 @@ def test_readout_cases_exercise_broken_chains(pinned):
 def test_fused_window_matches_solo_submits(pinned):
     for plans, _queries in PAPER_CLASSES:
         assert pinned[f"submit/{plans}-plans"] == pinned[f"submit_fused/{plans}-plans"]
+
+
+#: Server configuration of each execution tier.
+SERVER_TIERS = {
+    "threads": dict(workers=2),
+    "fusion": dict(workers=2, fusion_window_ms=300.0, fusion_max_jobs=4),
+    "shards": dict(shards=2),
+}
+
+
+@pytest.mark.parametrize("tier", sorted(SERVER_TIERS))
+def test_server_tier_matches_pinned_submits(tier, pinned):
+    """The paper-class requests, submitted over a socket, keep their pinned answers."""
+    config = ServerConfig(**SERVER_TIERS[tier])
+    handle = run_server_in_thread(config, ServiceFrontend())
+    try:
+        wait_for_server(port=handle.port, timeout_s=30.0, min_shards=config.shards or None)
+        with SolverClient(port=handle.port) as client:
+            job_ids = [
+                client.submit(
+                    request.problem,
+                    solver=request.solver,
+                    budget_ms=request.time_budget_ms,
+                    seed=request.seed,
+                )
+                for request in _class_requests()
+            ]
+            results = [client.wait(job_id) for job_id in job_ids]
+            if tier == "fusion":
+                assert client.stats()["counters"]["fusion_jobs"] == len(job_ids)
+    finally:
+        handle.stop()
+    for (plans, _queries), result in zip(PAPER_CLASSES, results):
+        assert _service_record(result) == pinned[f"submit/{plans}-plans"]
 
 
 if __name__ == "__main__":

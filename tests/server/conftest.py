@@ -18,6 +18,7 @@ from typing import List
 import pytest
 
 from repro.baselines.anytime import AnytimeSolver, TrajectoryRecorder
+from repro.core.decomposition import current_progress_observers
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.server.app import ServerConfig, run_server_in_thread
 from repro.server.readiness import wait_for_server
@@ -106,10 +107,32 @@ class SleepySolver(AnytimeSolver):
         return recorder.finish()
 
 
+class ProgressSolver(SteppingSolver):
+    """STEP that also reports one decomposition progress step per improvement.
+
+    On the tiny problem this streams three ``update`` and three
+    ``progress`` frames (``completed`` 1..3 of 3), interleaved.
+    """
+
+    name = "PROGRESS"
+
+    def solve(self, problem, time_budget_ms, seed=None):
+        """Record every ranking step, then report it as one cluster done."""
+        recorder = TrajectoryRecorder(self.name)
+        ranking = solution_ranking(problem)
+        for completed, solution in enumerate(ranking, start=1):
+            recorder.record(solution)
+            for observer in current_progress_observers():
+                observer(self.name, completed, len(ranking))
+            time.sleep(self.step_ms / 1000.0)
+        return recorder.finish()
+
+
 def scripted_registry() -> SolverRegistry:
-    """STEP (fast stream), SLOW-STEP (late first update), SLEEPY (busy)."""
+    """STEP (fast stream), SLOW-STEP (late first update), SLEEPY (busy), PROGRESS (progress)."""
     registry = SolverRegistry()
     registry.register("STEP", lambda: SteppingSolver(step_ms=40.0))
+    registry.register("PROGRESS", lambda: ProgressSolver(step_ms=20.0))
     registry.register(
         "SLOW-STEP", lambda: SteppingSolver(step_ms=150.0, start_delay_ms=250.0)
     )

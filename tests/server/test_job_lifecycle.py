@@ -11,7 +11,6 @@ sharded tier — is rejected at construction.
 
 from __future__ import annotations
 
-import functools
 import gc
 import time
 import weakref
@@ -90,15 +89,9 @@ class TestFinishedJobsReleaseTheirProblem:
             _assert_result_kept(client, job_b, result_b)
 
     def test_fusion_window(self, server_factory, parsed_problems):
-        # The process-wide prepared-pipeline cache keeps its own bounded
-        # set of problems; bypass it so only the server's hold is seen.
-        registry = SolverRegistry()
-        registry.register(
-            "QA", functools.partial(QuantumAnnealingSolver, reuse_prepared=False)
-        )
         handle = server_factory(
             ServerConfig(workers=2, fusion_window_ms=500.0, fusion_max_jobs=2),
-            frontend=ServiceFrontend(registry=registry),
+            frontend=ServiceFrontend(),
         )
         with SolverClient(port=handle.port) as client:
             job_ids = [
@@ -113,6 +106,9 @@ class TestFinishedJobsReleaseTheirProblem:
             results = [client.wait(job_id) for job_id in job_ids]
             assert all(result.ok for result in results)
             assert client.stats()["counters"]["fusion_jobs"] == 2
+            # The process-wide prepared-pipeline cache keeps its own bounded
+            # set of problems; empty it so only the server's hold is seen.
+            QuantumAnnealingSolver.prepared_cache.clear()
             _assert_all_released(handle, parsed_problems, job_ids)
             for job_id, result in zip(job_ids, results):
                 _assert_result_kept(client, job_id, result)

@@ -9,13 +9,17 @@ scripted solver registry from ``conftest``) and talks to it through
 * duplicate in-flight requests are coalesced into one execution,
 * admission control rejects jobs under backpressure,
 * a graceful drain finishes admitted jobs and delivers their results
-  before the server exits.
+  before the server exits, answers ``wait`` frames sent after its ack,
+  and closes idle connections after a bounded grace period.
 """
+
+import socket
+import time
 
 import pytest
 
 from repro.exceptions import AdmissionError, ProtocolError, ServerError
-from repro.server.app import ServerConfig
+from repro.server.app import DRAIN_GRACE_S, ServerConfig
 from repro.server.client import SolverClient
 
 from tests.server.conftest import tiny_problem
@@ -27,7 +31,7 @@ class TestBasics:
         with SolverClient(port=handle.port) as client:
             hello = client.hello()
             assert hello["server"] == "repro-mqo"
-            assert set(hello["solvers"]) == {"STEP", "SLOW-STEP", "SLEEPY"}
+            assert set(hello["solvers"]) == {"STEP", "SLOW-STEP", "SLEEPY", "PROGRESS"}
             assert client.ping()
             result = client.solve(tiny_problem(), solver="STEP", budget_ms=500.0)
             assert result.ok
@@ -263,3 +267,30 @@ class TestGracefulDrain:
             client.shutdown(drain=True)
         handle.thread.join(timeout=10.0)
         assert not handle.thread.is_alive()
+
+    def test_wait_sent_after_the_ack_is_answered(self, server_factory):
+        """The drain serves an open connection after the pool has drained."""
+        handle = server_factory(ServerConfig(workers=1))
+        with SolverClient(port=handle.port) as client:
+            job_id = client.submit(tiny_problem(), solver="STEP", budget_ms=300.0)
+            client.shutdown(drain=True)
+            time.sleep(0.2)  # the job (~120 ms) finishes, the pool drains
+            result = client.wait(job_id)
+        assert result.ok
+        assert result.winner == "STEP"
+        handle.thread.join(timeout=10.0)
+        assert not handle.thread.is_alive()
+
+    def test_idle_connection_does_not_hold_the_drain(self, server_factory):
+        """An open idle connection is closed once the grace period ends."""
+        handle = server_factory(ServerConfig(workers=1))
+        address = (handle.host, handle.port)
+        with socket.create_connection(address, timeout=10.0) as idle, idle.makefile("rb") as lines:
+            idle.sendall(b'{"op": "ping", "id": "idle"}\n')
+            assert b'"pong"' in lines.readline()
+            started = time.monotonic()
+            handle.stop(timeout_s=DRAIN_GRACE_S + 5.0)
+            elapsed = time.monotonic() - started
+            assert lines.readline() == b""  # the server hung up
+        assert not handle.thread.is_alive()
+        assert elapsed < DRAIN_GRACE_S + 2.0

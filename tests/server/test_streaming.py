@@ -3,16 +3,21 @@
 Covers the two halves of live streaming: the thread-local observer hook
 in :mod:`repro.baselines.anytime` (including propagation into portfolio
 member threads) and the :class:`StreamBroker` fan-out with its monotone
-incumbent filter.
+incumbent filter; plus ``progress`` frames reaching a live client on the
+thread and shard tiers.
 """
 
 import threading
+
+import pytest
 
 from repro.baselines.anytime import (
     TrajectoryRecorder,
     current_improvement_observers,
     observe_improvements,
 )
+from repro.server.app import ServerConfig
+from repro.server.client import SolverClient
 from repro.server.streaming import StreamBroker
 from repro.service.portfolio import PortfolioScheduler
 from repro.service.registry import SolverRegistry
@@ -71,7 +76,7 @@ class TestImprovementObservers:
         registry = SolverRegistry()
         registry.register("STEP-A", lambda: SteppingSolver(step_ms=1.0))
         registry.register("STEP-B", lambda: SteppingSolver(step_ms=1.0))
-        scheduler = PortfolioScheduler(registry=registry, mode="threads")
+        scheduler = PortfolioScheduler(registry=registry)
         events = []
         with observe_improvements(lambda name, t, cost: events.append(cost)):
             outcome = scheduler.solve(tiny_problem(), time_budget_ms=500.0, seed=1)
@@ -176,6 +181,25 @@ class TestProgressFrames:
         progress = [f for f in frames if f["type"] == "progress"]
         assert [(f["completed"], f["total"]) for f in progress] == [(1, 3), (2, 3), (3, 3)]
         assert all(f["solver"] == "decomposed_qa" for f in progress)
+
+    @pytest.mark.parametrize(
+        "config",
+        [ServerConfig(workers=1), ServerConfig(shards=2, shard_heartbeat_s=0.2)],
+        ids=["threads", "shards"],
+    )
+    def test_progress_frames_reach_the_client(self, server_factory, config):
+        handle = server_factory(config)
+        frames = []
+        with SolverClient(port=handle.port) as client:
+            result = client.solve(
+                tiny_problem(), solver="PROGRESS", budget_ms=1000.0, on_update=frames.append
+            )
+        assert result.ok
+        progress = [frame for frame in frames if frame["type"] == "progress"]
+        assert [(f["completed"], f["total"]) for f in progress] == [(1, 3), (2, 3), (3, 3)]
+        assert all(f["solver"] == "PROGRESS" for f in progress)
+        assert [frame["type"] for frame in frames].count("update") == 3
+        assert [frame["seq"] for frame in frames] == list(range(1, len(frames) + 1))
 
     def test_progress_counts_streamed_deliveries(self):
         counts = []

@@ -46,12 +46,6 @@ class TestBatchDedupe:
         results = BatchExecutor(workers=0).run(requests)
         assert all(result.from_cache is False for result in results)
 
-    def test_dedupe_disabled(self):
-        problem = generate_paper_testcase(4, 2, seed=1)
-        requests = [_request(problem, "a"), _request(problem, "b")]
-        results = BatchExecutor(workers=0, dedupe=False).run(requests)
-        assert all(result.from_cache is False for result in results)
-
     def test_deduped_equals_solo_result(self):
         """An echoed twin must carry exactly the representative's answer."""
         problem = generate_paper_testcase(5, 2, seed=2)

@@ -8,9 +8,9 @@ path, and failures stay per-request.  ``ServiceFrontend.submit_fused``
 adds the cache semantics of :meth:`submit` on top.
 """
 
-import pytest
-
 from repro.mqo.generator import generate_paper_testcase
+from repro.service import fusion
+from repro.service.batch import execute_request
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
 from repro.service.fusion import execute_fused_requests
@@ -39,15 +39,15 @@ class TestExecuteFusedRequests:
             assert result.selected_plans == solo.selected_plans
             assert result.trajectory == solo.trajectory
 
-    def test_mixed_window_falls_back_for_classical_solvers(self):
+    def test_mixed_window_falls_back_for_classical_solvers(self, monkeypatch):
         """Non-annealing requests run solo; order is preserved."""
         solo_seen = []
 
-        def spy_solo(request):
+        def spy_solo(request, **kwargs):
             solo_seen.append(request.solver)
-            from repro.service.batch import execute_request
+            return execute_request(request, **kwargs)
 
-            return execute_request(request)
+        monkeypatch.setattr(fusion, "execute_request", spy_solo)
 
         requests = [
             _qa_request(0),
@@ -59,7 +59,7 @@ class TestExecuteFusedRequests:
             ),
             _qa_request(2),
         ]
-        results = execute_fused_requests(requests, solo=spy_solo)
+        results = execute_fused_requests(requests)
         assert solo_seen == ["GREEDY"]
         assert [r.winner for r in results] == ["QA", "GREEDY", "QA"]
         assert all(r.ok for r in results)

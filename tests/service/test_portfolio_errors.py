@@ -88,18 +88,17 @@ def registry() -> SolverRegistry:
     return reg
 
 
-@pytest.mark.parametrize("mode", ["threads", "split"])
 class TestRaceSurvivesFailures:
-    def test_best_surviving_member_wins(self, registry, mode):
-        scheduler = PortfolioScheduler(registry=registry, mode=mode)
+    def test_best_surviving_member_wins(self, registry):
+        scheduler = PortfolioScheduler(registry=registry)
         outcome = scheduler.solve(_problem(), time_budget_ms=200.0, seed=1)
         assert outcome.winner == "GOOD"
         assert outcome.best_cost == pytest.approx(2.0)
         assert outcome.best_solution is not None
         assert outcome.best_solution.is_valid
 
-    def test_failure_is_reported_not_raised(self, registry, mode):
-        scheduler = PortfolioScheduler(registry=registry, mode=mode)
+    def test_failure_is_reported_not_raised(self, registry):
+        scheduler = PortfolioScheduler(registry=registry)
         outcome = scheduler.solve(_problem(), time_budget_ms=200.0, seed=1)
         assert set(outcome.errors) == {"BOOM"}
         assert "SolverError" in outcome.errors["BOOM"]
@@ -107,11 +106,11 @@ class TestRaceSurvivesFailures:
         assert set(outcome.trajectories) == {"MEDIOCRE", "GOOD"}
         assert outcome.merged_trajectory.points
 
-    def test_all_members_failing_yields_no_winner(self, mode):
+    def test_all_members_failing_yields_no_winner(self):
         reg = SolverRegistry()
         reg.register("BOOM-A", ExplodingSolver)
         reg.register("BOOM-B", ExplodingSolver)
-        scheduler = PortfolioScheduler(registry=reg, mode=mode)
+        scheduler = PortfolioScheduler(registry=reg)
         outcome = scheduler.solve(_problem(), time_budget_ms=100.0, seed=1)
         assert outcome.winner == ""
         assert set(outcome.errors) == {"BOOM-A", "BOOM-B"}

@@ -42,14 +42,6 @@ class TestPreparedCache:
         solver = QuantumAnnealingSolver()
         assert solver.prepare(a) is not solver.prepare(b)
 
-    def test_reuse_disabled_recompiles(self):
-        problem = generate_paper_testcase(3, 2, seed=0)
-        solver = QuantumAnnealingSolver(reuse_prepared=False)
-        first = solver.prepare(problem)
-        second = solver.prepare(problem)
-        assert first is not second
-        assert len(QuantumAnnealingSolver.prepared_cache) == 0
-
     def test_relabel_equivalent_instances_keep_separate_slots(self):
         """Isomorphic instances share a canonical hash but not a prepared
         embedding: alternating them must hit after each was prepared once."""
@@ -88,7 +80,7 @@ class TestPortfolioPrepareHook:
         from repro.service.portfolio import PortfolioScheduler
 
         problem = generate_paper_testcase(4, 2, seed=5)
-        scheduler = PortfolioScheduler(mode="split")
+        scheduler = PortfolioScheduler()
         outcome = scheduler.solve(
             problem, time_budget_ms=200.0, seed=1, solvers=["QA", "CLIMB"]
         )
@@ -99,7 +91,7 @@ class TestPortfolioPrepareHook:
         from repro.service.portfolio import PortfolioScheduler
 
         problem = generate_paper_testcase(4, 2, seed=5)
-        scheduler = PortfolioScheduler(mode="split")
+        scheduler = PortfolioScheduler()
         for _ in range(3):
             scheduler.solve(problem, time_budget_ms=100.0, seed=1, solvers=["QA"])
         stats = QuantumAnnealingSolver.prepared_cache.stats()
