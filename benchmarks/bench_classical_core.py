@@ -13,8 +13,8 @@ the benchmark always measures against the true baseline):
 
 * QUBO construction: whole-array ``LogicalMapping`` -> flat arrays vs
   the per-coefficient ``add_linear``/``add_quadratic`` dict build,
-* GA solve: batched population evaluation vs per-chromosome
-  ``solution_from_choices`` round-trips (identical RNG stream),
+* GA solve: batched population evaluation vs a per-chromosome loop
+  over the savings dict (identical RNG stream),
 * hill climbing: one vectorised swap-delta sweep per move vs the
   per-candidate ``swap_delta`` scan (identical move sequences).
 
@@ -68,19 +68,37 @@ def legacy_build_qubo(problem):
     return qubo
 
 
+def legacy_selection_cost(problem, selected):
+    """The pre-PR ``MQOProblem.selection_cost``: a loop over the savings dict."""
+    chosen = set(int(p) for p in selected)
+    total = 0.0
+    for p in chosen:
+        total += problem.plan(p).cost
+    for (p1, p2), value in problem.savings.items():
+        if p1 in chosen and p2 in chosen:
+            total -= value
+    return total
+
+
 class LegacyEvalGA(GeneticAlgorithmSolver):
     """The new GA loop with the pre-PR per-chromosome fitness evaluation.
 
     Only the evaluation differs, so the RNG stream and the evolutionary
     trajectory are identical to the array-backed solver — the race
-    isolates exactly the claimed win.
+    isolates exactly the claimed win.  Each chromosome is costed by
+    :func:`legacy_selection_cost` (without the pre-PR ``MQOSolution``
+    round-trip, so this reference is if anything faster than the old
+    path).
     """
 
     @staticmethod
     def _evaluate_batch(problem, chromosomes):
         return np.asarray(
             [
-                problem.solution_from_choices([int(c) for c in chrom]).cost
+                legacy_selection_cost(
+                    problem,
+                    [query.plan_indices[int(c)] for query, c in zip(problem.queries, chrom)],
+                )
                 for chrom in chromosomes
             ]
         )
@@ -99,7 +117,7 @@ class LegacySelectionState:
             self._choices.append(int(choice))
             self._selected_plan.append(plan)
             self._selected_set.add(plan)
-        self._cost = problem.selection_cost(self._selected_set)
+        self._cost = legacy_selection_cost(problem, self._selected_set)
 
     def _realized_savings(self, plan, excluding_query):
         total = 0.0
@@ -135,7 +153,7 @@ class LegacySelectionState:
         return delta
 
     def best_cost(self):
-        return self.problem.selection_cost(self._selected_set)
+        return legacy_selection_cost(self.problem, self._selected_set)
 
 
 def legacy_hill_climb(problem, seed, max_restarts):

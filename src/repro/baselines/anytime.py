@@ -131,30 +131,20 @@ class SolverTrajectory:
     def envelope(
         cls,
         trajectories: Sequence["SolverTrajectory"],
-        offsets: Sequence[float] | None = None,
         solver_name: str = "ENVELOPE",
         best_solution: Optional[MQOSolution] = None,
         proved_optimal: bool = False,
     ) -> "SolverTrajectory":
         """Best-so-far envelope over several trajectories on a shared clock.
 
-        Each trajectory's points are shifted by its offset (the time its
-        run started on the shared clock), merged in time order, and
-        reduced to the monotone best-so-far frontier.  This is how the
-        portfolio scheduler reports "the portfolio's" anytime behaviour
-        over its members.
+        Every trajectory's points are merged in time order and reduced to
+        the monotone best-so-far frontier.  This is how the portfolio
+        scheduler reports "the portfolio's" anytime behaviour over its
+        members.
         """
-        if offsets is None:
-            offsets = [0.0] * len(trajectories)
-        if len(offsets) != len(trajectories):
-            raise SolverError(
-                f"envelope needs one offset per trajectory, got {len(offsets)} "
-                f"for {len(trajectories)}"
-            )
-        events: List[Tuple[float, float]] = []
-        for trajectory, offset in zip(trajectories, offsets):
-            events.extend((offset + elapsed, cost) for elapsed, cost in trajectory.points)
-        events.sort()
+        events = sorted(
+            (elapsed, cost) for trajectory in trajectories for elapsed, cost in trajectory.points
+        )
         points: List[Tuple[float, float]] = []
         best = float("inf")
         for elapsed, cost in events:

@@ -249,18 +249,11 @@ def build_subproblem(
     local_of = np.full(arrays.num_plans, -1, dtype=np.int64)
     local_of[cluster_plans] = np.arange(len(cluster_plans), dtype=np.int64)
     keep = (local_of[arrays.savings_p1] >= 0) & (local_of[arrays.savings_p2] >= 0)
-    savings = {
-        (int(p1), int(p2)): float(value)
-        for p1, p2, value in zip(
-            local_of[arrays.savings_p1[keep]],
-            local_of[arrays.savings_p2[keep]],
-            arrays.savings_value[keep],
-        )
-    }
-
-    sub_problem = MQOProblem(
+    sub_problem = MQOProblem.from_columns(
         plans_per_query,
-        savings,
+        local_of[arrays.savings_p1[keep]],
+        local_of[arrays.savings_p2[keep]],
+        arrays.savings_value[keep],
         name=f"{problem.name or 'mqo'}-cluster-{cluster[0]}",
     )
     plan_map = {local: int(original) for local, original in enumerate(cluster_plans)}

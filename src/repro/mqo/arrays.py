@@ -1,11 +1,13 @@
 """Columnar, NumPy-backed view of an MQO problem (the classical hot core).
 
 The object model of :mod:`repro.mqo.problem` is the right API for
-building and inspecting instances, but every per-plan :class:`Plan`
-dataclass and per-pair savings dict turns the classical pre/post
+building and inspecting instances, but its per-plan :class:`Plan`
+dataclasses and per-pair savings dicts turn the classical pre/post
 processing around the anneal — QUBO construction, heuristic baselines,
 sampleset decoding — into Python loops.  :class:`ProblemArrays` is the
-flat columnar form those hot paths consume instead:
+flat columnar form those hot paths consume instead.  Its plan and
+savings columns are the ones the problem stores; only the adjacency is
+derived:
 
 * ``plan_cost`` / ``plan_query`` — one entry per plan (``float64`` /
   ``int32``),
@@ -359,68 +361,41 @@ class ProblemArrays:
 
 
 def build_problem_arrays(problem: "MQOProblem") -> ProblemArrays:
-    """Construct the columnar view of ``problem``.
+    """Construct the columnar view of ``problem`` from its stored columns.
 
     Callers should prefer the memoised :meth:`MQOProblem.arrays`.  The
-    adjacency is laid out so each plan's partners appear in savings
-    insertion order, matching the legacy ``sharing_partners`` dicts
-    (see the module docstring for why that ordering matters).
+    plan and savings columns are the problem's own (shared, not copied);
+    only the adjacency is derived, laid out so each plan's partners
+    appear in savings insertion order, matching the ``sharing_partners``
+    dicts (see the module docstring for why that ordering matters).
     """
-    num_plans = problem.num_plans
-    num_queries = problem.num_queries
-
-    plan_cost = np.empty(num_plans, dtype=np.float64)
-    plan_query = np.empty(num_plans, dtype=np.int32)
-    for plan in problem.plans:
-        plan_cost[plan.index] = plan.cost
-        plan_query[plan.index] = plan.query_index
-
-    query_offsets = np.zeros(num_queries + 1, dtype=np.int64)
-    for query in problem.queries:
-        query_offsets[query.index + 1] = len(query.plan_indices)
-    np.cumsum(query_offsets, out=query_offsets)
-
-    savings = problem.savings
-    num_savings = len(savings)
-    savings_p1 = np.empty(num_savings, dtype=np.int64)
-    savings_p2 = np.empty(num_savings, dtype=np.int64)
-    savings_value = np.empty(num_savings, dtype=np.float64)
-    for slot, ((p1, p2), value) in enumerate(savings.items()):
-        savings_p1[slot] = p1
-        savings_p2[slot] = p2
-        savings_value[slot] = value
+    plan_cost, plan_query, query_offsets = problem.plan_columns()
+    savings_p1, savings_p2, savings_value = problem.savings_columns()
+    num_plans = len(plan_cost)
+    num_savings = len(savings_value)
 
     # Interleave the two directed copies of each pair so that a stable
     # sort by owning plan reproduces the savings insertion order within
-    # every plan's partner row (the legacy dict-adjacency order).
-    rows = np.empty(2 * num_savings, dtype=np.int64)
-    cols = np.empty(2 * num_savings, dtype=np.int64)
-    vals = np.empty(2 * num_savings, dtype=np.float64)
-    rows[0::2] = savings_p1
-    rows[1::2] = savings_p2
-    cols[0::2] = savings_p2
-    cols[1::2] = savings_p1
-    vals[0::2] = savings_value
-    vals[1::2] = savings_value
+    # every plan's partner row.
+    rows = np.column_stack((savings_p1, savings_p2)).reshape(-1)
+    cols = np.column_stack((savings_p2, savings_p1)).reshape(-1)
     order = np.argsort(rows, kind="stable")
-    adj_indices = cols[order]
-    adj_values = vals[order]
     adj_indptr = np.zeros(num_plans + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_plans), out=adj_indptr[1:])
 
     return ProblemArrays(
-        num_queries=num_queries,
+        num_queries=len(query_offsets) - 1,
         num_plans=num_plans,
         num_savings=num_savings,
-        plan_cost=_frozen(plan_cost),
-        plan_query=_frozen(plan_query),
-        query_offsets=_frozen(query_offsets),
-        savings_p1=_frozen(savings_p1),
-        savings_p2=_frozen(savings_p2),
-        savings_value=_frozen(savings_value),
+        plan_cost=plan_cost,
+        plan_query=plan_query,
+        query_offsets=query_offsets,
+        savings_p1=savings_p1,
+        savings_p2=savings_p2,
+        savings_value=savings_value,
         adj_indptr=_frozen(adj_indptr),
-        adj_indices=_frozen(adj_indices),
-        adj_values=_frozen(adj_values),
+        adj_indices=_frozen(cols[order]),
+        adj_values=_frozen(np.repeat(savings_value, 2)[order]),
     )
 
 
@@ -433,30 +408,25 @@ def problem_from_arrays(
 
     Inverse of :func:`build_problem_arrays` up to labels (which carry no
     identity: the canonical hash and the exact problem token both ignore
-    them).  The given ``arrays`` object is installed as the rebuilt
-    problem's memoised view, so consumers that received the columns over
-    a zero-copy transport (the server's shard processes) keep operating
-    on the transferred buffers instead of rebuilding them; an optional
-    pre-computed ``canonical_hash`` is memoised the same way.
-
-    Savings are re-inserted in COO order — exactly the original
-    problem's insertion order — so the rebuilt adjacency is bit-identical
-    to the original's.
+    them).  The savings columns become the rebuilt problem's stored
+    columns and the given ``arrays`` object its memoised view, so
+    consumers that received the columns over a zero-copy transport (the
+    server's shard processes) keep operating on the transferred buffers
+    instead of rebuilding them; an optional pre-computed
+    ``canonical_hash`` is memoised the same way.
     """
-    offsets = arrays.query_offsets
-    costs = arrays.plan_cost
-    plans_per_query = [
-        costs[int(offsets[q]) : int(offsets[q + 1])].tolist()
-        for q in range(arrays.num_queries)
-    ]
-    savings = {
-        (int(p1), int(p2)): float(value)
-        for p1, p2, value in zip(arrays.savings_p1, arrays.savings_p2, arrays.savings_value)
-    }
+    costs = arrays.plan_cost.tolist()
+    offsets = arrays.query_offsets.tolist()
     # Imported here: problem imports this module's builder lazily too.
     from repro.mqo.problem import MQOProblem
 
-    problem = MQOProblem(plans_per_query, savings, name=name)
+    problem = MQOProblem.from_columns(
+        [costs[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+        arrays.savings_p1,
+        arrays.savings_p2,
+        arrays.savings_value,
+        name=name,
+    )
     problem._arrays = arrays  # noqa: SLF001 — seeding the documented memo
     if canonical_hash is not None:
         problem._canonical_hash = canonical_hash  # noqa: SLF001

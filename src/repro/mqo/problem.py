@@ -14,6 +14,12 @@ A solution ``Pe`` selects exactly one plan per query; its cost is
 
 Plans are identified by dense integer indices (0..num_plans-1) assigned
 in query order, which keeps the mapping onto QUBO variables trivial.
+
+The savings are stored as three read-only columns (``savings_p1``,
+``savings_p2``, ``savings_value``; normalised ``p1 < p2``, in insertion
+order).  The dictionary views (:attr:`MQOProblem.savings`,
+:meth:`MQOProblem.saving`, :meth:`MQOProblem.sharing_partners`) are
+built from them on first use.
 """
 
 from __future__ import annotations
@@ -21,8 +27,11 @@ from __future__ import annotations
 import operator
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from repro.exceptions import InvalidProblemError, InvalidSolutionError
 
@@ -39,6 +48,48 @@ def _normalize_pair(p1: int, p2: int) -> PlanPair:
     if p1 == p2:
         raise InvalidProblemError(f"a plan cannot share results with itself (plan {p1})")
     return (p1, p2) if p1 < p2 else (p2, p1)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _float_column(values: Any, what: str) -> np.ndarray:
+    """``values`` as a read-only float64 array (a read-only input is kept)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    try:
+        return _read_only(np.array(values, dtype=np.float64))
+    except (TypeError, ValueError) as exc:
+        raise InvalidProblemError(f"{what} must be numbers") from exc
+
+
+def _index_column(values: Any, what: str) -> np.ndarray:
+    """``values`` as an int64 array; entries that are not integers are rejected."""
+    try:
+        column = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise InvalidProblemError(f"{what} must be integers") from exc
+    if column.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            integral = column.astype(np.int64)
+        if not np.array_equal(integral, column):
+            raise InvalidProblemError(f"{what} must be integers, got {column[integral != column][0]}")
+        return integral
+    if column.dtype.kind not in "iu":
+        raise InvalidProblemError(f"{what} must be integers")
+    return column.astype(np.int64, copy=False)
+
+
+def _mapping_columns(savings: Mapping[PlanPair, float] | None) -> Tuple[Any, Any, Any]:
+    """A ``{(p1, p2): saving}`` mapping as ``(p1, p2, value)`` columns."""
+    if not savings:
+        return (), (), ()
+    pairs = _index_column(list(savings.keys()), "savings plan pairs")
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidProblemError("savings keys must be (plan, plan) pairs")
+    return pairs[:, 0], pairs[:, 1], list(savings.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,6 +164,9 @@ class MQOProblem:
         Optional human-readable names.
     name:
         Optional instance name used in reports.
+
+    The mapping is converted to savings columns and not kept;
+    :meth:`from_columns` builds a problem from columns directly.
     """
 
     def __init__(
@@ -123,61 +177,143 @@ class MQOProblem:
         plan_labels: Sequence[str] | None = None,
         name: str = "",
     ) -> None:
+        self._setup(plans_per_query, *_mapping_columns(savings), query_labels, plan_labels, name)
+
+    @classmethod
+    def from_columns(
+        cls,
+        plans_per_query: Sequence[Sequence[float]],
+        savings_p1: Any,
+        savings_p2: Any,
+        savings_value: Any,
+        query_labels: Sequence[str] | None = None,
+        plan_labels: Sequence[str] | None = None,
+        name: str = "",
+    ) -> "MQOProblem":
+        """Build a problem from its savings as three equal-length columns.
+
+        Entry ``i`` is the saving ``savings_value[i]`` between plans
+        ``savings_p1[i]`` and ``savings_p2[i]`` (in either order).  The
+        columns are validated in one vectorised pass; an invalid entry
+        raises :class:`~repro.exceptions.InvalidProblemError`, naming the
+        first offending entry.  Read-only int64/float64 inputs are stored
+        as given, so columns shipped from another problem are shared.
+        """
+        problem = cls.__new__(cls)
+        problem._setup(
+            plans_per_query, savings_p1, savings_p2, savings_value, query_labels, plan_labels, name
+        )
+        return problem
+
+    def _setup(
+        self,
+        plans_per_query: Sequence[Sequence[float]],
+        savings_p1: Any,
+        savings_p2: Any,
+        savings_value: Any,
+        query_labels: Sequence[str] | None,
+        plan_labels: Sequence[str] | None,
+        name: str,
+    ) -> None:
         if not plans_per_query:
             raise InvalidProblemError("an MQO problem needs at least one query")
+        try:
+            per_query = [list(costs) for costs in plans_per_query]
+        except TypeError as exc:
+            raise InvalidProblemError("plans_per_query must list the plan costs of each query") from exc
+        plan_cost = _float_column(list(chain.from_iterable(per_query)), "plan costs")
+        if plan_cost.ndim != 1:
+            raise InvalidProblemError("plan costs must be numbers")
 
         self.name = name
         self._queries: List[Query] = []
         self._plans: List[Plan] = []
-
-        for q_idx, costs in enumerate(plans_per_query):
-            costs = list(costs)
-            if not costs:
+        costs = plan_cost.tolist()
+        for q_idx, query_costs in enumerate(per_query):
+            if not query_costs:
                 raise InvalidProblemError(f"query {q_idx} has no plans")
             first_plan = len(self._plans)
-            indices = tuple(range(first_plan, first_plan + len(costs)))
+            indices = tuple(range(first_plan, first_plan + len(query_costs)))
             # Default labels are interned: problems of one shape share them.
             q_label = query_labels[q_idx] if query_labels else sys.intern(f"q{q_idx}")
             self._queries.append(Query(index=q_idx, plan_indices=indices, label=q_label))
-            for offset, cost in enumerate(costs):
-                p_idx = first_plan + offset
+            for offset, p_idx in enumerate(indices):
                 p_label = plan_labels[p_idx] if plan_labels else sys.intern(f"q{q_idx}_p{offset}")
                 self._plans.append(
-                    Plan(index=p_idx, query_index=q_idx, cost=float(cost), label=p_label)
+                    Plan(index=p_idx, query_index=q_idx, cost=costs[p_idx], label=p_label)
                 )
 
-        self._savings: Dict[PlanPair, float] = {}
-        for (p1, p2), value in (savings or {}).items():
-            self._add_saving(p1, p2, value)
+        sizes = np.array([len(query_costs) for query_costs in per_query], dtype=np.int64)
+        self._plan_cost = plan_cost
+        self._plan_query = _read_only(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
+        self._query_offsets = _read_only(np.concatenate(([0], np.cumsum(sizes))))
+        self._savings_p1, self._savings_p2, self._savings_value = self._checked_savings(
+            _index_column(savings_p1, "savings plan indices"),
+            _index_column(savings_p2, "savings plan indices"),
+            _float_column(savings_value, "savings values"),
+        )
 
-        # Read-only views handed out by the public accessors: solver
-        # inner loops call sharing_partners()/savings per move, so the
-        # accessors must not allocate fresh dict copies on every call.
-        # The per-plan partner views are built on first use: the
-        # array-backed solvers never need them.
-        self._savings_view: Mapping[PlanPair, float] = MappingProxyType(self._savings)
+        # The dictionary views are built on first use: the array-backed
+        # solvers never need them.  They are cached read-only views, so
+        # the dict-based inner loops (sharing_partners() per move) do not
+        # allocate a copy per call.
+        self._savings_view: Mapping[PlanPair, float] | None = None
         self._partner_views: Dict[int, Mapping[int, float]] | None = None
 
         self._canonical_hash: str | None = None
         self._arrays: "ProblemArrays | None" = None
 
-    def _add_saving(self, p1: int, p2: int, value: float) -> None:
-        pair = _normalize_pair(int(p1), int(p2))
-        for p in pair:
-            if self._query_index(p) is None:
-                raise InvalidProblemError(f"savings entry references unknown plan {p}")
-        if self._plans[pair[0]].query_index == self._plans[pair[1]].query_index:
+    def _checked_savings(
+        self, p1: np.ndarray, p2: np.ndarray, value: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Normalise the savings columns to ``p1 < p2`` and validate every entry.
+
+        One vectorised pass flags every entry that is a self-pair, names
+        an unknown plan, pairs two plans of one query, has a saving that
+        is not positive, or repeats an earlier pair; the first flagged
+        entry raises, with its first failing check in that order.
+        """
+        if not p1.ndim == p2.ndim == value.ndim == 1:
+            raise InvalidProblemError("savings columns must be flat lists")
+        if not len(p1) == len(p2) == len(value):
             raise InvalidProblemError(
-                f"plans {pair[0]} and {pair[1]} belong to the same query and cannot share"
+                f"savings columns differ in length: p1 has {len(p1)}, p2 has {len(p2)}, "
+                f"value has {len(value)}"
             )
-        value = float(value)
-        if not value > 0.0:
-            raise InvalidProblemError(
-                f"saving for plan pair {pair} must be positive, got {value}"
-            )
-        if pair in self._savings:
+        # Read-only columns that are already normalised (shipped arrays)
+        # are shared; any other input is stored as a normalised copy.
+        if p1.flags.writeable or p2.flags.writeable or not (p1 < p2).all():
+            p1, p2 = _read_only(np.minimum(p1, p2)), _read_only(np.maximum(p1, p2))
+        num_plans = len(self._plans)
+        known = (p1 >= 0) & (p2 < num_plans)
+        plan_query = self._plan_query
+        same_query = known & (
+            plan_query[np.where(known, p1, 0)] == plan_query[np.where(known, p2, 0)]
+        )
+        keys = np.where(known, p1 * num_plans + p2, -1 - np.arange(len(p1)))
+        repeated = np.ones(len(p1), dtype=bool)
+        repeated[np.unique(keys, return_index=True)[1]] = False
+        bad = (p1 == p2) | ~known | same_query | ~(value > 0.0) | repeated
+        if bad.any():
+            entry = int(np.argmax(bad))
+            pair = (int(p1[entry]), int(p2[entry]))
+            if pair[0] == pair[1]:
+                raise InvalidProblemError(
+                    f"a plan cannot share results with itself (plan {pair[0]})"
+                )
+            for p in pair:
+                if not 0 <= p < num_plans:
+                    raise InvalidProblemError(f"savings entry references unknown plan {p}")
+            if same_query[entry]:
+                raise InvalidProblemError(
+                    f"plans {pair[0]} and {pair[1]} belong to the same query and cannot share"
+                )
+            if not value[entry] > 0.0:
+                raise InvalidProblemError(
+                    f"saving for plan pair {pair} must be positive, got {float(value[entry])}"
+                )
             raise InvalidProblemError(f"duplicate savings entry for plan pair {pair}")
-        self._savings[pair] = value
+        return p1, p2, value
 
     # ------------------------------------------------------------------ #
     # Structure accessors
@@ -206,15 +342,35 @@ class MQOProblem:
     def savings(self) -> Mapping[PlanPair, float]:
         """Read-only view of the savings map keyed by normalised plan pairs.
 
-        The same cached view object is returned on every access (the
-        problem is immutable); attempts to mutate it raise ``TypeError``.
+        Built from the savings columns on first access, in insertion
+        order; the same cached view object is returned on every later
+        access (the problem is immutable).  Attempts to mutate it raise
+        ``TypeError``.
         """
+        if self._savings_view is None:
+            self._savings_view = MappingProxyType(dict(self.interaction_pairs()))
         return self._savings_view
 
     @property
     def num_savings(self) -> int:
         """Number of sharing (savings) entries."""
-        return len(self._savings)
+        return len(self._savings_value)
+
+    def savings_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored savings: read-only ``(p1, p2, value)`` columns.
+
+        ``int64`` plan indices normalised ``p1 < p2`` and the ``float64``
+        saving of each pair, in insertion order.
+        """
+        return self._savings_p1, self._savings_p2, self._savings_value
+
+    def plan_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only ``(plan_cost, plan_query, query_offsets)`` columns.
+
+        ``float64`` cost and ``int32`` owning query per plan, and the
+        ``int64`` offsets of each query's plans (``|Q| + 1`` entries).
+        """
+        return self._plan_cost, self._plan_query, self._query_offsets
 
     def plan(self, index: int) -> Plan:
         """Return the plan with global index ``index``."""
@@ -251,7 +407,7 @@ class MQOProblem:
 
     def saving(self, p1: int, p2: int) -> float:
         """Saving ``s_{p1,p2}`` for a plan pair, or 0.0 if the pair shares nothing."""
-        return self._savings.get(_normalize_pair(p1, p2), 0.0)
+        return self.savings.get(_normalize_pair(p1, p2), 0.0)
 
     def sharing_partners(self, plan_index: int) -> Mapping[int, float]:
         """All plans sharing work with ``plan_index`` mapped to the saving value.
@@ -269,7 +425,7 @@ class MQOProblem:
         """Per plan, a read-only view of its partners (built on first use)."""
         if self._partner_views is None:
             by_plan: Dict[int, Dict[int, float]] = {p.index: {} for p in self._plans}
-            for (p1, p2), value in self._savings.items():
+            for (p1, p2), value in self.interaction_pairs():
                 by_plan[p1][p2] = value
                 by_plan[p2][p1] = value
             self._partner_views = {plan: MappingProxyType(partners) for plan, partners in by_plan.items()}
@@ -310,13 +466,14 @@ class MQOProblem:
 
     def max_total_savings_per_plan(self) -> float:
         """``max_{p1} sum_{p2} s_{p1,p2}`` — used to derive the penalty weight ``w_M``."""
-        if not self._savings:
-            return 0.0
-        return max(sum(partners.values()) for partners in self._partners().values())
+        return self.arrays().max_total_savings_per_plan()
 
     def interaction_pairs(self) -> Iterator[Tuple[PlanPair, float]]:
-        """Iterate over ``((p1, p2), saving)`` entries (normalised pairs)."""
-        return iter(self._savings.items())
+        """Iterate over ``((p1, p2), saving)`` entries (normalised pairs, insertion order)."""
+        return zip(
+            zip(self._savings_p1.tolist(), self._savings_p2.tolist()),
+            self._savings_value.tolist(),
+        )
 
     # ------------------------------------------------------------------ #
     # Solution handling
@@ -368,9 +525,14 @@ class MQOProblem:
         total = 0.0
         for p in chosen:
             total += self.plan(p).cost
-        for (p1, p2), value in self._savings.items():
-            if p1 in chosen and p2 in chosen:
-                total -= value
+        if not self.num_savings:
+            return total
+        mask = np.zeros(self.num_plans, dtype=bool)
+        mask[[p for p in chosen if p >= 0]] = True
+        # Realised savings are subtracted one by one in insertion order,
+        # so the total is the same float as a loop over the pairs.
+        for value in self._savings_value[mask[self._savings_p1] & mask[self._savings_p2]].tolist():
+            total -= value
         return total
 
     # ------------------------------------------------------------------ #

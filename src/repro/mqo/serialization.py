@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
@@ -29,54 +30,102 @@ __all__ = [
     "exact_problem_token",
 ]
 
+#: Version of the problem form :func:`problem_to_dict` writes.  Format 1
+#: (read, no longer written) spells each saving as its own
+#: ``{"plans": [p1, p2], "value": v}`` entry.
+_PROBLEM_FORMAT_VERSION = 2
+
+#: Version stamped into solution dictionaries and the canonical form;
+#: the canonical form is hashed, so changing it changes every digest.
 _FORMAT_VERSION = 1
 
 
 def problem_to_dict(problem: MQOProblem) -> Dict[str, Any]:
     """Convert an :class:`MQOProblem` into a JSON-serialisable dictionary.
 
-    Reads the problem's columnar arrays instead of the per-plan objects:
-    plan costs come out of one slice per query and the savings triplets
-    from three column exports, which keeps serialising large workloads
-    (the JSONL emitters, the exact problem token) off the object model.
+    Format 2: the plan costs per query and the savings as three
+    columns, sorted by plan pair::
+
+        {"format_version": 2, "name": ..., "plans_per_query": [[...], ...],
+         "savings": {"p1": [...], "p2": [...], "value": [...]}}
+
+    Reads the problem's columns instead of the per-plan objects, so
+    serialising large workloads (the JSONL emitters, the client) stays
+    off the object model.
     """
-    arrays = problem.arrays()
-    costs = arrays.plan_cost.tolist()
-    offsets = arrays.query_offsets.tolist()
+    plan_cost, _, query_offsets = problem.plan_columns()
+    p1, p2, value = problem.savings_columns()
+    costs = plan_cost.tolist()
+    offsets = query_offsets.tolist()
+    order = np.lexsort((p2, p1))
     return {
-        "format_version": _FORMAT_VERSION,
+        "format_version": _PROBLEM_FORMAT_VERSION,
         "name": problem.name,
-        "plans_per_query": [
-            costs[offsets[q] : offsets[q + 1]] for q in range(arrays.num_queries)
-        ],
-        "savings": [
-            {"plans": [p1, p2], "value": value}
-            for p1, p2, value in sorted(
-                zip(
-                    arrays.savings_p1.tolist(),
-                    arrays.savings_p2.tolist(),
-                    arrays.savings_value.tolist(),
-                )
-            )
-        ],
+        "plans_per_query": [costs[lo:hi] for lo, hi in zip(offsets[:-1], offsets[1:])],
+        "savings": {
+            "p1": p1[order].tolist(),
+            "p2": p2[order].tolist(),
+            "value": value[order].tolist(),
+        },
     }
 
 
+def _format1_savings(entries: Any) -> Tuple[Any, Any, Any]:
+    """Format-1 ``[{"plans": [p1, p2], "value": v}, ...]`` entries as columns."""
+    if not isinstance(entries, list):
+        raise InvalidProblemError("'savings' must be a list of {'plans', 'value'} entries")
+    if not entries:
+        return (), (), ()
+    try:
+        pairs = np.asarray(list(map(itemgetter("plans"), entries)))
+        values = list(map(itemgetter("value"), entries))
+    except (KeyError, TypeError) as exc:
+        raise InvalidProblemError(
+            "every savings entry must be an object with 'plans' and 'value'"
+        ) from exc
+    except ValueError as exc:  # ragged 'plans' lists
+        raise InvalidProblemError("every savings entry must name two plans") from exc
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise InvalidProblemError("every savings entry must name two plans")
+    return pairs[:, 0], pairs[:, 1], values
+
+
+def _format2_savings(columns: Any) -> Tuple[Any, Any, Any]:
+    """Format-2 ``{"p1": [...], "p2": [...], "value": [...]}`` columns."""
+    if not isinstance(columns, dict):
+        raise InvalidProblemError("'savings' must be an object with 'p1', 'p2' and 'value' lists")
+    try:
+        return columns["p1"], columns["p2"], columns["value"]
+    except KeyError as exc:
+        raise InvalidProblemError(f"missing savings column {exc}") from exc
+
+
 def problem_from_dict(data: Dict[str, Any]) -> MQOProblem:
-    """Rebuild an :class:`MQOProblem` from :func:`problem_to_dict` output."""
-    version = data.get("format_version", _FORMAT_VERSION)
-    if version != _FORMAT_VERSION:
+    """Rebuild an :class:`MQOProblem` from :func:`problem_to_dict` output.
+
+    Reads format 2 and format 1 (also when ``format_version`` is
+    absent); both go through :meth:`MQOProblem.from_columns`.  Malformed
+    input raises :class:`~repro.exceptions.InvalidProblemError`.
+    """
+    if not isinstance(data, dict):
+        raise InvalidProblemError(f"MQO problem data must be an object, got {type(data).__name__}")
+    version = data.get("format_version", 1)
+    if version not in (1, _PROBLEM_FORMAT_VERSION):
         raise InvalidProblemError(f"unsupported MQO problem format version {version}")
     try:
         plans_per_query = data["plans_per_query"]
-        savings_entries = data.get("savings", [])
     except KeyError as exc:
         raise InvalidProblemError(f"missing field in MQO problem data: {exc}") from exc
-    savings = {}
-    for entry in savings_entries:
-        p1, p2 = entry["plans"]
-        savings[(int(p1), int(p2))] = float(entry["value"])
-    return MQOProblem(plans_per_query, savings, name=data.get("name", ""))
+    if not isinstance(plans_per_query, list):
+        raise InvalidProblemError("'plans_per_query' must be a list of plan-cost lists")
+    savings = data.get("savings")
+    if savings is None:
+        p1, p2, value = (), (), ()
+    elif version == 1:
+        p1, p2, value = _format1_savings(savings)
+    else:
+        p1, p2, value = _format2_savings(savings)
+    return MQOProblem.from_columns(plans_per_query, p1, p2, value, name=data.get("name", ""))
 
 
 #: Backstop on the individualization search tree; only pathologically

@@ -205,9 +205,7 @@ class PortfolioScheduler:
 
         trajectories: Dict[str, SolverTrajectory] = {}
         errors: Dict[str, str] = {}
-        start_offsets: Dict[str, float] = {}
         if len(raced) > 1:
-            start_offsets = {name: 0.0 for name in raced}  # all start together
             with ThreadPoolExecutor(max_workers=len(raced)) as pool:
                 futures = {
                     name: pool.submit(run_member, position, name, inherited)
@@ -222,14 +220,13 @@ class PortfolioScheduler:
                         errors[name] = f"{type(exc).__name__}: {exc}"
         else:
             (name,) = raced
-            start_offsets[name] = stopwatch.elapsed_ms()
             try:
                 trajectories[name] = run_member(0, name)
             except Exception as exc:  # noqa: BLE001 — see above
                 errors[name] = f"{type(exc).__name__}: {exc}"
 
         winner = self._pick_winner(raced, trajectories)
-        merged = self._merge(raced, trajectories, winner, start_offsets)
+        merged = self._merge(raced, trajectories, winner)
         merged.total_time_ms = stopwatch.elapsed_ms()
         return PortfolioResult(
             problem=problem,
@@ -260,20 +257,16 @@ class PortfolioScheduler:
         raced: List[str],
         trajectories: Dict[str, SolverTrajectory],
         winner: str,
-        start_offsets: Dict[str, float],
     ) -> SolverTrajectory:
         """Best-so-far envelope over every member's anytime points.
 
-        Member trajectories keep their solver-local time axes; the merged
-        envelope lives on the race's wall-clock axis, so each member's
-        points are shifted by its start offset (zero when racing on
-        threads, the race clock at its start when one member runs
-        inline).
+        Every member's points keep its own time axis (solver wall clock,
+        or device time for QA), whether the race has one member or
+        several, so the merged trajectory reads on the same axis as its
+        members.
         """
-        ordered = [(name, trajectories[name]) for name in raced if name in trajectories]
         merged = SolverTrajectory.envelope(
-            [trajectory for _, trajectory in ordered],
-            offsets=[start_offsets.get(name, 0.0) for name, _ in ordered],
+            [trajectories[name] for name in raced if name in trajectories],
             solver_name=MERGED_TRAJECTORY_NAME,
             best_solution=(
                 trajectories[winner].best_solution if winner in trajectories else None

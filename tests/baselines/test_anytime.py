@@ -45,17 +45,6 @@ class TestSolverTrajectory:
         assert merged.solver_name == "M"
         assert merged.points == [(1.0, 10.0), (2.0, 8.0), (3.0, 7.0), (4.0, 6.0), (9.0, 1.0)]
 
-    def test_envelope_applies_offsets(self):
-        a = SolverTrajectory(solver_name="A", points=[(1.0, 5.0)])
-        b = SolverTrajectory(solver_name="B", points=[(1.0, 3.0)])
-        merged = SolverTrajectory.envelope([a, b], offsets=[0.0, 10.0])
-        assert merged.points == [(1.0, 5.0), (11.0, 3.0)]
-
-    def test_envelope_offset_count_mismatch(self):
-        a = SolverTrajectory(solver_name="A")
-        with pytest.raises(SolverError):
-            SolverTrajectory.envelope([a], offsets=[0.0, 1.0])
-
 
 class TestTrajectoryRecorder:
     def test_records_only_improvements(self, small_problem):

@@ -10,7 +10,6 @@ fixed seed regardless of cluster completion order.
 """
 
 import hypothesis.strategies as st
-import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -18,7 +17,6 @@ from repro.core.decomposition import (
     DecomposedAnytimeSolver,
     DecomposedQuantumMQO,
     ParallelDecomposition,
-    WaveSchedule,
     build_wave_schedule,
     current_progress_observers,
     observe_decomposition_progress,

@@ -9,8 +9,11 @@ same way: a dense coupling matrix, a gather and a scatter per colour
 class.  The host path around the anneal has its forms here too: the
 embedding check pair by pair, the physical mapping term by term, the
 device's problem check term by term, and the canonical hash's colour
-refinement on per-plan dictionaries.  They live here, not in ``src/``,
-so the library keeps one implementation.
+refinement on per-plan dictionaries.  The problem model has its forms
+too: the savings dictionary built and checked entry by entry, the
+columnar view built by loops over plans, queries and savings, and the
+format-1 problem dictionary.  They live here, not in ``src/``, so the
+library keeps one implementation.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from repro.core.logical import LogicalMapping
 from repro.core.physical import PhysicalMapping, PhysicalMappingConfig
 from repro.embedding.base import Embedding
 from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
-from repro.exceptions import DeviceCapacityError, DeviceError, EmbeddingError
+from repro.exceptions import DeviceCapacityError, DeviceError, EmbeddingError, InvalidProblemError
+from repro.mqo.arrays import ProblemArrays
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.mqo.serialization import problem_to_dict
 from repro.qubo.ising import IsingModel, ising_to_qubo, qubo_to_ising
@@ -529,3 +533,114 @@ def json_problem_token(problem: MQOProblem) -> str:
     payload = {key: value for key, value in problem_to_dict(problem).items() if key != "name"}
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+# ---------------------------------------------------------------------- #
+# Problem construction, columnar view and the format-1 form
+# ---------------------------------------------------------------------- #
+def savings_mapping(
+    plans_per_query: Sequence[Sequence[float]], savings: Mapping[Tuple[int, int], float]
+) -> Dict[Tuple[int, int], float]:
+    """The normalised savings dict, built and checked entry by entry."""
+    plan_query = [q for q, costs in enumerate(plans_per_query) for _ in costs]
+    checked: Dict[Tuple[int, int], float] = {}
+    for (p1, p2), value in savings.items():
+        p1, p2 = int(p1), int(p2)
+        if p1 == p2:
+            raise InvalidProblemError(f"a plan cannot share results with itself (plan {p1})")
+        pair = (p1, p2) if p1 < p2 else (p2, p1)
+        for p in pair:
+            if not 0 <= p < len(plan_query):
+                raise InvalidProblemError(f"savings entry references unknown plan {p}")
+        if plan_query[pair[0]] == plan_query[pair[1]]:
+            raise InvalidProblemError(
+                f"plans {pair[0]} and {pair[1]} belong to the same query and cannot share"
+            )
+        value = float(value)
+        if not value > 0.0:
+            raise InvalidProblemError(f"saving for plan pair {pair} must be positive, got {value}")
+        if pair in checked:
+            raise InvalidProblemError(f"duplicate savings entry for plan pair {pair}")
+        checked[pair] = value
+    return checked
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def problem_arrays(
+    problem: MQOProblem, savings: Mapping[Tuple[int, int], float] | None = None
+) -> ProblemArrays:
+    """``build_problem_arrays`` by loops over plans, queries and a savings mapping.
+
+    ``savings`` defaults to ``problem.savings``; pass
+    :func:`savings_mapping` to keep the problem's own views out of it.
+    """
+    savings = problem.savings if savings is None else savings
+    num_plans = problem.num_plans
+    num_queries = problem.num_queries
+
+    plan_cost = np.empty(num_plans, dtype=np.float64)
+    plan_query = np.empty(num_plans, dtype=np.int32)
+    for plan in problem.plans:
+        plan_cost[plan.index] = plan.cost
+        plan_query[plan.index] = plan.query_index
+
+    query_offsets = np.zeros(num_queries + 1, dtype=np.int64)
+    for query in problem.queries:
+        query_offsets[query.index + 1] = len(query.plan_indices)
+    np.cumsum(query_offsets, out=query_offsets)
+
+    num_savings = len(savings)
+    savings_p1 = np.empty(num_savings, dtype=np.int64)
+    savings_p2 = np.empty(num_savings, dtype=np.int64)
+    savings_value = np.empty(num_savings, dtype=np.float64)
+    for slot, ((p1, p2), value) in enumerate(savings.items()):
+        savings_p1[slot] = p1
+        savings_p2[slot] = p2
+        savings_value[slot] = value
+
+    rows = np.empty(2 * num_savings, dtype=np.int64)
+    cols = np.empty(2 * num_savings, dtype=np.int64)
+    vals = np.empty(2 * num_savings, dtype=np.float64)
+    rows[0::2] = savings_p1
+    rows[1::2] = savings_p2
+    cols[0::2] = savings_p2
+    cols[1::2] = savings_p1
+    vals[0::2] = savings_value
+    vals[1::2] = savings_value
+    order = np.argsort(rows, kind="stable")
+    adj_indptr = np.zeros(num_plans + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_plans), out=adj_indptr[1:])
+
+    return ProblemArrays(
+        num_queries=num_queries,
+        num_plans=num_plans,
+        num_savings=num_savings,
+        plan_cost=_frozen(plan_cost),
+        plan_query=_frozen(plan_query),
+        query_offsets=_frozen(query_offsets),
+        savings_p1=_frozen(savings_p1),
+        savings_p2=_frozen(savings_p2),
+        savings_value=_frozen(savings_value),
+        adj_indptr=_frozen(adj_indptr),
+        adj_indices=_frozen(cols[order]),
+        adj_values=_frozen(vals[order]),
+    )
+
+
+def problem_to_format1_dict(problem: MQOProblem) -> Dict[str, Any]:
+    """The format-1 problem form: one ``{"plans", "value"}`` entry per saving, sorted."""
+    return {
+        "format_version": 1,
+        "name": problem.name,
+        "plans_per_query": [
+            [problem.plan_cost(p) for p in query.plan_indices] for query in problem.queries
+        ],
+        "savings": [
+            {"plans": [p1, p2], "value": value}
+            for (p1, p2), value in sorted(problem.interaction_pairs())
+        ],
+    }

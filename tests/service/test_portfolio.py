@@ -81,24 +81,17 @@ class TestRacing:
         times = [t for t, _ in merged.points]
         assert times == sorted(times)
 
-    def test_merge_shifts_members_by_start_offset(self):
-        # A member that starts after the race clock (a one-member line-up
-        # runs inline) has its solver-local times shifted onto that clock.
-        from repro.baselines.anytime import SolverTrajectory
-        from repro.mqo.problem import MQOProblem as Problem
-
-        tiny = Problem([[1.0, 2.0]])
-        better = tiny.solution_from_choices([0])  # cost 1.0
-        worse = tiny.solution_from_choices([1])  # cost 2.0
-        first = SolverTrajectory("A", points=[(5.0, worse.cost)], best_solution=worse)
-        second = SolverTrajectory("B", points=[(5.0, better.cost)], best_solution=better)
-        merged = PortfolioScheduler._merge(
-            ["A", "B"],
-            {"A": first, "B": second},
-            winner="B",
-            start_offsets={"A": 0.0, "B": 100.0},
+    def test_one_member_race_keeps_the_member_time_axis(self):
+        # A one-member race runs its member inline; its merged trajectory
+        # must read on the member's own axis (QA's device time), as the
+        # members of a multi-member race do, not on the race clock.
+        problem = generate_paper_testcase(5, 2, seed=1)
+        result = PortfolioScheduler().solve(
+            problem, time_budget_ms=40.0, seed=1, solvers=("QA",)
         )
-        assert merged.points == [(5.0, worse.cost), (105.0, better.cost)]
+        member = result.trajectories["QA"]
+        assert member.points
+        assert result.merged_trajectory.points == member.points
 
     @pytest.mark.parametrize("error", [ServiceError("kaboom"), ValueError("kaboom")])
     def test_member_failure_is_tolerated(self, problem, error):
