@@ -1,11 +1,13 @@
-"""Service-layer throughput: sequential loop versus batch executor.
+"""Service-layer throughput: ``repro-mqo batch`` on one thread versus shards.
 
-Solves the same 32-instance workload twice — once inline (workers=0,
-the pre-service status quo of one instance at a time on one core) and
-once on a 4-worker process pool — and records the wall-clock speedup.
-Each job runs the CLIMB heuristic under a fixed per-job budget, so the
-workload is budget-bound and the comparison measures the executor's
-concurrency, not solver luck.
+Solves the same 32-instance workload twice through ``repro-mqo batch``:
+once with ``--workers 0`` (the thread tier with one worker, one
+instance at a time on one core) and once with ``--workers 4`` (four
+shard processes), and records the wall-clock speedup.  Both times
+include hosting the private server, shard start-up included.  Each job
+runs the CLIMB heuristic under a fixed per-job budget, so the workload
+is budget-bound and the comparison measures the tiers' concurrency, not
+solver luck.
 
 Both passes are persisted as one schema-validated BENCH document
 (``benchmark_results/BENCH_service.json``; scenario ``sequential``
@@ -13,14 +15,14 @@ versus ``batch-pool``), so the speedup is machine-checkable with the
 same tooling as every other benchmark.
 """
 
+import json
 import time
 from pathlib import Path
 
 from repro.bench.schema import build_bench_document, save_bench_document
 from repro.bench.stats import summarize_latencies
-from repro.mqo.generator import generate_paper_testcase
-from repro.service.batch import BatchExecutor
-from repro.service.jobs import SolveRequest
+from repro.cli import main
+from repro.service.jobs import SolveResult
 
 NUM_INSTANCES = 32
 WORKERS = 4
@@ -28,16 +30,35 @@ BUDGET_MS = 150.0
 BASE_SEED = 20160909
 
 
-def _workload():
-    return [
-        SolveRequest(
-            problem=generate_paper_testcase(6, 2, seed=index),
-            solver="CLIMB",
-            time_budget_ms=BUDGET_MS,
-            job_id=f"bench-{index}",
-        )
-        for index in range(NUM_INSTANCES)
-    ]
+def _write_workload(path):
+    """Generator specs of ``generate_paper_testcase(6, 2, seed=index)``."""
+    with open(path, "w") as handle:
+        for index in range(NUM_INSTANCES):
+            spec = {"queries": 6, "plans": 2, "generator_seed": index, "job_id": f"bench-{index}"}
+            handle.write(json.dumps(spec) + "\n")
+    return path
+
+
+def _batch(workload, workers, output):
+    """Run ``repro-mqo batch`` over the workload; return its results."""
+    exit_code = main(
+        [
+            "batch",
+            str(workload),
+            "--solver",
+            "CLIMB",
+            "--budget-ms",
+            str(BUDGET_MS),
+            "--seed",
+            str(BASE_SEED),
+            "--workers",
+            str(workers),
+            "--output",
+            str(output),
+        ]
+    )
+    assert exit_code == 0
+    return [SolveResult.from_dict(json.loads(line)) for line in output.read_text().splitlines()]
 
 
 def _scenario(name, results, elapsed_s):
@@ -54,15 +75,15 @@ def _scenario(name, results, elapsed_s):
     }
 
 
-def bench_service_batch_throughput(benchmark, save_exhibit):
-    requests = _workload()
+def bench_service_batch_throughput(benchmark, save_exhibit, tmp_path):
+    workload = _write_workload(tmp_path / "workload.jsonl")
 
     start = time.perf_counter()
-    sequential = BatchExecutor(workers=0).run(requests, base_seed=BASE_SEED)
+    sequential = _batch(workload, 0, tmp_path / "sequential.jsonl")
     sequential_s = time.perf_counter() - start
 
     def run_batch():
-        return BatchExecutor(workers=WORKERS).run(requests, base_seed=BASE_SEED)
+        return _batch(workload, WORKERS, tmp_path / "sharded.jsonl")
 
     start = time.perf_counter()
     batched = benchmark.pedantic(run_batch, rounds=1, iterations=1)
@@ -108,7 +129,7 @@ def bench_service_batch_throughput(benchmark, save_exhibit):
     results_dir = Path(__file__).resolve().parent.parent / "benchmark_results"
     save_bench_document(document, results_dir / "BENCH_service.json")
 
-    lines = ["Service throughput: sequential loop vs batch executor", ""]
+    lines = ["Service throughput: repro-mqo batch on one thread vs shards", ""]
     lines += [
         f"  {'instances':>18}: {NUM_INSTANCES}",
         f"  {'workers':>18}: {WORKERS}",
@@ -119,6 +140,6 @@ def bench_service_batch_throughput(benchmark, save_exhibit):
     ]
     save_exhibit("service_throughput", "\n".join(lines))
 
-    # The batch executor must beat the sequential loop on a budget-bound
-    # workload; 4 workers leave comfortable margin over pool overhead.
-    assert speedup > 1.2, f"batch executor too slow: {document['config']}"
+    # Shards must beat the one-thread run on a budget-bound workload;
+    # 4 shards leave comfortable margin over their start-up.
+    assert speedup > 1.2, f"sharded batch too slow: {document['config']}"

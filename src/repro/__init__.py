@@ -97,7 +97,6 @@ from repro.baselines import (
     SolverTrajectory,
 )
 from repro.service import (
-    BatchExecutor,
     PortfolioResult,
     PortfolioScheduler,
     QuantumAnnealingSolver,
@@ -180,7 +179,6 @@ __all__ = [
     "default_registry",
     "PortfolioScheduler",
     "PortfolioResult",
-    "BatchExecutor",
     "ResultCache",
     "SolveRequest",
     "SolveResult",

@@ -5,8 +5,8 @@ Nine subcommands cover the common workflows:
 * ``solve``    — generate (or load) an instance and solve it on the
   simulated annealer plus selected classical baselines (``--json`` for
   machine-readable output),
-* ``batch``    — stream a JSONL workload of instance specs through the
-  solver service (portfolio racing, worker processes, result cache),
+* ``batch``    — solve a JSONL workload of instance specs on a private
+  solver server (portfolio racing, shard processes, result cache),
 * ``serve``    — run the async solver server (see ``docs/server.md``),
 * ``submit``   — send a JSONL workload to a running server and stream
   the results back as JSONL,
@@ -31,37 +31,31 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import functools
 import json
 import sys
 import time
-from collections import OrderedDict, deque
-from typing import Iterator, Optional, Sequence, Tuple
+from collections import deque
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.baselines.genetic import GeneticAlgorithmSolver
 from repro.baselines.hillclimb import IteratedHillClimbing
 from repro.baselines.ilp_mqo import IntegerProgrammingMQOSolver
 from repro.chimera.hardware import DWAVE_2X
 from repro.core.pipeline import QuantumMQO
-from repro.exceptions import AdmissionError, ReproError
+from repro.exceptions import AdmissionError, ReproError, ServiceError
 from repro.experiments.figures import figure7_table
 from repro.experiments.profiles import get_profile
 from repro.mqo.generator import generate_paper_testcase
 from repro.mqo.serialization import load_problem
 from repro.obs import configure_tracer, get_tracer, write_ndjson
-from repro.server.app import ServerConfig, SolverServer
+from repro.server.app import ServerConfig, SolverServer, run_server_in_thread
 from repro.server.client import SolverClient
-from repro.service.batch import BatchExecutor, derive_job_seed
+from repro.service.batch import derive_job_seed
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
-from repro.service.jobs import (
-    PORTFOLIO_SOLVER,
-    SolveRequest,
-    SolveResult,
-    dedupe_key,
-    echo_result_for_duplicate,
-    request_from_spec,
-)
+from repro.service.jobs import PORTFOLIO_SOLVER, SolveRequest, SolveResult
 from repro.utils.stopwatch import Stopwatch
 from repro.utils.tables import format_table
 
@@ -127,8 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Read one instance spec per line (a full request with a 'problem' "
             "dict, a bare problem dict, or a generator spec like "
-            '{"queries": 8, "plans": 2, "seed": 3}) and stream one JSON '
-            "result per line as jobs finish."
+            '{"queries": 8, "plans": 2, "seed": 3}), solve it on a solver '
+            "server hosted for the length of the command, and stream one "
+            "JSON result per line, in input order."
         ),
     )
     batch.add_argument(
@@ -151,7 +146,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--budget-ms", type=float, default=1000.0, help="per-job time budget in milliseconds"
     )
     batch.add_argument(
-        "--workers", type=int, default=0, help="worker processes (0 = solve inline)"
+        "--workers",
+        type=int,
+        default=0,
+        help="shard processes (0 or 1 = one solver thread in this process)",
     )
     batch.add_argument(
         "--seed", type=int, default=0, help="base seed for deterministic per-job seeds"
@@ -603,14 +601,13 @@ def _run_solve_traced(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Jobs dispatched per batch-executor round when streaming a workload.
-#: Bounds the number of parsed problems resident in memory at once; job
-#: ids and seeds are identical to the old whole-file behaviour.
-_BATCH_CHUNK_SIZE = 64
+#: Result-cache entries of every frontend of batch's private server (the
+#: parent's and each shard's): the window of whole-workload dedupe.
+_BATCH_CACHE_CAPACITY = 1024
 
-#: Completed results remembered for cross-chunk duplicate echoing (the
-#: executor's in-batch dedupe only sees one chunk at a time).
-_BATCH_DEDUPE_MEMORY = 1024
+#: Frame limit of batch's private server and client.  Batch reads lines
+#: of any size, so nothing on its loopback connection may refuse one.
+_BATCH_FRAME_BYTES = 1 << 62
 
 
 def _iter_workload(source: str) -> Iterator[dict]:
@@ -645,88 +642,91 @@ def _iter_workload(source: str) -> Iterator[dict]:
             handle.close()
 
 
-def _iter_requests(args: argparse.Namespace) -> Iterator[SolveRequest]:
-    """Build per-job requests lazily from the workload stream.
+@contextlib.contextmanager
+def _result_sink(path: Optional[str]) -> Iterator[Callable[[dict], None]]:
+    """An ``emit(document)`` that writes one JSON line to ``path`` or stdout.
 
-    Job ids and seeds derive from the *global* position, so chunked
-    execution replays exactly like the old load-everything behaviour.
+    The file is opened on the first document, so a bad or empty input
+    never truncates an existing output file.
     """
-    for index, spec in enumerate(_iter_workload(args.input)):
-        request = request_from_spec(
-            spec,
-            default_solver=args.solver,
-            default_budget_ms=args.budget_ms,
-            job_id=f"job-{index}",
-        )
-        if request.solvers is None and args.solvers is not None:
-            request.solvers = tuple(args.solvers)
-        if request.seed is None:
-            request.seed = derive_job_seed(args.seed, index)
-        yield request
+    handle = None
+
+    def emit(document: dict) -> None:
+        nonlocal handle
+        if handle is None:
+            handle = open(path, "w") if path else sys.stdout
+        handle.write(json.dumps(document) + "\n")
+        handle.flush()
+
+    try:
+        yield emit
+    finally:
+        if handle is not None and handle is not sys.stdout:
+            handle.close()
 
 
 def _run_batch(args: argparse.Namespace) -> int:
+    if args.workers < 0:
+        raise ServiceError(f"workers must be non-negative, got {args.workers}")
     with _TraceRecorder(args.trace):
         return _run_batch_traced(args)
 
 
+def _batch_frontend(
+    solvers: Optional[Sequence[str]], cache_file: Optional[str]
+) -> ServiceFrontend:
+    """One frontend of batch's private server: the parent's or a shard's.
+
+    Each holds a result cache, the ``--cache-file`` one or an in-memory
+    LRU, so a repeated line comes back ``from_cache`` whether it is
+    coalesced in flight or arrives after its twin finished.  ``--solvers``
+    is the portfolio line-up, so a spec's own line-up still wins.
+    """
+    cache = ResultCache(capacity=_BATCH_CACHE_CAPACITY, path=cache_file)
+    return ServiceFrontend(cache=cache, portfolio_solvers=solvers)
+
+
 def _run_batch_traced(args: argparse.Namespace) -> int:
-    cache = ResultCache(path=args.cache_file) if args.cache_file else None
-    # One cache save at the end and one process pool for the whole
-    # workload, however many chunks it spans.
-    executor = BatchExecutor(
-        workers=args.workers, cache=cache, autosave=False, keep_pool=True
+    """Host a solver server on a loopback port and feed it the workload.
+
+    ``--workers 0`` or ``1`` runs the thread tier with one worker, and
+    ``--workers N`` runs N shard processes.  Results come back in input
+    order.  A file-backed cache is saved once, at the end.
+    """
+    frontend = _batch_frontend(args.solvers, args.cache_file)
+    sharded = args.workers > 1
+    config = ServerConfig(
+        port=0,
+        workers=1,
+        shards=args.workers if sharded else 0,
+        max_frame_bytes=_BATCH_FRAME_BYTES,
     )
-    sink = None  # opened on the first result, so a bad/empty input
-    # never truncates an existing --output file
-
+    # A partial over a module-level function pickles for the shards.
+    factory = (
+        functools.partial(_batch_frontend, args.solvers, args.cache_file) if sharded else None
+    )
     stopwatch = Stopwatch().start()
-    total = hits = failures = 0
-    requests = _iter_requests(args)
-    # Duplicates across chunk boundaries are echoed from here, preserving
-    # the whole-file dedupe semantics (keyed like the executor's in-batch
-    # dedupe: cache key plus the exact problem token) with bounded memory.
-    seen: "OrderedDict[str, SolveResult]" = OrderedDict()
-
-    def emit(result: SolveResult) -> None:
-        nonlocal total, hits, failures, sink
-        if sink is None:
-            sink = open(args.output, "w") if args.output else sys.stdout
-        total += 1
-        hits += int(result.from_cache)
-        failures += int(not result.ok)
-        sink.write(json.dumps(result.to_dict()) + "\n")
-        sink.flush()
-
+    handle = run_server_in_thread(config, frontend=frontend, frontend_factory=factory)
     try:
-        while True:
-            chunk = []
-            keys = []
-            while len(chunk) < _BATCH_CHUNK_SIZE:
-                request = next(requests, None)
-                if request is None:
-                    break
-                key = dedupe_key(request)
-                prior = seen.get(key)
-                if prior is not None:
-                    emit(echo_result_for_duplicate(prior, request))
-                    continue
-                chunk.append(request)
-                keys.append(key)
-            if not chunk:
-                break
-            for index, result in executor.run_iter(chunk, base_seed=args.seed):
-                if keys[index] not in seen:
-                    seen[keys[index]] = result
-                    while len(seen) > _BATCH_DEDUPE_MEMORY:
-                        seen.popitem(last=False)
-                emit(result)
+        with _result_sink(args.output) as emit, SolverClient(
+            port=handle.port, timeout_s=None, max_frame_bytes=_BATCH_FRAME_BYTES
+        ) as client:
+            total, hits, failures = _send_workload(client, args, emit)
+    except BaseException:
+        # Aborted (bad line, ^C): stop without draining, so the jobs still
+        # in flight are dropped, then wait for the server thread to end.
+        try:
+            with SolverClient(port=handle.port) as client:
+                client.shutdown(drain=False)
+        except ReproError:
+            handle.stop()
+        handle.thread.join()
+        raise
+    else:
+        handle.stop()
     finally:
-        executor.close()
-        if cache is not None and cache.path is not None:
-            cache.save()
-        if sink is not None and sink is not sys.stdout:
-            sink.close()
+        if args.cache_file:
+            frontend.cache.save()
     if total == 0:
         print("workload is empty; nothing to solve", file=sys.stderr)
         return 1
@@ -871,7 +871,7 @@ def _run_serve_traced(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Outstanding pipelined jobs per ``repro-mqo submit`` connection.  Kept
+#: Outstanding pipelined jobs per ``submit`` or ``batch`` connection.  Kept
 #: well below the server's default queue capacity so a long workload
 #: self-throttles instead of tripping admission control.
 _SUBMIT_WINDOW = 32
@@ -884,12 +884,11 @@ def _submit_spec_and_seed(
 
     ``request_from_spec`` falls back to a spec's ``seed`` as the
     *generator* seed for generator specs, so injecting the derived solve
-    seed naively would change which problem is built.  Matching the
-    ``batch`` command's semantics, a generator spec without an explicit
-    ``generator_seed`` keeps generating as if no seed were given, and the
-    derived seed applies to solving only.
+    seed naively would change which problem is built.  So a generator
+    spec without an explicit ``generator_seed`` keeps generating as if no
+    seed were given, and the derived seed applies to solving only.
     """
-    if not isinstance(spec, dict) or "seed" in spec:
+    if not isinstance(spec, dict) or spec.get("seed") is not None:
         return spec, None
     if "queries" in spec and "problem" not in spec and "generator_seed" not in spec:
         spec = dict(spec, generator_seed=None)
@@ -897,105 +896,95 @@ def _submit_spec_and_seed(
 
 
 def _submit_budget(spec: object, default_budget_ms: Optional[float]) -> Optional[float]:
-    """--budget-ms is a *default*, like batch: a spec's own budget wins."""
+    """--budget-ms is a *default*: a spec's own budget wins."""
     if isinstance(spec, dict) and ("budget_ms" in spec or "time_budget_ms" in spec):
         return None
     return default_budget_ms
 
 
 def _submit_job_id(spec: object, index: int) -> Optional[str]:
-    """Stable per-line result ids (``job-N``), matching ``batch`` output."""
+    """Stable per-line result ids (``job-N``) unless a spec names its own."""
     if isinstance(spec, dict) and spec.get("job_id"):
         return None
     return f"job-{index}"
 
 
 def _submit_solver(spec: object, default_solver: Optional[str]) -> Optional[str]:
-    """--solver is a *default*, like batch: a spec's own solver wins."""
+    """--solver is a *default*: a spec's own solver wins."""
     if isinstance(spec, dict) and spec.get("solver"):
         return None
     return default_solver
 
 
-def _run_submit(args: argparse.Namespace) -> int:
-    """Submit a workload to a running server and stream results back."""
-    sink = None  # opened on the first frame; see _run_batch
-    stopwatch = Stopwatch().start()
-    total = failures = 0
+def _send_workload(
+    client: SolverClient,
+    args: argparse.Namespace,
+    emit: Callable[[dict], None],
+    stream: bool = False,
+    priority: Optional[str] = None,
+) -> Tuple[int, int, int]:
+    """Send the workload ``args.input`` to a server; emit results in input order.
 
-    def emit(document: dict) -> None:
-        nonlocal sink
-        if sink is None:
-            sink = open(args.output, "w") if args.output else sys.stdout
-        sink.write(json.dumps(document) + "\n")
-        sink.flush()
+    The loop ``submit`` and ``batch`` share.  ``--solver``,
+    ``--budget-ms`` and ``--seed`` fill in what a spec leaves out, and
+    every line gets a ``job-N`` id unless it names its own.  Jobs are
+    pipelined with a bounded window: the oldest result is collected
+    whenever the window fills (or the server pushes back), so long
+    workloads neither overrun admission control nor hold every job id in
+    flight.  With ``stream`` one job runs at a time and its anytime
+    updates are emitted too.  Returns ``(jobs, cache hits, failures)``.
+    """
+    total = hits = failures = 0
 
-    def collect(client: SolverClient, job_id: str) -> None:
-        nonlocal total, failures
-        result = client.wait(job_id)
+    def record(result: SolveResult) -> None:
+        nonlocal total, hits, failures
         total += 1
+        hits += int(result.from_cache)
         failures += int(not result.ok)
         emit(result.to_dict())
 
-    try:
-        with SolverClient(
-            host=args.host,
-            port=args.port,
-            client_name=args.client,
-            timeout_s=args.timeout_s,
-        ) as client:
-            if args.stream:
-                # One job at a time so anytime updates interleave cleanly.
-                for index, spec in enumerate(_iter_workload(args.input)):
-                    spec, seed = _submit_spec_and_seed(spec, args.seed, index)
-                    result = client.solve(
-                        spec,
-                        solver=_submit_solver(spec, args.solver),
-                        budget_ms=_submit_budget(spec, args.budget_ms),
-                        seed=seed,
-                        job_id=_submit_job_id(spec, index),
-                        priority=args.priority,
-                        on_update=emit,
-                    )
-                    total += 1
-                    failures += int(not result.ok)
-                    emit(result.to_dict())
-            else:
-                # Pipelined with a bounded window: collect the oldest
-                # result whenever the window fills (or the server pushes
-                # back), so arbitrarily long workloads neither overrun
-                # admission control nor hold every job id in flight.
-                pending: "deque[str]" = deque()
-                for index, spec in enumerate(_iter_workload(args.input)):
-                    spec, seed = _submit_spec_and_seed(spec, args.seed, index)
-                    while True:
-                        try:
-                            pending.append(
-                                client.submit(
-                                    spec,
-                                    solver=_submit_solver(spec, args.solver),
-                                    budget_ms=_submit_budget(spec, args.budget_ms),
-                                    seed=seed,
-                                    job_id=_submit_job_id(spec, index),
-                                    priority=args.priority,
-                                )
-                            )
-                            break
-                        except AdmissionError as exc:
-                            # Only transient backpressure is retryable;
-                            # 'budget'/'draining' rejections repeat forever.
-                            if exc.code not in ("queue_full", "client_quota"):
-                                raise
-                            if not pending:
-                                raise  # rejected with nothing to drain
-                            collect(client, pending.popleft())
-                    if len(pending) >= _SUBMIT_WINDOW:
-                        collect(client, pending.popleft())
-                while pending:
-                    collect(client, pending.popleft())
-    finally:
-        if sink is not None and sink is not sys.stdout:
-            sink.close()
+    pending: "deque[str]" = deque()
+    for index, spec in enumerate(_iter_workload(args.input)):
+        spec, seed = _submit_spec_and_seed(spec, args.seed, index)
+        fields = {
+            "solver": _submit_solver(spec, args.solver),
+            "budget_ms": _submit_budget(spec, args.budget_ms),
+            "seed": seed,
+            "job_id": _submit_job_id(spec, index),
+            "priority": priority,
+        }
+        if stream:
+            record(client.solve(spec, on_update=emit, **fields))
+            continue
+        while True:
+            try:
+                pending.append(client.submit(spec, **fields))
+                break
+            except AdmissionError as exc:
+                # Only transient backpressure is retryable;
+                # 'budget'/'draining' rejections repeat forever.
+                if exc.code not in ("queue_full", "client_quota") or not pending:
+                    raise
+                record(client.wait(pending.popleft()))
+        if len(pending) >= _SUBMIT_WINDOW:
+            record(client.wait(pending.popleft()))
+    while pending:
+        record(client.wait(pending.popleft()))
+    return total, hits, failures
+
+
+def _run_submit(args: argparse.Namespace) -> int:
+    """Submit a workload to a running server and stream results back."""
+    stopwatch = Stopwatch().start()
+    with _result_sink(args.output) as emit, SolverClient(
+        host=args.host,
+        port=args.port,
+        client_name=args.client,
+        timeout_s=args.timeout_s,
+    ) as client:
+        total, _hits, failures = _send_workload(
+            client, args, emit, stream=args.stream, priority=args.priority
+        )
     if total == 0:
         print("workload is empty; nothing to submit", file=sys.stderr)
         return 1

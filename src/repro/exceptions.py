@@ -85,7 +85,7 @@ class TimeBudgetExceededError(SolverError):
 
 
 class ServiceError(ReproError, RuntimeError):
-    """The solver service (registry, portfolio, batch executor) failed."""
+    """The solver service (registry, portfolio, result cache, jobs) failed."""
 
 
 class UnknownSolverError(ServiceError, KeyError):

@@ -373,14 +373,18 @@ class MQOProblem:
         return self._plan_cost, self._plan_query, self._query_offsets
 
     def plan(self, index: int) -> Plan:
-        """Return the plan with global index ``index``."""
+        """Return the plan with global index ``index`` (negative ones are unknown)."""
+        if index < 0:
+            raise InvalidProblemError(f"unknown plan index {index}")
         try:
             return self._plans[index]
         except IndexError:
             raise InvalidProblemError(f"unknown plan index {index}") from None
 
     def query(self, index: int) -> Query:
-        """Return the query with index ``index``."""
+        """Return the query with index ``index`` (negative ones are unknown)."""
+        if index < 0:
+            raise InvalidProblemError(f"unknown query index {index}")
         try:
             return self._queries[index]
         except IndexError:
@@ -528,7 +532,7 @@ class MQOProblem:
         if not self.num_savings:
             return total
         mask = np.zeros(self.num_plans, dtype=bool)
-        mask[[p for p in chosen if p >= 0]] = True
+        mask[list(chosen)] = True
         # Realised savings are subtracted one by one in insertion order,
         # so the total is the same float as a loop over the pairs.
         for value in self._savings_value[mask[self._savings_p1] & mask[self._savings_p2]].tolist():

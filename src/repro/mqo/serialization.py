@@ -348,20 +348,22 @@ def exact_problem_token(problem: MQOProblem) -> str:
     Unlike :func:`canonical_problem_hash` this is **not** invariant to
     the plan enumeration order: two relabel-equivalent problems whose
     plans are listed differently get different tokens.  Used wherever an
-    artefact is tied to concrete plan indices — prepared pipelines,
-    in-batch deduplication — where serving a merely isomorphic instance
-    would mis-attribute plan selections.  The instance name is ignored.
+    artefact is tied to concrete plan indices — prepared pipelines, and
+    the result-cache key that server coalescing shares — where serving a
+    merely isomorphic instance would mis-attribute plan selections.  The
+    instance name is ignored.
 
-    Hashes the column bytes: the query offsets and plan costs, then the
-    savings triplets sorted by plan pair.  Tokens compare equal exactly
-    when the plan costs per query and the savings do, bit for bit; the
-    string is only meaningful within one process.
+    Hashes the column bytes, little-endian and of fixed width: the
+    counts, query offsets and plan costs, then the savings triplets
+    sorted by plan pair.  Tokens compare equal exactly when the plan
+    costs per query and the savings do, bit for bit, so a token is
+    stable across processes and runs (cache files persist it).
     """
     arrays = problem.arrays()
     order = np.lexsort((arrays.savings_p2, arrays.savings_p1))
     digest = hashlib.sha256()
     for column in (
-        np.array([arrays.num_queries, arrays.num_plans, arrays.num_savings]),
+        np.array([arrays.num_queries, arrays.num_plans, arrays.num_savings], dtype=np.int64),
         arrays.query_offsets,
         arrays.plan_cost,
         arrays.savings_p1[order],

@@ -7,9 +7,9 @@ every stage a name and a number:
 ``trace``
     Lightweight spans (:class:`~repro.obs.trace.Tracer`,
     :class:`~repro.obs.trace.Span`) propagated through ``contextvars``
-    so they survive the portfolio's racing threads and, via a
-    serialisable :class:`~repro.obs.trace.SpanContext`, process-pool
-    batch workers.  Disabled tracing is a near-zero-cost no-op.
+    so they survive the portfolio's racing threads; shard processes
+    ship their finished spans back over the shard pipe for the parent
+    to adopt.  Disabled tracing is a near-zero-cost no-op.
 
 ``metrics``
     A generic registry of counters, gauges and histograms, plus the one

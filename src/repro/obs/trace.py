@@ -6,18 +6,18 @@ A :class:`Span` names one timed stage of the pipeline (``mqo.qubo_build``,
 starts becomes its parent, so a trace reconstructs the call tree without
 any explicit plumbing.
 
-Two propagation gaps need explicit help:
+Two boundaries need explicit help:
 
 * **Threads** — ``contextvars`` do not cross ``ThreadPoolExecutor``
   boundaries.  Capture :meth:`Tracer.current_context` before spawning
   and re-install it inside the worker with :meth:`Tracer.activate`
   (the portfolio scheduler does exactly this, mirroring how it already
   forwards improvement observers).
-* **Processes** — a :class:`SpanContext` round-trips through
-  :meth:`SpanContext.to_dict` / :meth:`SpanContext.from_dict`, so batch
-  jobs can carry their parent context into a ``ProcessPoolExecutor``
-  worker and ship finished spans back as dictionaries for
-  :meth:`Tracer.adopt`.
+* **Processes** — spans cross only the shard pipe of
+  :class:`~repro.server.sharding.ShardPool`: a shard traces each job
+  with its own tracer and ships the finished spans back as dictionaries
+  (:meth:`Span.to_dict`), tagged with a ``shard`` attribute, for the
+  parent's :meth:`Tracer.adopt`.  Shard spans start their own traces.
 
 Tracing defaults to *disabled*.  The disabled path allocates nothing:
 :meth:`Tracer.span` returns one shared no-op singleton after a single
@@ -58,7 +58,7 @@ _BUFFER_OCCUPANCY = get_registry().gauge(
 #: The ambient span context of the running task (None outside any span).
 _CURRENT: ContextVar[Optional["SpanContext"]] = ContextVar("repro_obs_span", default=None)
 
-#: Process-unique prefix so span ids never collide across pool workers.
+#: Process-unique prefix so span ids never collide across shard processes.
 _ID_PREFIX = uuid.uuid4().hex[:8]
 _ID_COUNTER = itertools.count(1)
 
@@ -69,10 +69,10 @@ def _new_span_id() -> str:
 
 
 class SpanContext:
-    """The serialisable identity of a span: ``(trace_id, span_id)``.
+    """The identity of a span: ``(trace_id, span_id)``.
 
-    This is what crosses thread and process boundaries; the heavyweight
-    :class:`Span` (timings, attributes) never travels.
+    This is what crosses thread boundaries (:meth:`Tracer.activate`);
+    the heavyweight :class:`Span` (timings, attributes) never does.
     """
 
     __slots__ = ("trace_id", "span_id")
@@ -80,15 +80,6 @@ class SpanContext:
     def __init__(self, trace_id: str, span_id: str) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
-
-    def to_dict(self) -> Dict[str, str]:
-        """JSON-friendly form for crossing a process boundary."""
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SpanContext":
-        """Rebuild a context shipped via :meth:`to_dict`."""
-        return cls(trace_id=str(payload["trace_id"]), span_id=str(payload["span_id"]))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -170,7 +161,7 @@ class Span:
         return None
 
     # -------------------------------------------------------------- #
-    # Serialisation (NDJSON export / process-pool return path)
+    # Serialisation (NDJSON export / shard return path)
     # -------------------------------------------------------------- #
     def to_dict(self) -> Dict[str, Any]:
         """One JSON-friendly record (one NDJSON line) for this span."""
@@ -292,8 +283,8 @@ class Tracer:
     def adopt(self, records: Iterable[Dict[str, Any]]) -> int:
         """Ingest span dictionaries produced in another process.
 
-        Returns the number of spans adopted.  Used by the batch executor
-        to merge the spans a pool worker shipped back with its result.
+        Returns the number of spans adopted.  Used by the shard pool to
+        merge the spans a shard shipped back with a job's result.
         """
         count = 0
         with self._lock:

@@ -3,15 +3,13 @@
 A QUBO problem minimises ``sum_{i<=j} w_ij x_i x_j`` over binary
 variables.  This package provides the sparse model container used by the
 logical and physical mappings, QUBO/Ising conversions, an exact
-brute-force solver for small instances, random-instance generators and a
-tabu-style local-search improver.
+brute-force solver for small instances and random-instance generators.
 """
 
 from repro.qubo.model import QUBOModel
 from repro.qubo.ising import IsingModel, ising_to_qubo, qubo_to_ising
 from repro.qubo.bruteforce import solve_bruteforce
 from repro.qubo.random_qubo import random_qubo, random_chimera_qubo
-from repro.qubo.local_search import greedy_descent, tabu_search
 
 __all__ = [
     "QUBOModel",
@@ -21,6 +19,4 @@ __all__ = [
     "solve_bruteforce",
     "random_qubo",
     "random_chimera_qubo",
-    "greedy_descent",
-    "tabu_search",
 ]

@@ -57,8 +57,8 @@ class ServerJob:
     stream:
         Whether the submitting connection asked for live anytime updates.
     coalesce_key:
-        Duplicate-detection key (cache key + exact problem token); filled
-        in by the worker pool at admission.
+        Duplicate-detection key (the request's cache key); filled in by
+        the worker pool at admission.
     coalesced_with:
         Job id of the in-flight representative when this job was
         coalesced instead of queued.

@@ -62,10 +62,11 @@ Design points:
   queued jobs (pipes are FIFO), finishes them, and exits; ``join()``
   returns once every shard process has gone.
 
-Span adoption follows the batch executor's pattern: when tracing is
-enabled at dispatch time the shard runs the job under its own tracer
-and ships the finished span records back with the result, where the
-parent :meth:`~repro.obs.trace.Tracer.adopt`\\ s them.
+Span adoption: when tracing is enabled at dispatch time the shard runs
+the job under its own tracer and ships the finished span records back
+with the result, each tagged with a ``shard`` attribute, where the
+parent :meth:`~repro.obs.trace.Tracer.adopt`\\ s them.  This pipe is
+the only place spans cross a process boundary.
 """
 
 from __future__ import annotations

@@ -11,19 +11,19 @@ threads — back to the event loop, where the
 subscribed clients.
 
 Duplicate in-flight requests are **coalesced**: a job whose coalesce key
-(request cache key + exact problem token, the same identity the batch
-executor dedupes on) matches a queued-or-running job is not enqueued at
-all; it is parked as a *follower* of that representative and, on
-completion, receives an echo of the representative's result marked
-``from_cache`` — four clients asking for the same expensive solve cost
-the server one execution.
+(the request's cache key, the identity the result cache stores it
+under) matches a queued-or-running job is not enqueued at all; it is
+parked as a *follower* of that representative and, on completion,
+receives an echo of the representative's result marked ``from_cache``
+— four clients asking for the same expensive solve cost the server one
+execution.
 
-Batching note: jobs are executed one request per executor slot rather
-than being re-grouped through :meth:`ServiceFrontend.solve_batch`.
-Batch grouping would share one observer context across many jobs, which
-would make streamed improvements unattributable to a job; concurrency
-comes from the worker count instead, and cross-job reuse (result cache,
-prepared-pipeline cache, coalescing) is preserved.
+Batching note: jobs are executed one request per executor slot, each
+under its own observer context, so every streamed improvement is
+attributable to its job.  Concurrency comes from the worker count, and
+cross-job reuse comes from the result cache, the prepared-pipeline cache
+and coalescing.  ``repro-mqo batch`` runs its workloads on this tier (or
+on shards) through a private server.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from repro.server.metrics import ServerMetrics
 from repro.server.queue import JobQueue, ServerJob
 from repro.server.streaming import StreamBroker, forward_job_stream
 from repro.service.frontend import ServiceFrontend
-from repro.service.jobs import SolveResult, dedupe_key, echo_result_for_duplicate
+from repro.service.jobs import SolveResult, echo_result_for_duplicate
 
 __all__ = ["BasePool", "WorkerPool", "FusionPool"]
 
@@ -154,9 +154,8 @@ class BasePool:
     # ------------------------------------------------------------------ #
     @staticmethod
     def coalesce_key(job: ServerJob) -> str:
-        """Duplicate-detection identity of a job (shared with the batch
-        executor's dedupe via :func:`repro.service.jobs.dedupe_key`)."""
-        return dedupe_key(job.request)
+        """Duplicate-detection identity of a job: its request's cache key."""
+        return job.request.cache_key()
 
     def admit(self, job: ServerJob) -> str:
         """Queue ``job``, or coalesce it onto an in-flight duplicate.

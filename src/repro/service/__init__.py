@@ -1,4 +1,4 @@
-"""repro.service — batched, concurrent MQO solving above the core pipeline.
+"""repro.service — concurrent MQO solving above the core pipeline.
 
 The service layer turns the single-instance reproduction into a servable
 system:
@@ -7,14 +7,18 @@ system:
   with capability metadata (anytime? exact? maximum problem size?),
 * :mod:`repro.service.portfolio` — race several registered solvers on
   one instance under a shared wall-clock budget,
-* :mod:`repro.service.batch` — solve many instances concurrently on a
-  process pool with per-job seeds for deterministic replay,
-* :mod:`repro.service.cache` — LRU result cache keyed by the canonical
-  problem hash, with optional on-disk JSON persistence,
+* :mod:`repro.service.batch` — run one request in this process, and
+  derive per-job seeds for deterministic replay,
+* :mod:`repro.service.cache` — LRU result cache keyed by problem
+  identity and solving configuration, with optional on-disk JSON
+  persistence,
 * :mod:`repro.service.jobs` — the request/response model shared by the
-  CLI, the batch executor and the experiment harness,
+  CLI, the solver server and the experiment harness,
 * :mod:`repro.service.frontend` — :class:`ServiceFrontend`, the facade
-  tying registry, portfolio, cache and batch executor together.
+  tying registry, portfolio and cache together.
+
+Many instances run through the solver server (:mod:`repro.server`);
+``repro-mqo batch`` hosts a private one for the length of a workload.
 
 Quick start::
 
@@ -27,7 +31,7 @@ Quick start::
     print(result.winner, result.best_cost)
 """
 
-from repro.service.batch import BatchExecutor, derive_job_seed, execute_request
+from repro.service.batch import derive_job_seed, execute_request
 from repro.service.cache import CacheStats, ResultCache
 from repro.service.frontend import ServiceFrontend
 from repro.service.jobs import (
@@ -59,7 +63,6 @@ __all__ = [
     "SolveResult",
     "PORTFOLIO_SOLVER",
     "request_from_spec",
-    "BatchExecutor",
     "execute_request",
     "derive_job_seed",
     "ServiceFrontend",

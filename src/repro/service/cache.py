@@ -1,4 +1,4 @@
-"""LRU result cache keyed by the canonical problem hash.
+"""LRU result cache keyed by problem identity and solving configuration.
 
 Values are the JSON-serialisable dictionaries produced by
 :meth:`repro.service.jobs.SolveResult.to_dict`, which keeps the cache
@@ -10,9 +10,11 @@ file next to the target and moved into place with :func:`os.replace` —
 so a crash mid-save can never leave a corrupt cache file behind.
 
 Keys come from :meth:`repro.service.jobs.SolveRequest.cache_key`, which
-combines :meth:`~repro.mqo.problem.MQOProblem.canonical_hash` with the
-solver choice, budget and seed — structurally identical problems hit the
-same entry no matter how their plans were enumerated.
+combines :meth:`~repro.mqo.problem.MQOProblem.canonical_hash` and the
+exact problem token with the solver choice, budget and seed.  A cached
+result's selected plans are concrete plan indices, so a renamed problem
+hits the same entry while one listing a query's plans in another order
+does not.
 
 Entries can optionally expire: construct the cache with
 ``ttl_seconds=N`` and any entry older than ``N`` seconds is treated as a
@@ -71,7 +73,7 @@ class ResultCache:
     path:
         Optional JSON file backing the cache.  When given and the file
         exists, the cache warms itself from it on construction; call
-        :meth:`save` (the batch executor does) to persist new entries.
+        :meth:`save` (``repro-mqo batch`` does) to persist new entries.
     ttl_seconds:
         Optional per-entry time-to-live.  Entries older than this are
         treated as misses on lookup and skipped when loading a persisted

@@ -1,27 +1,29 @@
 """ServiceFrontend: the facade of the solver service.
 
-One object wires the registry, the portfolio scheduler, the result cache
-and the batch executor together and offers the three entry points the
-outer layers need:
+One object wires the registry, the portfolio scheduler and the result
+cache together and offers the entry points the outer layers need:
 
-* :meth:`ServiceFrontend.solve` — one problem, cache-aware, portfolio or
-  named solver,
-* :meth:`ServiceFrontend.solve_batch` — many problems, with per-job
-  seeds and in-batch dedupe,
+* :meth:`ServiceFrontend.solve` / :meth:`ServiceFrontend.submit` — one
+  problem or prepared request, cache-aware, portfolio or named solver
+  (the server runs every job through ``submit``),
+* :meth:`ServiceFrontend.submit_fused` — a fusion window's requests,
 * :meth:`ServiceFrontend.race` — raw portfolio access returning every
   member's trajectory, which is what
   :class:`~repro.experiments.runner.ExperimentRunner` uses to run its
   solver sweep through the service layer.
+
+Many problems go through the solver server, whose thread and shard
+tiers call ``submit`` per job; ``repro-mqo batch`` hosts a private one.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.mqo.problem import MQOProblem
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.service.batch import BatchExecutor, execute_request
+from repro.service.batch import execute_request
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
     PORTFOLIO_SOLVER,
@@ -58,8 +60,8 @@ class ServiceFrontend:
     registry:
         Solver registry (the process-wide default when omitted).
     cache:
-        Optional result cache shared by :meth:`solve` and
-        :meth:`solve_batch`.
+        Optional result cache shared by :meth:`solve`, :meth:`submit`
+        and :meth:`submit_fused`.
     portfolio_solvers:
         Default portfolio line-up (``None`` = every capable solver).
     """
@@ -73,7 +75,6 @@ class ServiceFrontend:
         self.registry = registry if registry is not None else default_registry()
         self.cache = cache
         self.scheduler = PortfolioScheduler(registry=self.registry, solvers=portfolio_solvers)
-        self.executor = BatchExecutor(cache=cache, registry=self.registry)
 
     # ------------------------------------------------------------------ #
     # Single-instance entry points
@@ -100,7 +101,7 @@ class ServiceFrontend:
         """Apply the frontend's portfolio line-up to an unrestricted request.
 
         Done before cache lookup so ``solve()``, ``submit()`` and
-        ``solve_batch()`` compute the same cache key for the same work.
+        ``submit_fused()`` compute the same cache key for the same work.
         """
         if (
             request.solver != PORTFOLIO_SOLVER
@@ -195,28 +196,3 @@ class ServiceFrontend:
         the fresh per-solver trajectories, not a flattened cached result.
         """
         return self.scheduler.solve(problem, time_budget_ms, seed=seed, solvers=solvers)
-
-    # ------------------------------------------------------------------ #
-    # Batch entry points
-    # ------------------------------------------------------------------ #
-    def solve_batch(
-        self,
-        requests: Sequence[SolveRequest],
-        base_seed: Optional[int] = None,
-    ) -> List[SolveResult]:
-        """Solve a batch; results in request order."""
-        return self.executor.run(
-            [self._with_default_lineup(request) for request in requests],
-            base_seed=base_seed,
-        )
-
-    def solve_batch_iter(
-        self,
-        requests: Sequence[SolveRequest],
-        base_seed: Optional[int] = None,
-    ) -> Iterator[Tuple[int, SolveResult]]:
-        """Stream batch results as they finish (``(input_index, result)``)."""
-        return self.executor.run_iter(
-            [self._with_default_lineup(request) for request in requests],
-            base_seed=base_seed,
-        )

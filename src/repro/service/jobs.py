@@ -5,8 +5,8 @@ A :class:`SolveRequest` bundles one MQO instance with the solver choice
 budget and the seed.  A :class:`SolveResult` is the flat, JSON-friendly
 outcome: winning solver, best cost, selected plans, anytime trajectory,
 timing and cache provenance.  Both sides round-trip through plain
-dictionaries so they can travel across process boundaries (the batch
-executor's worker pool) and be streamed as JSONL by the CLI.
+dictionaries, so they can travel as wire frames of the solver server
+and be streamed as JSONL by the CLI.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "SolveRequest",
     "SolveResult",
     "request_from_spec",
-    "dedupe_key",
     "echo_result_for_duplicate",
 ]
 
@@ -53,8 +52,10 @@ class SolveRequest:
     time_budget_ms:
         Wall-clock budget for the run (shared by all portfolio members).
     seed:
-        Integer seed for deterministic replay; ``None`` lets the batch
-        executor derive one per job from its base seed.
+        Integer seed for deterministic replay.  ``repro-mqo batch`` and
+        ``repro-mqo submit`` fill a missing one with
+        :func:`~repro.service.batch.derive_job_seed` of the job's
+        position.
     job_id:
         Caller-chosen identifier echoed into the result.
     solvers:
@@ -80,14 +81,20 @@ class SolveRequest:
             self.solvers = tuple(self.solvers)
 
     def cache_key(self) -> str:
-        """Cache key: canonical problem hash + solving configuration.
+        """Cache key: problem identity + solving configuration.
 
+        The problem enters twice: its canonical hash, and its exact
+        token, because a result's ``selected_plans`` are concrete plan
+        indices.  Renamed problems therefore share entries, while
+        problems that list a query's plans in another order do not.
         The seed is part of the key because stochastic solvers produce
         seed-dependent results; two requests hit the same entry only when
-        they would provably compute the same answer.
+        they would provably compute the same answer.  The server's
+        in-flight coalescing keys on this too.
         """
         config = {
             "problem": self.problem.canonical_hash(),
+            "exact": exact_problem_token(self.problem),
             "solver": self.solver,
             "solvers": list(self.solvers) if self.solvers is not None else None,
             "time_budget_ms": self.time_budget_ms,
@@ -97,7 +104,7 @@ class SolveRequest:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable form (used to ship jobs to worker processes)."""
+        """JSON-serialisable form (a full-request workload line or wire spec)."""
         return {
             "problem": problem_to_dict(self.problem),
             "solver": self.solver,
@@ -267,26 +274,13 @@ class SolveResult:
         )
 
 
-def dedupe_key(request: SolveRequest) -> str:
-    """The identity under which two requests may share one execution.
-
-    :meth:`SolveRequest.cache_key` hashes the problem *canonically*
-    (relabel-invariant), so the exact problem token is appended: an
-    echoed result's ``selected_plans`` are concrete plan indices and must
-    only be shared between requests whose indices mean the same thing.
-    The batch executor's in-batch dedupe, the CLI's cross-chunk echo and
-    the server's in-flight coalescing all key on this.
-    """
-    return f"{request.cache_key()}:{exact_problem_token(request.problem)}"
-
-
 def echo_result_for_duplicate(result: SolveResult, request: SolveRequest) -> SolveResult:
     """Echo a representative's result to a deduplicated twin request.
 
-    Used by the batch executor's in-batch dedupe, the server's in-flight
-    coalescing and every result-cache hit: the twin gets a copy of the
-    representative's outcome carrying its *own* identity fields, marked
-    ``from_cache`` (no solver ran for it) with zero attributed time.
+    Used by the server's in-flight coalescing and by every result-cache
+    hit: the twin gets a copy of the representative's outcome carrying
+    its *own* identity fields, marked ``from_cache`` (no solver ran for
+    it) with zero attributed time.
     """
     if result.error is not None:
         return SolveResult.from_error(request, result.error)

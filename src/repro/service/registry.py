@@ -3,9 +3,10 @@
 Every solver usable by the service layer — the quantum-annealing
 pipeline and the classical baselines alike — registers here under a
 stable name together with a :class:`SolverCapabilities` record.  The
-portfolio scheduler and the batch executor look solvers up by name, and
-capability metadata lets them skip solvers that cannot handle a given
-instance (e.g. the QA pipeline beyond the device capacity).
+portfolio scheduler and :func:`~repro.service.batch.execute_request`
+look solvers up by name, and capability metadata lets them skip solvers
+that cannot handle a given instance (e.g. the QA pipeline beyond the
+device capacity).
 
 Registered factories must produce objects with the
 :class:`~repro.baselines.anytime.AnytimeSolver` interface:

@@ -304,12 +304,9 @@ class TestWorkloadStreaming:
         assert [spec["seed"] for spec in head] == [0, 1, 2]
         iterator.close()
 
-    def test_chunked_batch_matches_whole_file_semantics(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        # Force tiny chunks so a 5-job workload spans three executor
-        # rounds; job ids and derived seeds must still be global.
-        monkeypatch.setattr("repro.cli._BATCH_CHUNK_SIZE", 2)
+    def test_chunked_batch_matches_whole_file_semantics(self, tmp_path, capsys):
+        # Job ids and derived seeds come from each line's position in the
+        # whole file, and results come back in input order.
         path = tmp_path / "workload.jsonl"
         with open(path, "w") as handle:
             for index in range(5):
@@ -327,11 +324,10 @@ class TestWorkloadStreaming:
         ]
         assert all(line["winner"] == "CLIMB" for line in lines)
 
-    def test_duplicates_deduped_across_chunks(self, tmp_path, capsys, monkeypatch):
-        # Five identical jobs spanning three chunks must solve once; the
-        # cross-chunk twins are echoed with from_cache=true, matching the
-        # old whole-file dedupe semantics.
-        monkeypatch.setattr("repro.cli._BATCH_CHUNK_SIZE", 2)
+    def test_duplicates_deduped_across_chunks(self, tmp_path, capsys):
+        # Five identical jobs must solve once; the twins are echoed with
+        # from_cache=true, whether coalesced in flight or served by the
+        # private server's result cache.
         path = tmp_path / "dupes.jsonl"
         spec = {"queries": 4, "plans": 2, "generator_seed": 9, "seed": 5, "budget_ms": 40.0}
         with open(path, "w") as handle:

@@ -11,7 +11,7 @@ from repro.server.readiness import wait_for_server
 
 
 class TestTraceFlagParsing:
-    def test_solve_batch_and_bench_accept_trace(self):
+    def test_solve_bench_and_batch_accept_trace(self):
         parser = build_parser()
         assert parser.parse_args(["solve", "--trace", "t.ndjson"]).trace == "t.ndjson"
         assert parser.parse_args(["batch", "-", "--trace", "t.ndjson"]).trace == "t.ndjson"

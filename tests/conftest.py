@@ -7,6 +7,9 @@ every code path of the library.
 
 from __future__ import annotations
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 
@@ -89,3 +92,30 @@ def ideal_device(medium_chimera, small_spec) -> DWaveSamplerSimulator:
         num_sweeps=150,
         seed=99,
     )
+
+
+@pytest.fixture()
+def run_batch(tmp_path):
+    """Run ``repro-mqo batch`` over JSONL lines; return ``(exit code, results)``.
+
+    ``lines`` are spec dictionaries (dumped one per line) or raw text
+    lines; ``flags`` are further command-line arguments.  The results
+    are the parsed output lines, in output order.
+    """
+    from repro.cli import main
+
+    runs = itertools.count()
+
+    def run(lines, *flags):
+        index = next(runs)
+        workload = tmp_path / f"batch-{index}.jsonl"
+        output = tmp_path / f"batch-{index}.out.jsonl"
+        workload.write_text(
+            "".join((line if isinstance(line, str) else json.dumps(line)) + "\n" for line in lines)
+        )
+        exit_code = main(["batch", str(workload), "--output", str(output), *map(str, flags)])
+        if not output.exists():
+            return exit_code, []
+        return exit_code, [json.loads(line) for line in output.read_text().splitlines()]
+
+    return run

@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import InvalidProblemError, InvalidSolutionError
 from repro.mqo.problem import MQOProblem, Plan, Query
+from repro.mqo.serialization import solution_from_dict
 
 
 class TestPlanAndQuery:
@@ -88,6 +89,25 @@ class TestMQOProblemConstruction:
             small_problem.query(100)
         with pytest.raises(InvalidProblemError):
             small_problem.query_of_plan(100)
+
+    def test_negative_plan_and_query_indices_are_unknown(self):
+        # Python list indexing would read -1 as the last plan or query.
+        problem = MQOProblem([[1.0, 2.0], [3.0, 4.0]], {(0, 2): 1.5})
+        for index in (-1, -4, -5):
+            with pytest.raises(InvalidProblemError, match="unknown plan index"):
+                problem.plan(index)
+        for index in (-1, -2, -3):
+            with pytest.raises(InvalidProblemError, match="unknown query index"):
+                problem.query(index)
+        with pytest.raises(InvalidProblemError):
+            problem.solution_from_selection([-1, 0])
+        with pytest.raises(InvalidProblemError):
+            solution_from_dict(problem, {"selected_plans": [-4]})
+        with pytest.raises(InvalidProblemError):
+            problem.selection_cost([-1, 0])
+        # Valid selections cost what they always did.
+        assert problem.selection_cost([0, 2]) == 2.5
+        assert problem.solution_from_selection([1, 3]).cost == 6.0
 
 
 class TestCostAccounting:

@@ -1,19 +1,19 @@
-"""Span-context propagation across the two execution boundaries.
+"""Spans across the two execution boundaries: threads and shard processes.
 
-``contextvars`` do not cross ``ThreadPoolExecutor`` or
-``ProcessPoolExecutor`` boundaries on their own, so the portfolio
-scheduler re-installs the captured parent context in every racing thread
-and the batch executor ships a serialised :class:`SpanContext` to its
-pool workers and adopts the spans they send back.  These tests pin both
-hops: child spans produced on the far side must join the parent's trace.
+``contextvars`` do not cross ``ThreadPoolExecutor`` boundaries on their
+own, so the portfolio scheduler re-installs the captured parent context
+in every racing thread: child spans must join the parent's trace.  A
+shard process traces each job with its own tracer and ships the finished
+spans back over its pipe, where the parent adopts them tagged with the
+shard; ``repro-mqo batch --workers N`` runs on those shards.
 """
+
+import json
 
 import pytest
 
 from repro.mqo.generator import generate_paper_testcase
-from repro.obs.trace import configure_tracer, get_tracer
-from repro.service.batch import BatchExecutor
-from repro.service.jobs import SolveRequest
+from repro.obs.trace import Tracer, configure_tracer, get_tracer
 from repro.service.portfolio import PortfolioScheduler
 
 
@@ -29,15 +29,9 @@ def tracing():
     configure_tracer(was_enabled)
 
 
-def _requests(count: int):
-    return [
-        SolveRequest(
-            problem=generate_paper_testcase(4, 2, seed=index),
-            solver="LIN-MQO",
-            time_budget_ms=500.0,
-        )
-        for index in range(count)
-    ]
+def _specs(count: int):
+    spec = {"queries": 4, "plans": 2, "solver": "LIN-MQO", "budget_ms": 500.0, "seed": 7}
+    return [dict(spec, generator_seed=index) for index in range(count)]
 
 
 class TestThreadPropagation:
@@ -61,32 +55,42 @@ class TestThreadPropagation:
 
 
 class TestProcessPropagation:
-    def test_pool_worker_spans_are_adopted_into_the_parent_trace(self, tracing):
-        requests = _requests(2)
-        with tracing.span("batch") as parent:
-            results = BatchExecutor(workers=2).run(requests, base_seed=9)
-        assert all(result.ok for result in results)
-        executes = [s for s in tracing.drain() if s.name == "service.execute"]
-        # One span per job, produced in the worker processes and shipped
-        # back with the results.
-        assert len(executes) == len(requests)
-        for span in executes:
-            assert span.context.trace_id == parent.context.trace_id
-            assert span.parent_id == parent.context.span_id
-            assert span.duration_ms is not None
+    """Shard processes trace locally and ship their spans over the pipe."""
 
-    def test_inline_execution_traces_identically(self, tracing):
-        requests = _requests(2)
-        with tracing.span("batch") as parent:
-            results = BatchExecutor(workers=0).run(requests, base_seed=9)
-        assert all(result.ok for result in results)
-        executes = [s for s in tracing.drain() if s.name == "service.execute"]
-        assert len(executes) == len(requests)
-        assert all(s.context.trace_id == parent.context.trace_id for s in executes)
+    def test_shard_spans_are_adopted_with_their_shard(self, run_batch, tmp_path):
+        trace = tmp_path / "trace.ndjson"
+        specs = _specs(4) + _specs(1)  # the repeat is answered without a solve
+        exit_code, results = run_batch(specs, "--workers", 2, "--seed", 9, "--trace", trace)
+        assert exit_code == 0
+        solved = [result for result in results if not result["from_cache"]]
+        assert len(solved) == 4
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        executes = [r for r in records if r["name"] == "service.execute"]
+        # One span per solved job, produced in a shard process, shipped
+        # back with its result and tagged with the shard that ran it.
+        assert sorted(r["attributes"]["job_id"] for r in executes) == sorted(
+            result["job_id"] for result in solved
+        )
+        assert {r["attributes"]["shard"] for r in executes} <= {0, 1}
+        assert all(r["duration_ms"] is not None for r in executes)
 
-    def test_disabled_tracer_ships_no_spans_from_workers(self):
+    def test_inline_execution_traces_identically(self, run_batch, tmp_path):
+        trace = tmp_path / "trace.ndjson"
+        exit_code, _ = run_batch(_specs(2), "--workers", 0, "--seed", 9, "--trace", trace)
+        assert exit_code == 0
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        executes = [r for r in records if r["name"] == "service.execute"]
+        # The thread tier traces in this process: the same one span per
+        # job, with no shard to name.
+        assert sorted(r["attributes"]["job_id"] for r in executes) == ["job-0", "job-1"]
+        assert all("shard" not in r["attributes"] for r in executes)
+
+    def test_disabled_tracer_ships_no_spans_from_workers(self, run_batch, monkeypatch):
         tracer = get_tracer()
         assert not tracer.enabled  # the suite default
-        results = BatchExecutor(workers=2).run(_requests(1), base_seed=9)
-        assert results[0].ok
+        adopted = []
+        monkeypatch.setattr(Tracer, "adopt", lambda self, records: adopted.extend(records))
+        exit_code, results = run_batch(_specs(2), "--workers", 2, "--seed", 9)
+        assert exit_code == 0 and len(results) == 2
+        assert adopted == []
         assert len(tracer) == 0

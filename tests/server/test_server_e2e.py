@@ -19,8 +19,11 @@ import time
 import pytest
 
 from repro.exceptions import AdmissionError, ProtocolError, ServerError
+from repro.mqo.problem import MQOProblem
 from repro.server.app import DRAIN_GRACE_S, ServerConfig
 from repro.server.client import SolverClient
+from repro.service.cache import ResultCache
+from repro.service.frontend import ServiceFrontend
 
 from tests.server.conftest import tiny_problem
 
@@ -149,6 +152,25 @@ class TestCoalescing:
             client.wait(job_a)
             client.wait(job_b)
             assert client.stats()["counters"]["jobs_coalesced"] == 0
+
+
+class TestResultCache:
+    def test_reordered_plans_miss_the_cache(self, server_factory):
+        # One problem listed twice, query 0's plans swapped: equal
+        # canonical hashes, but the plan indices of one answer name
+        # other plans in the other listing.
+        original = MQOProblem([[1.0, 5.0], [2.0, 3.0]], {(0, 2): 0.5, (1, 3): 4.5})
+        reordered = MQOProblem([[5.0, 1.0], [2.0, 3.0]], {(1, 2): 0.5, (0, 3): 4.5})
+        handle = server_factory(
+            ServerConfig(workers=1), frontend=ServiceFrontend(cache=ResultCache())
+        )
+        with SolverClient(port=handle.port) as client:
+            first = client.solve(original, solver="LIN-MQO", budget_ms=500.0, seed=1)
+            second = client.solve(reordered, solver="LIN-MQO", budget_ms=500.0, seed=1)
+            again = client.solve(reordered, solver="LIN-MQO", budget_ms=500.0, seed=1)
+        assert (first.selected_plans, first.best_cost) == ([0, 2], 2.5)
+        assert (second.selected_plans, second.best_cost, second.from_cache) == ([1, 2], 2.5, False)
+        assert again.from_cache and again.selected_plans == [1, 2]
 
 
 class TestAdmissionControl:

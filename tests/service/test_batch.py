@@ -1,13 +1,16 @@
-"""Tests for the batch executor: determinism, workers, cache integration."""
+"""Tests of ``execute_request``, ``derive_job_seed`` and ``repro-mqo batch``.
 
-import pytest
+The batch command runs on a private solver server (thread tier for
+``--workers 0``, shards beyond one worker); these tests pin its
+determinism, job identity and result-cache behaviour end to end.
+"""
 
-from repro.exceptions import ServiceError
+import json
+
 from repro.mqo.generator import generate_paper_testcase
-from repro.service.batch import BatchExecutor, derive_job_seed, execute_request
-from repro.service.cache import ResultCache
+from repro.service.batch import derive_job_seed, execute_request
 from repro.service.jobs import SolveRequest
-from repro.service.registry import SolverRegistry, default_registry
+from repro.service.registry import SolverRegistry
 
 
 def _requests(count: int, solver: str = "LIN-MQO", budget_ms: float = 500.0):
@@ -24,8 +27,14 @@ def _requests(count: int, solver: str = "LIN-MQO", budget_ms: float = 500.0):
     ]
 
 
+def _specs(count: int, **fields):
+    # The batch-command twin of _requests: LIN-MQO on tiny instances.
+    spec = {"queries": 4, "plans": 2, "solver": "LIN-MQO", "budget_ms": 500.0}
+    return [dict(spec, generator_seed=index, **fields) for index in range(count)]
+
+
 def _fingerprint(results):
-    return [(r.job_id, r.best_cost, tuple(r.selected_plans)) for r in results]
+    return [(r["job_id"], r["best_cost"], tuple(r["selected_plans"])) for r in results]
 
 
 class TestExecuteRequest:
@@ -75,29 +84,27 @@ class TestExecuteRequest:
 
 
 class TestDeterminism:
-    def test_same_base_seed_same_results(self):
-        requests = _requests(4)
-        first = BatchExecutor(workers=0).run(requests, base_seed=9)
-        second = BatchExecutor(workers=0).run(requests, base_seed=9)
-        assert all(r.proved_optimal for r in first + second)  # converged
+    def test_same_base_seed_same_results(self, run_batch):
+        first_code, first = run_batch(_specs(4), "--seed", 9)
+        second_code, second = run_batch(_specs(4), "--seed", 9)
+        assert first_code == second_code == 0
+        assert all(r["proved_optimal"] for r in first + second)  # converged
         assert _fingerprint(first) == _fingerprint(second)
-        assert [r.seed for r in first] == [r.seed for r in second]
+        assert [r["seed"] for r in first] == [derive_job_seed(9, i) for i in range(4)]
+        assert [r["seed"] for r in first] == [r["seed"] for r in second]
 
-    def test_worker_count_does_not_change_results(self):
-        requests = _requests(4)
-        inline = BatchExecutor(workers=0).run(requests, base_seed=9)
-        pooled = BatchExecutor(workers=2).run(requests, base_seed=9)
+    def test_worker_count_does_not_change_results(self, run_batch):
+        _, threaded = run_batch(_specs(4), "--seed", 9, "--workers", 0)
+        _, sharded = run_batch(_specs(4), "--seed", 9, "--workers", 2)
         # Seeds derive from (base_seed, position) only, never from the
-        # executor configuration.
-        assert [r.seed for r in inline] == [r.seed for r in pooled]
-        assert all(r.proved_optimal for r in inline + pooled)  # converged
-        assert _fingerprint(inline) == _fingerprint(pooled)
+        # tier or the worker count.
+        assert [r["seed"] for r in threaded] == [r["seed"] for r in sharded]
+        assert all(r["proved_optimal"] for r in threaded + sharded)  # converged
+        assert _fingerprint(threaded) == _fingerprint(sharded)
 
-    def test_explicit_request_seed_wins_over_derived(self):
-        request = _requests(1)[0]
-        request.seed = 1234
-        (result,) = BatchExecutor(workers=0).run([request], base_seed=9)
-        assert result.seed == 1234
+    def test_explicit_request_seed_wins_over_derived(self, run_batch):
+        _, (result,) = run_batch(_specs(1, seed=1234), "--seed", 9)
+        assert result["seed"] == 1234
 
     def test_derive_job_seed_properties(self):
         seeds = [derive_job_seed(7, index) for index in range(8)]
@@ -111,101 +118,53 @@ class TestDeterminism:
 
 
 class TestCacheIntegration:
-    def test_second_run_hits_without_resolving(self):
-        cache = ResultCache()
-        executor = BatchExecutor(workers=0, cache=cache)
-        requests = _requests(3)
-        cold = executor.run(requests, base_seed=1)
-        assert all(not r.from_cache for r in cold)
-        warm = executor.run(requests, base_seed=1)
-        assert all(r.from_cache for r in warm)
+    def test_second_run_hits_without_resolving(self, run_batch, tmp_path):
+        flags = ("--seed", 1, "--cache-file", tmp_path / "cache.json")
+        _, cold = run_batch(_specs(3), *flags)
+        assert all(not r["from_cache"] for r in cold)
+        _, warm = run_batch(_specs(3), *flags)
+        assert all(r["from_cache"] for r in warm)
         assert _fingerprint(cold) == _fingerprint(warm)
-        assert cache.stats.hits == 3
-        assert all(r.total_time_ms == 0.0 for r in warm)
+        assert all(r["total_time_ms"] == 0.0 for r in warm)
 
-    def test_cache_hit_echoes_current_request_metadata(self):
-        cache = ResultCache()
-        executor = BatchExecutor(workers=0, cache=cache)
-        request = _requests(1)[0]
-        request.seed = 1
-        executor.run([request])
-        rerun = _requests(1)[0]
-        rerun.seed = 1
-        rerun.metadata = {"ticket": 2}
-        (hit,) = executor.run([rerun])
-        assert hit.from_cache
-        assert hit.metadata == {"ticket": 2}
+    def test_cache_hit_echoes_current_request_metadata(self, run_batch, tmp_path):
+        cache = ("--cache-file", tmp_path / "cache.json")
+        run_batch(_specs(1, seed=1, metadata={"ticket": 1}), *cache)
+        _, (hit,) = run_batch(_specs(1, seed=1, metadata={"ticket": 2}), *cache)
+        assert hit["from_cache"]
+        assert hit["metadata"] == {"ticket": 2}
 
-    def test_different_base_seed_misses(self):
-        cache = ResultCache()
-        executor = BatchExecutor(workers=0, cache=cache)
-        requests = _requests(2)
-        executor.run(requests, base_seed=1)
-        rerun = executor.run(requests, base_seed=2)
-        assert all(not r.from_cache for r in rerun)
+    def test_different_base_seed_misses(self, run_batch, tmp_path):
+        cache = ("--cache-file", tmp_path / "cache.json")
+        run_batch(_specs(2), "--seed", 1, *cache)
+        _, rerun = run_batch(_specs(2), "--seed", 2, *cache)
+        assert all(not r["from_cache"] for r in rerun)
 
-    def test_cache_persisted_after_batch(self, tmp_path):
+    def test_cache_persisted_after_batch(self, run_batch, tmp_path):
         path = tmp_path / "cache.json"
-        executor = BatchExecutor(workers=0, cache=ResultCache(path=path))
-        executor.run(_requests(2), base_seed=1)
+        run_batch(_specs(2), "--seed", 1, "--cache-file", path)
         assert path.exists()
+        # A sharded run warms its shards from the same file.
+        _, results = run_batch(_specs(2), "--seed", 1, "--cache-file", path, "--workers", 2)
+        assert all(r["from_cache"] for r in results)
 
-        warmed = BatchExecutor(workers=0, cache=ResultCache(path=path))
-        results = warmed.run(_requests(2), base_seed=1)
-        assert all(r.from_cache for r in results)
-
-    def test_failures_are_not_cached(self):
-        cache = ResultCache()
-        request = _requests(1)[0]
-        request.solver = "NOPE"
-        executor = BatchExecutor(workers=0, cache=cache)
-        (result,) = executor.run([request], base_seed=0)
-        assert not result.ok
-        assert len(cache) == 0
+    def test_failures_are_not_cached(self, run_batch, tmp_path):
+        path = tmp_path / "cache.json"
+        failing = _specs(1, solver="NOPE", seed=0)
+        exit_code, results = run_batch(failing * 2, "--cache-file", path)
+        assert exit_code == 1
+        assert all(not r["from_cache"] and "UnknownSolverError" in r["error"] for r in results)
+        assert json.loads(path.read_text())["entries"] == []
+        # A repeat of a failed line runs again instead of echoing the failure.
+        _, (again,) = run_batch(failing, "--cache-file", path)
+        assert not again["from_cache"] and "UnknownSolverError" in again["error"]
 
 
 class TestConfiguration:
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ServiceError):
-            BatchExecutor(workers=-1)
+    def test_negative_workers_rejected(self, run_batch, capsys):
+        assert run_batch(_specs(1), "--workers", -1) == (2, [])
+        assert "workers must be non-negative" in capsys.readouterr().err
 
-    def test_custom_registry_needs_inline_execution(self):
-        with pytest.raises(ServiceError):
-            BatchExecutor(workers=2, registry=SolverRegistry())
-        BatchExecutor(workers=0, registry=SolverRegistry())  # fine inline
-
-    def test_custom_registry_used_inline(self):
-        registry = SolverRegistry()
-        registry.register("ONLY", default_registry().get("CLIMB").factory)
-        request = _requests(1, solver="ONLY")[0]
-        (result,) = BatchExecutor(workers=0, registry=registry).run([request])
-        assert result.ok
-        assert result.winner == "ONLY"
-
-    def test_job_ids_default_to_position(self):
-        results = BatchExecutor(workers=0).run(_requests(2), base_seed=0)
-        assert [r.job_id for r in results] == ["job-0", "job-1"]
-
-
-class TestKeptPool:
-    def test_keep_pool_reuses_one_pool_across_runs(self):
-        # The chunked CLI runs many small batches; with keep_pool the
-        # process pool must survive across run_iter calls instead of
-        # being respawned per chunk.
-        executor = BatchExecutor(workers=2, keep_pool=True)
-        try:
-            assert executor._pool is None
-            list(executor.run_iter(_requests(2), base_seed=1))
-            first = executor._pool
-            assert first is not None
-            list(executor.run_iter(_requests(2), base_seed=2))
-            assert executor._pool is first
-        finally:
-            executor.close()
-        assert executor._pool is None
-
-    def test_default_mode_leaves_no_kept_pool(self):
-        executor = BatchExecutor(workers=2)
-        list(executor.run_iter(_requests(2), base_seed=1))
-        assert executor._pool is None
-        executor.close()  # no-op
+    def test_job_ids_default_to_position(self, run_batch):
+        _, results = run_batch(_specs(2), "--seed", 0)
+        assert [r["job_id"] for r in results] == ["job-0", "job-1"]

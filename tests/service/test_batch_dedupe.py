@@ -1,68 +1,59 @@
-"""Tests for in-batch deduplication of identical solve requests."""
+"""Whole-workload deduplication of identical ``repro-mqo batch`` lines.
 
-from repro.mqo.generator import generate_paper_testcase
-from repro.service.batch import BatchExecutor
-from repro.service.jobs import SolveRequest
+A repeated line is coalesced onto its twin while that one is in flight,
+or answered by the private server's result cache once it has finished;
+either way it comes back as an echo marked ``from_cache``.
+"""
 
 
-def _request(problem, job_id, seed=3, solver="CLIMB", budget=80.0, metadata=None):
-    return SolveRequest(
-        problem=problem,
-        solver=solver,
-        time_budget_ms=budget,
-        seed=seed,
-        job_id=job_id,
-        metadata=metadata or {},
-    )
+def _spec(job_id, seed=3, solver="CLIMB", budget=80.0, metadata=None, problem_seed=1):
+    spec = {
+        "queries": 4,
+        "plans": 2,
+        "generator_seed": problem_seed,
+        "solver": solver,
+        "budget_ms": budget,
+        "job_id": job_id,
+        "metadata": metadata or {},
+    }
+    if seed is not None:
+        spec["seed"] = seed
+    return spec
 
 
 class TestBatchDedupe:
-    def test_identical_jobs_solved_once(self):
-        problem = generate_paper_testcase(4, 2, seed=1)
-        requests = [
-            _request(problem, "first", metadata={"k": 1}),
-            _request(problem, "twin", metadata={"k": 2}),
-            _request(problem, "third"),
+    def test_identical_jobs_solved_once(self, run_batch):
+        specs = [
+            _spec("first", metadata={"k": 1}),
+            _spec("twin", metadata={"k": 2}),
+            _spec("third"),
         ]
-        results = BatchExecutor(workers=0).run(requests)
-        assert all(result.ok for result in results)
-        assert [result.job_id for result in results] == ["first", "twin", "third"]
+        exit_code, results = run_batch(specs)
+        assert exit_code == 0
+        assert all(result["error"] is None for result in results)
+        assert [result["job_id"] for result in results] == ["first", "twin", "third"]
         # The representative actually solved; the twins are echoes.
-        assert results[0].from_cache is False
-        assert results[1].from_cache is True
-        assert results[2].from_cache is True
-        assert results[1].best_cost == results[0].best_cost
-        assert results[1].selected_plans == results[0].selected_plans
-        # Identity fields echo each request, not the representative.
-        assert results[1].metadata == {"k": 2}
-        assert results[1].total_time_ms == 0.0
+        assert [result["from_cache"] for result in results] == [False, True, True]
+        assert results[1]["best_cost"] == results[0]["best_cost"]
+        assert results[1]["selected_plans"] == results[0]["selected_plans"]
+        # Identity fields echo each line, not the representative.
+        assert results[1]["metadata"] == {"k": 2}
+        assert results[1]["total_time_ms"] == 0.0
 
-    def test_different_seeds_not_deduplicated(self):
-        problem = generate_paper_testcase(4, 2, seed=1)
-        requests = [
-            _request(problem, "a", seed=1),
-            _request(problem, "b", seed=2),
-        ]
-        results = BatchExecutor(workers=0).run(requests)
-        assert all(result.from_cache is False for result in results)
+    def test_different_seeds_not_deduplicated(self, run_batch):
+        _, results = run_batch([_spec("a", seed=1), _spec("b", seed=2)])
+        assert all(result["from_cache"] is False for result in results)
 
-    def test_deduped_equals_solo_result(self):
+    def test_deduped_equals_solo_result(self, run_batch):
         """An echoed twin must carry exactly the representative's answer."""
-        problem = generate_paper_testcase(5, 2, seed=2)
-        solo = BatchExecutor(workers=0).run([_request(problem, "solo")])[0]
-        paired = BatchExecutor(workers=0).run(
-            [_request(problem, "rep"), _request(problem, "twin")]
-        )
-        assert paired[1].best_cost == solo.best_cost
-        assert paired[1].selected_plans == solo.selected_plans
+        _, (solo,) = run_batch([_spec("solo", problem_seed=2)])
+        _, paired = run_batch([_spec("rep", problem_seed=2), _spec("twin", problem_seed=2)])
+        assert paired[1]["from_cache"]
+        assert paired[1]["best_cost"] == solo["best_cost"]
+        assert paired[1]["selected_plans"] == solo["selected_plans"]
 
-    def test_derived_seeds_keep_jobs_distinct(self):
+    def test_derived_seeds_keep_jobs_distinct(self, run_batch):
         """Without explicit seeds, per-position derivation prevents dedupe."""
-        problem = generate_paper_testcase(4, 2, seed=1)
-        requests = [
-            SolveRequest(problem=problem, solver="CLIMB", time_budget_ms=50.0, job_id=j)
-            for j in ("x", "y")
-        ]
-        results = BatchExecutor(workers=0).run(requests, base_seed=9)
-        assert results[0].seed != results[1].seed
-        assert all(result.from_cache is False for result in results)
+        _, results = run_batch([_spec("x", seed=None), _spec("y", seed=None)], "--seed", 9)
+        assert results[0]["seed"] != results[1]["seed"]
+        assert all(result["from_cache"] is False for result in results)

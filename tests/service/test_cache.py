@@ -6,6 +6,7 @@ import pytest
 
 from repro.exceptions import ServiceError
 from repro.mqo.generator import generate_paper_testcase
+from repro.mqo.problem import MQOProblem
 from repro.service.cache import ResultCache
 from repro.service.jobs import SolveRequest
 
@@ -237,12 +238,16 @@ class TestExpiry:
 
 
 class TestCacheKeys:
-    def test_key_ignores_plan_enumeration_order(self):
-        problem = generate_paper_testcase(5, 2, seed=3)
-        same = generate_paper_testcase(5, 2, seed=3)
-        k1 = SolveRequest(problem=problem, seed=1).cache_key()
-        k2 = SolveRequest(problem=same, seed=1).cache_key()
-        assert k1 == k2
+    def test_key_ignores_names_but_not_plan_order(self):
+        savings = {(0, 2): 0.5, (1, 3): 4.5}
+        problem = MQOProblem([[1.0, 5.0], [2.0, 3.0]], savings)
+        renamed = MQOProblem([[1.0, 5.0], [2.0, 3.0]], savings, name="renamed")
+        # Query 0's plans swapped: the same structure, other plan indices.
+        reordered = MQOProblem([[5.0, 1.0], [2.0, 3.0]], {(1, 2): 0.5, (0, 3): 4.5})
+        assert reordered.canonical_hash() == problem.canonical_hash()
+        key = SolveRequest(problem=problem, seed=1).cache_key()
+        assert SolveRequest(problem=renamed, seed=1).cache_key() == key
+        assert SolveRequest(problem=reordered, seed=1).cache_key() != key
 
     def test_key_depends_on_solver_budget_and_seed(self):
         problem = generate_paper_testcase(5, 2, seed=3)
