@@ -45,14 +45,13 @@ class IteratedHillClimbing(AnytimeSolver):
         rng = ensure_rng(seed)
         recorder = TrajectoryRecorder(self.name)
 
+        plans_per_query = problem.arrays().plans_per_query.tolist()
         restarts = 0
         while recorder.elapsed_ms() < time_budget_ms:
             if self.max_restarts is not None and restarts >= self.max_restarts:
                 break
             restarts += 1
-            choices = [
-                int(rng.integers(0, query.num_plans)) for query in problem.queries
-            ]
+            choices = [int(rng.integers(0, num_plans)) for num_plans in plans_per_query]
             state = SelectionState(problem, choices)
             recorder.record(state.to_solution())
             self._climb(state, recorder, time_budget_ms)

@@ -142,7 +142,7 @@ class LogicalMapping:
         returned solution may be invalid (the caller decides whether to
         repair or discard it).
         """
-        selected = [plan.index for plan in self.problem.plans if assignment.get(plan.index, 0)]
+        selected = [p for p in range(self.problem.num_plans) if assignment.get(p, 0)]
         return self.problem.solution_from_selection(selected)
 
     def indicator_matrix(self, samples: SampleBatch) -> np.ndarray:
@@ -235,15 +235,18 @@ class LogicalMapping:
         paper's headline numbers use unrepaired read-outs and the
         experiment runner exposes both.
         """
-        chosen: Dict[int, int] = {}
-        for query in self.problem.queries:
-            selected = [p for p in query.plan_indices if assignment.get(p, 0)]
+        plan_cost, plan_query, query_offsets = self.problem.plan_columns()
+        costs = plan_cost.tolist()
+        owner = plan_query.tolist()
+        offsets = query_offsets.tolist()
+        chosen: List[int] = []
+        for query, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            plans = range(lo, hi)
+            selected = [p for p in plans if assignment.get(p, 0)]
             if len(selected) == 1:
-                chosen[query.index] = selected[0]
+                chosen.append(selected[0])
             elif not selected:
-                chosen[query.index] = min(
-                    query.plan_indices, key=lambda p: self.problem.plan_cost(p)
-                )
+                chosen.append(min(plans, key=costs.__getitem__))
             else:
                 # Keep the selected plan with the lowest cost minus the savings
                 # it can realise with plans selected for other queries.
@@ -252,13 +255,12 @@ class LogicalMapping:
                     realizable = sum(
                         saving
                         for partner, saving in partners.items()
-                        if assignment.get(partner, 0)
-                        and self.problem.query_of_plan(partner) != query.index
+                        if assignment.get(partner, 0) and owner[partner] != query
                     )
-                    return self.problem.plan_cost(p) - realizable
+                    return costs[p] - realizable
 
-                chosen[query.index] = min(selected, key=marginal)
-        return self.problem.solution_from_selection(chosen.values())
+                chosen.append(min(selected, key=marginal))
+        return self.problem.solution_from_selection(chosen)
 
 
 def map_mqo_to_qubo(

@@ -192,7 +192,8 @@ class QuantumMQO:
         """Construct an embedding for the logical QUBO of ``problem``."""
         if isinstance(self.embedder, Embedding):
             return self.embedder
-        clusters = [list(query.plan_indices) for query in problem.queries]
+        offsets = problem.plan_columns()[2].tolist()
+        clusters = [list(range(lo, hi)) for lo, hi in zip(offsets[:-1], offsets[1:])]
         interactions = mapping.qubo.interactions()
         topology = self.device.topology
 
@@ -203,14 +204,12 @@ class QuantumMQO:
             return ClusteredEmbedder(topology).embed(clusters, interactions)
 
         def triad() -> Embedding:
-            return TriadEmbedder(topology).embed_clique(
-                [plan.index for plan in problem.plans]
-            )
+            return TriadEmbedder(topology).embed_clique(list(range(problem.num_plans)))
 
         def greedy() -> Embedding:
             return GreedyEmbedder(topology).embed(
                 interactions,
-                variables=[plan.index for plan in problem.plans],
+                variables=list(range(problem.num_plans)),
                 seed=self._rng,
             )
 

@@ -185,13 +185,15 @@ class ProblemArrays:
         )
         return (first_hit - starts).astype(np.int64)
 
-    @cached_property
+    @property
     def same_query_pairs(self) -> np.ndarray:
         """int64[M, 2] — all same-query plan pairs ``(i, j)`` with ``i < j``.
 
         Ordered by query index, then lexicographically within the query —
         the order the legacy per-pair QUBO construction inserted them in.
-        Each plan ``i`` pairs with the plans after it in its query.
+        Each plan ``i`` pairs with the plans after it in its query.  Built
+        on each access and not kept: its one caller, the logical mapping,
+        reads it once, and a memo would stay with the problem.
         """
         plans = np.arange(self.num_plans, dtype=np.int64)
         later = self.query_offsets[1:][self.plan_query] - plans - 1
@@ -208,9 +210,12 @@ class ProblemArrays:
         """float64[|P|] — ``sum_{p2} s_{p,p2}`` per plan ``p``.
 
         Each per-plan sum accumulates in CSR (= savings insertion)
-        order, matching the legacy dict-based sums bit for bit.
+        order, matching the legacy dict-based sums bit for bit.  The row
+        of each entry is derived here rather than from the
+        :attr:`adj_row` memo, which only the local search keeps.
         """
-        return np.bincount(self.adj_row, weights=self.adj_values, minlength=self.num_plans)
+        rows = np.repeat(np.arange(self.num_plans), np.diff(self.adj_indptr))
+        return np.bincount(rows, weights=self.adj_values, minlength=self.num_plans)
 
     def max_total_savings_per_plan(self) -> float:
         """``max_p sum_{p2} s_{p,p2}`` (0.0 for savings-free problems)."""

@@ -15,17 +15,20 @@ A solution ``Pe`` selects exactly one plan per query; its cost is
 Plans are identified by dense integer indices (0..num_plans-1) assigned
 in query order, which keeps the mapping onto QUBO variables trivial.
 
-The savings are stored as three read-only columns (``savings_p1``,
-``savings_p2``, ``savings_value``; normalised ``p1 < p2``, in insertion
-order).  The dictionary views (:attr:`MQOProblem.savings`,
-:meth:`MQOProblem.saving`, :meth:`MQOProblem.sharing_partners`) are
-built from them on first use.
+A problem is stored as columns only: the plans as ``plan_cost``,
+``plan_query`` and ``query_offsets``, the savings as ``savings_p1``,
+``savings_p2`` and ``savings_value`` (normalised ``p1 < p2``, in
+insertion order).  :class:`Plan` and :class:`Query` objects are built on
+demand by :meth:`MQOProblem.plan`, :meth:`MQOProblem.query` and the
+``plans``/``queries`` properties, never kept.  The dictionary views
+(:attr:`MQOProblem.savings`, :meth:`MQOProblem.saving`,
+:meth:`MQOProblem.sharing_partners`) are built from the savings columns
+on first use.
 """
 
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from types import MappingProxyType
@@ -117,13 +120,9 @@ class Plan:
         if self.index < 0:
             raise InvalidProblemError(f"plan index must be non-negative, got {self.index}")
         if self.query_index < 0:
-            raise InvalidProblemError(
-                f"query index must be non-negative, got {self.query_index}"
-            )
+            raise InvalidProblemError(f"query index must be non-negative, got {self.query_index}")
         if not (self.cost >= 0.0) or self.cost != self.cost:  # also rejects NaN
-            raise InvalidProblemError(
-                f"plan {self.index} has invalid cost {self.cost!r}; costs must be >= 0"
-            )
+            raise InvalidProblemError(f"plan {self.index} has invalid cost {self.cost!r}; costs must be >= 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,28 +224,15 @@ class MQOProblem:
         if plan_cost.ndim != 1:
             raise InvalidProblemError("plan costs must be numbers")
 
-        self.name = name
-        self._queries: List[Query] = []
-        self._plans: List[Plan] = []
-        costs = plan_cost.tolist()
-        for q_idx, query_costs in enumerate(per_query):
-            if not query_costs:
-                raise InvalidProblemError(f"query {q_idx} has no plans")
-            first_plan = len(self._plans)
-            indices = tuple(range(first_plan, first_plan + len(query_costs)))
-            # Default labels are interned: problems of one shape share them.
-            q_label = query_labels[q_idx] if query_labels else sys.intern(f"q{q_idx}")
-            self._queries.append(Query(index=q_idx, plan_indices=indices, label=q_label))
-            for offset, p_idx in enumerate(indices):
-                p_label = plan_labels[p_idx] if plan_labels else sys.intern(f"q{q_idx}_p{offset}")
-                self._plans.append(
-                    Plan(index=p_idx, query_index=q_idx, cost=costs[p_idx], label=p_label)
-                )
-
         sizes = np.array([len(query_costs) for query_costs in per_query], dtype=np.int64)
+        self.name = name
         self._plan_cost = plan_cost
         self._plan_query = _read_only(np.repeat(np.arange(len(sizes), dtype=np.int32), sizes))
         self._query_offsets = _read_only(np.concatenate(([0], np.cumsum(sizes))))
+        self._check_plans(sizes)
+        # Labels are kept only when given; the defaults are built on demand.
+        self._query_labels = self._checked_labels(query_labels, len(sizes), "query")
+        self._plan_labels = self._checked_labels(plan_labels, len(plan_cost), "plan")
         self._savings_p1, self._savings_p2, self._savings_value = self._checked_savings(
             _index_column(savings_p1, "savings plan indices"),
             _index_column(savings_p2, "savings plan indices"),
@@ -262,6 +248,32 @@ class MQOProblem:
 
         self._canonical_hash: str | None = None
         self._arrays: "ProblemArrays | None" = None
+
+    def _check_plans(self, sizes: np.ndarray) -> None:
+        """Reject a query without plans and a cost that is negative or NaN.
+
+        The first offending query or plan in query order raises, with the
+        message a query-by-query construction would have raised first.
+        """
+        empty = np.flatnonzero(sizes == 0)
+        bad_cost = np.flatnonzero(~(self._plan_cost >= 0.0))
+        first_empty = int(empty[0]) if empty.size else len(sizes)
+        if bad_cost.size and int(self._plan_query[bad_cost[0]]) < first_empty:
+            index = int(bad_cost[0])
+            cost = float(self._plan_cost[index])
+            raise InvalidProblemError(f"plan {index} has invalid cost {cost!r}; costs must be >= 0")
+        if empty.size:
+            raise InvalidProblemError(f"query {first_empty} has no plans")
+
+    @staticmethod
+    def _checked_labels(labels: Sequence[str] | None, count: int, what: str) -> Tuple[str, ...] | None:
+        """Given labels as a tuple (``None`` when not given); too few are rejected."""
+        if not labels:
+            return None
+        labels = tuple(labels)
+        if len(labels) < count:
+            raise InvalidProblemError(f"expected {count} {what} labels, got {len(labels)}")
+        return labels
 
     def _checked_savings(
         self, p1: np.ndarray, p2: np.ndarray, value: np.ndarray
@@ -284,12 +296,10 @@ class MQOProblem:
         # are shared; any other input is stored as a normalised copy.
         if p1.flags.writeable or p2.flags.writeable or not (p1 < p2).all():
             p1, p2 = _read_only(np.minimum(p1, p2)), _read_only(np.maximum(p1, p2))
-        num_plans = len(self._plans)
+        num_plans = len(self._plan_cost)
         known = (p1 >= 0) & (p2 < num_plans)
         plan_query = self._plan_query
-        same_query = known & (
-            plan_query[np.where(known, p1, 0)] == plan_query[np.where(known, p2, 0)]
-        )
+        same_query = known & (plan_query[np.where(known, p1, 0)] == plan_query[np.where(known, p2, 0)])
         keys = np.where(known, p1 * num_plans + p2, -1 - np.arange(len(p1)))
         repeated = np.ones(len(p1), dtype=bool)
         repeated[np.unique(keys, return_index=True)[1]] = False
@@ -298,9 +308,7 @@ class MQOProblem:
             entry = int(np.argmax(bad))
             pair = (int(p1[entry]), int(p2[entry]))
             if pair[0] == pair[1]:
-                raise InvalidProblemError(
-                    f"a plan cannot share results with itself (plan {pair[0]})"
-                )
+                raise InvalidProblemError(f"a plan cannot share results with itself (plan {pair[0]})")
             for p in pair:
                 if not 0 <= p < num_plans:
                     raise InvalidProblemError(f"savings entry references unknown plan {p}")
@@ -320,23 +328,23 @@ class MQOProblem:
     # ------------------------------------------------------------------ #
     @property
     def queries(self) -> Tuple[Query, ...]:
-        """All queries, ordered by index."""
-        return tuple(self._queries)
+        """All queries, ordered by index (built on each access, not kept)."""
+        return tuple(map(self.query, range(self.num_queries)))
 
     @property
     def plans(self) -> Tuple[Plan, ...]:
-        """All plans, ordered by global plan index."""
-        return tuple(self._plans)
+        """All plans, ordered by global plan index (built on each access, not kept)."""
+        return tuple(map(self.plan, range(self.num_plans)))
 
     @property
     def num_queries(self) -> int:
         """Number of queries ``|Q|``."""
-        return len(self._queries)
+        return len(self._query_offsets) - 1
 
     @property
     def num_plans(self) -> int:
         """Total number of plans ``|P|``."""
-        return len(self._plans)
+        return len(self._plan_cost)
 
     @property
     def savings(self) -> Mapping[PlanPair, float]:
@@ -372,23 +380,32 @@ class MQOProblem:
         """
         return self._plan_cost, self._plan_query, self._query_offsets
 
-    def plan(self, index: int) -> Plan:
-        """Return the plan with global index ``index`` (negative ones are unknown)."""
-        if index < 0:
+    def _plan_index(self, index: int) -> int:
+        """``index`` as a Python int when it names a plan; raises otherwise."""
+        index = operator.index(index)
+        if not 0 <= index < len(self._plan_cost):
             raise InvalidProblemError(f"unknown plan index {index}")
-        try:
-            return self._plans[index]
-        except IndexError:
-            raise InvalidProblemError(f"unknown plan index {index}") from None
+        return index
+
+    def plan(self, index: int) -> Plan:
+        """The plan with global index ``index``, built from the columns (negative ones are unknown)."""
+        index = self._plan_index(index)
+        query = int(self._plan_query[index])
+        label = (
+            self._plan_labels[index]
+            if self._plan_labels is not None
+            else f"q{query}_p{index - int(self._query_offsets[query])}"
+        )
+        return Plan(index, query, float(self._plan_cost[index]), label)
 
     def query(self, index: int) -> Query:
-        """Return the query with index ``index`` (negative ones are unknown)."""
-        if index < 0:
+        """The query with index ``index``, built from the columns (negative ones are unknown)."""
+        index = operator.index(index)
+        if not 0 <= index < self.num_queries:
             raise InvalidProblemError(f"unknown query index {index}")
-        try:
-            return self._queries[index]
-        except IndexError:
-            raise InvalidProblemError(f"unknown query index {index}") from None
+        label = self._query_labels[index] if self._query_labels is not None else f"q{index}"
+        lo, hi = self._query_offsets[index : index + 2].tolist()
+        return Query(index, tuple(range(lo, hi)), label)
 
     def _query_index(self, plan_index: int) -> int | None:
         """The query owning ``plan_index``, or ``None`` when it is no plan."""
@@ -396,7 +413,7 @@ class MQOProblem:
             index = operator.index(plan_index)
         except TypeError:
             return None
-        return self._plans[index].query_index if 0 <= index < len(self._plans) else None
+        return int(self._plan_query[index]) if 0 <= index < len(self._plan_cost) else None
 
     def query_of_plan(self, plan_index: int) -> int:
         """Return the index of the query owning ``plan_index``."""
@@ -407,7 +424,7 @@ class MQOProblem:
 
     def plan_cost(self, plan_index: int) -> float:
         """Execution cost ``c_p`` of the given plan."""
-        return self.plan(plan_index).cost
+        return float(self._plan_cost[self._plan_index(plan_index)])
 
     def saving(self, p1: int, p2: int) -> float:
         """Saving ``s_{p1,p2}`` for a plan pair, or 0.0 if the pair shares nothing."""
@@ -428,7 +445,7 @@ class MQOProblem:
     def _partners(self) -> Dict[int, Mapping[int, float]]:
         """Per plan, a read-only view of its partners (built on first use)."""
         if self._partner_views is None:
-            by_plan: Dict[int, Dict[int, float]] = {p.index: {} for p in self._plans}
+            by_plan: Dict[int, Dict[int, float]] = {p: {} for p in range(self.num_plans)}
             for (p1, p2), value in self.interaction_pairs():
                 by_plan[p1][p2] = value
                 by_plan[p2][p1] = value
@@ -466,7 +483,7 @@ class MQOProblem:
 
     def max_plan_cost(self) -> float:
         """``max_p c_p`` — used to derive the penalty weight ``w_L``."""
-        return max(p.cost for p in self._plans)
+        return float(self._plan_cost.max())
 
     def max_total_savings_per_plan(self) -> float:
         """``max_{p1} sum_{p2} s_{p1,p2}`` — used to derive the penalty weight ``w_M``."""
@@ -494,28 +511,41 @@ class MQOProblem:
         the classical heuristics (hill climbing, genetic algorithm).
         """
         if len(choices) != self.num_queries:
-            raise InvalidSolutionError(
-                f"expected {self.num_queries} choices, got {len(choices)}"
-            )
+            raise InvalidSolutionError(f"expected {self.num_queries} choices, got {len(choices)}")
+        offsets = self._query_offsets.tolist()
         selected = []
-        for query, choice in zip(self._queries, choices):
-            if not 0 <= choice < query.num_plans:
+        for query, choice in enumerate(choices):
+            num_plans = offsets[query + 1] - offsets[query]
+            if not 0 <= choice < num_plans:
                 raise InvalidSolutionError(
-                    f"choice {choice} out of range for query {query.index} "
-                    f"with {query.num_plans} plans"
+                    f"choice {choice} out of range for query {query} with {num_plans} plans"
                 )
-            selected.append(query.plan_indices[choice])
+            selected.append(offsets[query] + operator.index(choice))
         return MQOSolution(self, frozenset(selected))
+
+    def _plan_array(self, selected: Iterable[int]) -> np.ndarray:
+        """``selected`` as an int64 array; an unknown plan raises, naming the first."""
+        plans = [operator.index(p) for p in selected]
+        num_plans = len(self._plan_cost)
+        try:
+            array = np.array(plans, dtype=np.int64)
+        except OverflowError:  # an index beyond int64 names no plan either
+            array = None
+        if array is None or ((array < 0) | (array >= num_plans)).any():
+            unknown = next(p for p in plans if not 0 <= p < num_plans)
+            raise InvalidProblemError(f"unknown plan index {unknown}")
+        return array
 
     def is_valid_selection(self, selected: FrozenSet[int]) -> bool:
         """Whether ``selected`` picks exactly one known plan per query."""
-        per_query = [0] * self.num_queries
-        for p in selected:
-            query = self._query_index(p)
-            if query is None:
-                return False
-            per_query[query] += 1
-        return all(count == 1 for count in per_query)
+        try:
+            plans = self._plan_array(selected)
+        except (TypeError, InvalidProblemError):
+            return False
+        if len(plans) != self.num_queries:
+            return False
+        counts = np.bincount(self._plan_query[plans], minlength=self.num_queries)
+        return bool((counts == 1).all())
 
     def selection_cost(self, selected: Iterable[int]) -> float:
         """Cost ``C(Pe)`` of an arbitrary plan selection (validity not required).
@@ -525,14 +555,15 @@ class MQOProblem:
         QUBO objective terms ``E_C + E_S`` would cost them, which is what
         the correctness proofs in Section 6 reason about.
         """
-        chosen = set(int(p) for p in selected)
+        chosen = list(set(int(p) for p in selected))
         total = 0.0
-        for p in chosen:
-            total += self.plan(p).cost
+        # Costs are added one by one in set order, as they always were.
+        for cost in self._plan_cost[self._plan_array(chosen)].tolist():
+            total += cost
         if not self.num_savings:
             return total
         mask = np.zeros(self.num_plans, dtype=bool)
-        mask[list(chosen)] = True
+        mask[chosen] = True
         # Realised savings are subtracted one by one in insertion order,
         # so the total is the same float as a loop over the pairs.
         for value in self._savings_value[mask[self._savings_p1] & mask[self._savings_p2]].tolist():
@@ -551,7 +582,7 @@ class MQOProblem:
 
     def describe(self) -> str:
         """A short multi-line human-readable description."""
-        plans_per_query = [q.num_plans for q in self._queries]
+        plans_per_query = np.diff(self._query_offsets).tolist()
         return "\n".join(
             [
                 f"MQO problem {self.name or '<unnamed>'}",
@@ -580,9 +611,8 @@ class MQOSolution:
     _valid: bool = field(init=False, repr=False, default=False)
 
     def __post_init__(self) -> None:
-        for p in self.selected_plans:
-            # Raises InvalidProblemError for unknown plans.
-            self.problem.plan(p)
+        # Raises InvalidProblemError for unknown plans.
+        self.problem._plan_array(self.selected_plans)  # noqa: SLF001 — same module
         object.__setattr__(self, "_valid", self.problem.is_valid_selection(self.selected_plans))
         object.__setattr__(self, "_cost", self.problem.selection_cost(self.selected_plans))
 
@@ -622,30 +652,23 @@ class MQOSolution:
         """Return ``self`` or raise :class:`InvalidSolutionError` if invalid."""
         if not self._valid:
             raise InvalidSolutionError(
-                "solution does not select exactly one plan per query: "
-                f"{sorted(self.selected_plans)}"
+                f"solution does not select exactly one plan per query: {sorted(self.selected_plans)}"
             )
         return self
 
     def choices(self) -> List[int]:
         """Per-query plan offsets (requires a valid solution)."""
         self.require_valid()
-        by_query = {self.problem.query_of_plan(p): p for p in self.selected_plans}
-        offsets = []
-        for query in self.problem.queries:
-            plan = by_query[query.index]
-            offsets.append(query.plan_indices.index(plan))
-        return offsets
+        _, plan_query, query_offsets = self.problem.plan_columns()
+        plans = np.sort(np.fromiter(self.selected_plans, np.int64, len(self.selected_plans)))
+        # One plan per query and plans numbered in query order: sorted
+        # plans are sorted by query.
+        return (plans - query_offsets[plan_query[plans]]).tolist()
 
     def plan_indicator(self) -> Dict[int, int]:
         """Binary indicator ``X_p`` for every plan (the logical QUBO variables)."""
-        return {
-            plan.index: int(plan.index in self.selected_plans) for plan in self.problem.plans
-        }
+        return {p: int(p in self.selected_plans) for p in range(self.problem.num_plans)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         status = "valid" if self._valid else "INVALID"
-        return (
-            f"<MQOSolution {status}, cost={self._cost:.3f}, "
-            f"{len(self.selected_plans)} plans selected>"
-        )
+        return f"<MQOSolution {status}, cost={self._cost:.3f}, {len(self.selected_plans)} plans selected>"

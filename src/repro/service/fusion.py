@@ -13,7 +13,10 @@ per request.  A solo solve anneals the same group alone, so per request
 the result is **bit-identical** to a solo
 :func:`~repro.service.batch.execute_request` call (same seed → same
 trajectory, best cost and selected plans); only the wall-clock
-``total_time_ms`` differs, because it measures the shared window.
+``total_time_ms`` differs, because it measures the shared window.  A
+request whose queries the presolve decides entirely has nothing to
+anneal: it does not join the fused anneal and is answered from its
+stage.
 
 Requests whose solver is not a :class:`QuantumAnnealingSolver`
 (portfolio requests, classical solvers, scripted test doubles
@@ -66,6 +69,14 @@ def execute_fused_requests(
             continue
         try:
             staged = solver.stage(request.problem, request.time_budget_ms, request.seed)
+            if staged.prepared is None:
+                results[index] = SolveResult.from_trajectory(
+                    request,
+                    solver.trajectory(staged),
+                    winner=request.solver,
+                    total_time_ms=stopwatch.elapsed_ms(),
+                )
+                continue
             programmed = staged.pipeline.device.program_anneal(
                 staged.prepared.physical.physical_qubo,
                 num_reads=staged.num_reads,
@@ -92,11 +103,13 @@ def execute_fused_requests(
                 device = staged.pipeline.device
                 states = device.batch_assignments(programmed, block_states)
                 result = staged.pipeline.decode(
-                    request.problem, staged.prepared, device.assemble_samples(programmed, states)
+                    staged.prepared.problem,
+                    staged.prepared,
+                    device.assemble_samples(programmed, states),
                 )
                 results[index] = SolveResult.from_trajectory(
                     request,
-                    solver.trajectory(result),
+                    solver.trajectory(staged, result),
                     winner=request.solver,
                     total_time_ms=stopwatch.elapsed_ms(),
                 )

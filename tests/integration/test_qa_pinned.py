@@ -6,15 +6,22 @@ returning the same selected plans, best cost and trajectory.  This module
 replays a fixed set of solves covering every QA entry point and compares
 them with ``qa_pinned.json``:
 
-* one Section 7.1 instance per paper class through ``ServiceFrontend.submit``,
+* two Section 7.1 instances per paper class through ``ServiceFrontend.submit``:
+  a small one and one at a quarter of the D-Wave 2X's native capacity,
 * the same requests as one ``ServiceFrontend.submit_fused`` window,
 * a default (noisy, defective) device through ``QuantumMQO.solve``,
 * noisy solves with the ``FIRST`` and ``DISCARD`` chain read-outs.
 
+Served requests are presolved: the small 2-, 4- and 5-plan instances
+are decided without an anneal, and the others anneal what the presolve
+leaves.  The last three cases run ``QuantumMQO`` directly and are not
+presolved.
+
 The paper-class requests also run over a socket through a thread
 server, a fusion server and a 2-shard server, and each answer must equal
 its pinned ``submit`` record: a seeded request gets one answer on every
-execution tier.
+execution tier, and the fusion server fuses the anneals of several of
+them.
 
 Regenerate the fixture only when a change is *meant* to alter answers::
 
@@ -36,6 +43,7 @@ from repro.core.physical import PhysicalMappingConfig
 from repro.core.pipeline import QuantumMQO, QuantumMQOResult
 from repro.embedding.unembed import ChainReadout
 from repro.mqo.generator import generate_paper_testcase
+from repro.obs.trace import configure_tracer, get_tracer
 from repro.server.app import ServerConfig, run_server_in_thread
 from repro.server.client import SolverClient
 from repro.server.readiness import wait_for_server
@@ -47,6 +55,15 @@ FIXTURE = Path(__file__).with_name("qa_pinned.json")
 
 #: (plans per query, queries) of the four paper classes, kept small.
 PAPER_CLASSES = ((2, 8), (3, 6), (4, 5), (5, 4))
+
+#: The four classes at a quarter of their native capacity on the
+#: D-Wave 2X (the benchmark's 1/4-capacity size).
+QUARTER_CLASSES = ((2, 144), (3, 72), (4, 36), (5, 36))
+
+#: Pinned key of each served request, in submission order.
+SERVED = [f"{plans}-plans" for plans, _ in PAPER_CLASSES] + [
+    f"quarter-{plans}-plans" for plans, _ in QUARTER_CLASSES
+]
 
 
 def _class_requests() -> List[SolveRequest]:
@@ -63,7 +80,7 @@ def _class_requests() -> List[SolveRequest]:
             time_budget_ms=40.0,
             seed=1000 + plans,
         )
-        for plans, queries in PAPER_CLASSES
+        for plans, queries in PAPER_CLASSES + QUARTER_CLASSES
     ]
 
 
@@ -101,11 +118,11 @@ def pinned_outputs() -> Dict[str, Dict[str, Any]]:
     """Every pinned case, computed by the code under test."""
     outputs: Dict[str, Dict[str, Any]] = {}
     requests = _class_requests()
-    for (plans, _queries), request in zip(PAPER_CLASSES, requests):
-        outputs[f"submit/{plans}-plans"] = _service_record(ServiceFrontend().submit(request))
+    for key, request in zip(SERVED, requests):
+        outputs[f"submit/{key}"] = _service_record(ServiceFrontend().submit(request))
     fused = ServiceFrontend().submit_fused(requests)
-    for (plans, _queries), result in zip(PAPER_CLASSES, fused):
-        outputs[f"submit_fused/{plans}-plans"] = _service_record(result)
+    for key, result in zip(SERVED, fused):
+        outputs[f"submit_fused/{key}"] = _service_record(result)
     outputs["noisy-default-device"] = _pipeline_record(
         QuantumMQO(seed=21).solve(generate_paper_testcase(6, 3, seed=5), num_reads=50)
     )
@@ -131,8 +148,8 @@ def test_fixture_covers_every_case(computed, pinned):
 
 
 CASES = (
-    [f"submit/{plans}-plans" for plans, _ in PAPER_CLASSES]
-    + [f"submit_fused/{plans}-plans" for plans, _ in PAPER_CLASSES]
+    [f"submit/{key}" for key in SERVED]
+    + [f"submit_fused/{key}" for key in SERVED]
     + ["noisy-default-device", "readout/first", "readout/discard"]
 )
 
@@ -151,8 +168,18 @@ def test_readout_cases_exercise_broken_chains(pinned):
 
 
 def test_fused_window_matches_solo_submits(pinned):
-    for plans, _queries in PAPER_CLASSES:
-        assert pinned[f"submit/{plans}-plans"] == pinned[f"submit_fused/{plans}-plans"]
+    for key in SERVED:
+        assert pinned[f"submit/{key}"] == pinned[f"submit_fused/{key}"]
+
+
+def test_served_cases_cover_the_anneal_and_the_presolve(pinned):
+    """Decided requests answer at time zero; the others anneal."""
+    decided = [key for key in SERVED if pinned[f"submit/{key}"]["trajectory"][-1][0] == 0.0]
+    assert "5-plans" in decided
+    assert len(SERVED) - len(decided) >= 2
+    for key in decided:
+        record = pinned[f"submit/{key}"]
+        assert record["trajectory"] == [[0.0, record["best_cost"]]]
 
 
 #: Server configuration of each execution tier.
@@ -167,6 +194,10 @@ SERVER_TIERS = {
 def test_server_tier_matches_pinned_submits(tier, pinned):
     """The paper-class requests, submitted over a socket, keep their pinned answers."""
     config = ServerConfig(**SERVER_TIERS[tier])
+    tracer = get_tracer()
+    enabled, buffer_size = tracer.enabled, tracer.buffer_size
+    configure_tracer(True, buffer_size=100_000)
+    tracer.drain()
     handle = run_server_in_thread(config, ServiceFrontend())
     try:
         wait_for_server(port=handle.port, timeout_s=30.0, min_shards=config.shards or None)
@@ -185,8 +216,13 @@ def test_server_tier_matches_pinned_submits(tier, pinned):
                 assert client.stats()["counters"]["fusion_jobs"] == len(job_ids)
     finally:
         handle.stop()
-    for (plans, _queries), result in zip(PAPER_CLASSES, results):
-        assert _service_record(result) == pinned[f"submit/{plans}-plans"]
+        spans = tracer.drain()
+        configure_tracer(enabled, buffer_size=buffer_size)
+    for key, result in zip(SERVED, results):
+        assert _service_record(result) == pinned[f"submit/{key}"]
+    if tier == "fusion":
+        fused = [span.attributes["jobs"] for span in spans if span.name == "service.fuse"]
+        assert max(fused) >= 2, f"no window fused two anneals: {fused}"
 
 
 if __name__ == "__main__":

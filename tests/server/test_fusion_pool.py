@@ -37,7 +37,9 @@ def _fusion_config(**overrides):
 
 
 def _spec(seed, budget_ms=120.0):
-    problem = generate_paper_testcase(4, 2, seed=seed)
+    # Six queries with three plans: the presolve leaves every seed used
+    # here something to anneal, so the windows fuse real anneals.
+    problem = generate_paper_testcase(6, 3, seed=seed)
     return problem, {"solver": "QA", "budget_ms": budget_ms, "seed": seed}
 
 

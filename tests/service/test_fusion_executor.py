@@ -9,6 +9,7 @@ adds the cache semantics of :meth:`submit` on top.
 """
 
 from repro.mqo.generator import generate_paper_testcase
+from repro.obs.trace import configure_tracer, get_tracer
 from repro.service import fusion
 from repro.service.batch import execute_request
 from repro.service.cache import ResultCache
@@ -35,6 +36,29 @@ class TestExecuteFusedRequests:
             solo = solo_frontend.submit(request)
             assert result.ok and solo.ok
             assert result.winner == solo.winner == "QA"
+            assert result.best_cost == solo.best_cost
+            assert result.selected_plans == solo.selected_plans
+            assert result.trajectory == solo.trajectory
+
+    def test_decided_request_skips_the_fused_anneal_of_its_peers(self):
+        """Two requests anneal in one fused group; a third, which the
+        presolve decides, joins no anneal.  All three match their solo
+        solves bit for bit."""
+        requests = [_qa_request(seed, queries=6) for seed in (1, 2, 3)]
+        tracer = get_tracer()
+        enabled, buffer_size = tracer.enabled, tracer.buffer_size
+        configure_tracer(True, buffer_size=10_000)
+        tracer.drain()
+        try:
+            fused = execute_fused_requests(requests)
+            spans = tracer.drain()
+        finally:
+            configure_tracer(enabled, buffer_size=buffer_size)
+        assert [span.attributes["jobs"] for span in spans if span.name == "service.fuse"] == [2]
+        decided = [r for r in fused if r.trajectory == [(0.0, r.best_cost)]]
+        assert len(decided) == 1 and decided[0].proved_optimal
+        for request, result in zip(requests, fused):
+            solo = ServiceFrontend().submit(request)
             assert result.best_cost == solo.best_cost
             assert result.selected_plans == solo.selected_plans
             assert result.trajectory == solo.trajectory

@@ -1,10 +1,15 @@
 """Tests for the QA adapter's prepared-pipeline cache and prepare hook."""
 
+import gc
+import types
+
 import pytest
 
 from repro.mqo.generator import generate_paper_testcase
-from repro.mqo.problem import MQOProblem
+from repro.mqo.problem import MQOProblem, Plan, Query
 from repro.mqo.serialization import exact_problem_token
+from repro.service.frontend import ServiceFrontend
+from repro.service.jobs import SolveRequest
 from repro.service.qa_adapter import QuantumAnnealingSolver
 
 
@@ -97,3 +102,28 @@ class TestPortfolioPrepareHook:
         stats = QuantumAnnealingSolver.prepared_cache.stats()
         assert stats["misses"] == 1
         assert stats["hits"] >= 2
+
+
+def _reachable(root):
+    """Every object reachable from ``root`` through references (types and modules aside)."""
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        for child in gc.get_referents(stack.pop()):
+            if id(child) in seen or isinstance(child, (type, types.ModuleType)):
+                continue
+            seen.add(id(child))
+            stack.append(child)
+            yield child
+
+
+def test_a_served_qa_solve_leaves_no_plan_or_query_objects():
+    """The problem keeps its plans as columns: a solve builds no Plan or Query it keeps."""
+    problem = generate_paper_testcase(6, 3, seed=1)
+    result = ServiceFrontend().submit(
+        SolveRequest(problem=problem, solver="QA", time_budget_ms=20.0, seed=1)
+    )
+    assert result.ok, result.error
+    assert len(result.trajectory) and result.trajectory[-1][0] > 0.0  # it annealed
+    leaked = [obj for obj in _reachable(problem) if isinstance(obj, (Plan, Query))]
+    assert not leaked

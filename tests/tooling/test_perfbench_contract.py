@@ -60,8 +60,10 @@ def test_traced_qa_solve_annotates_its_spans(tracing):
     from repro.service.jobs import SolveRequest
     from repro.workloads.embedded import generate_embedded_testcase
 
+    # Four queries: the presolve leaves three of them to anneal, while
+    # it decides the three-query instance of this seed without one.
     problem = generate_embedded_testcase(
-        3, 2, DWAVE_2X.build_topology(perfect=True), seed=1
+        4, 2, DWAVE_2X.build_topology(perfect=True), seed=1
     ).problem
     tracer = get_tracer()
     enabled, buffer_size = tracer.enabled, tracer.buffer_size
