@@ -3,11 +3,11 @@
 Takes the built-in ``stream-poisson`` / ``stream-bursty`` suites as the
 measuring stick, but re-registers their scenarios under hot arrival
 schedules (``stream-poisson-hot`` / ``stream-bursty-hot``) sized to
-push a solo :class:`~repro.server.workers.WorkerPool` past saturation:
-at the bench's small QA budget one solve costs ~20 ms of single-core
-time, so the default 50 jobs/s Poisson rate and 16-job bursts make the
-solo tier queue while the :class:`~repro.server.workers.FusionPool`
-drains the same schedule by annealing whole windows as one fused
+push the thread tier's :class:`~repro.server.workers.WorkerPool` past
+saturation: at the bench's small QA budget one solve costs ~20 ms of
+single-core time, so the default 50 jobs/s Poisson rate and 16-job
+bursts make solo jobs queue while the same pool with its fusion window
+on drains the same schedule by annealing whole windows as one fused
 block-diagonal problem (see ``docs/fusion.md``).
 
 Each suite runs twice against a real server on an ephemeral port —

@@ -11,11 +11,12 @@ stack: protocol, queue, worker tier, executor.
 
 Two scenarios run back to back against the same workload:
 
-* ``closed-loop-climb``         — the threaded :class:`WorkerPool`,
-* ``closed-loop-climb-sharded`` — the multi-process :class:`ShardPool`
-  (``REPRO_BENCH_SERVER_SHARDS`` shard processes, default
-  ``max(2, cpu_count)``), where jobs are hash-routed to per-core shard
-  processes and problems cross the pipes zero-copy.
+* ``closed-loop-climb``         — the thread tier: the worker pool's
+  slots are ``REPRO_BENCH_SERVER_WORKERS`` executor threads,
+* ``closed-loop-climb-sharded`` — the shard tier: the same number of
+  slots in each of ``REPRO_BENCH_SERVER_SHARDS`` shard processes
+  (default ``max(2, cpu_count)``), every slot pulling its next job from
+  the one queue, with problems crossing the pipes zero-copy.
 
 The BENCH document's ``totals`` aggregate both scenarios (the schema
 requires jobs to sum), so the regression gate

@@ -149,10 +149,10 @@ class BenchRunConfig:
     workers:
         Server worker slots (``server`` mode only; 0 picks the default).
     fusion_window_ms / fusion_max_jobs:
-        ``server`` mode only: a positive window selects the
-        :class:`~repro.server.workers.FusionPool`, which coalesces
-        annealing jobs admitted within the window into one fused
-        block-diagonal anneal (see ``docs/fusion.md``).
+        ``server`` mode only: a positive window turns on the fusion
+        window of the server's :class:`~repro.server.workers.WorkerPool`,
+        which stages annealing jobs admitted within the window into one
+        fused block-diagonal anneal (see ``docs/fusion.md``).
     quality_reference:
         Registered solver providing the best-known quality reference;
         empty string disables the quality pass.

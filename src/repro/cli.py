@@ -32,7 +32,6 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
-import functools
 import json
 import sys
 import time
@@ -185,7 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=7337, help="bind port (0 = OS-assigned)"
     )
     serve.add_argument(
-        "--workers", type=int, default=2, help="concurrent solver jobs"
+        "--workers",
+        type=int,
+        default=2,
+        help=(
+            "concurrent solver jobs per process: threads of this server, "
+            "or threads in each shard process with --shards"
+        ),
     )
     serve.add_argument(
         "--shards",
@@ -208,8 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help=(
             "fuse annealing jobs admitted within this window into one "
-            "block-diagonal anneal (0 = off; see docs/fusion.md; "
-            "thread tier only: an error with --shards)"
+            "block-diagonal anneal (0 = off; see docs/fusion.md)"
         ),
     )
     serve.add_argument(
@@ -601,8 +605,8 @@ def _run_solve_traced(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Result-cache entries of every frontend of batch's private server (the
-#: parent's and each shard's): the window of whole-workload dedupe.
+#: Result-cache entries of batch's private server: the window of
+#: whole-workload dedupe.
 _BATCH_CACHE_CAPACITY = 1024
 
 #: Frame limit of batch's private server and client.  Batch reads lines
@@ -675,12 +679,13 @@ def _run_batch(args: argparse.Namespace) -> int:
 def _batch_frontend(
     solvers: Optional[Sequence[str]], cache_file: Optional[str]
 ) -> ServiceFrontend:
-    """One frontend of batch's private server: the parent's or a shard's.
+    """The frontend of batch's private server, on either tier.
 
-    Each holds a result cache, the ``--cache-file`` one or an in-memory
-    LRU, so a repeated line comes back ``from_cache`` whether it is
-    coalesced in flight or arrives after its twin finished.  ``--solvers``
-    is the portfolio line-up, so a spec's own line-up still wins.
+    It holds the server's only result cache, the ``--cache-file`` one or
+    an in-memory LRU, so a repeated line comes back ``from_cache``
+    whether it is coalesced in flight or arrives after its twin
+    finished.  ``--solvers`` is the portfolio line-up, so a spec's own
+    line-up still wins.
     """
     cache = ResultCache(capacity=_BATCH_CACHE_CAPACITY, path=cache_file)
     return ServiceFrontend(cache=cache, portfolio_solvers=solvers)
@@ -694,19 +699,14 @@ def _run_batch_traced(args: argparse.Namespace) -> int:
     order.  A file-backed cache is saved once, at the end.
     """
     frontend = _batch_frontend(args.solvers, args.cache_file)
-    sharded = args.workers > 1
     config = ServerConfig(
         port=0,
         workers=1,
-        shards=args.workers if sharded else 0,
+        shards=args.workers if args.workers > 1 else 0,
         max_frame_bytes=_BATCH_FRAME_BYTES,
     )
-    # A partial over a module-level function pickles for the shards.
-    factory = (
-        functools.partial(_batch_frontend, args.solvers, args.cache_file) if sharded else None
-    )
     stopwatch = Stopwatch().start()
-    handle = run_server_in_thread(config, frontend=frontend, frontend_factory=factory)
+    handle = run_server_in_thread(config, frontend=frontend)
     try:
         with _result_sink(args.output) as emit, SolverClient(
             port=handle.port, timeout_s=None, max_frame_bytes=_BATCH_FRAME_BYTES
@@ -742,24 +742,6 @@ def _run_batch_traced(args: argparse.Namespace) -> int:
 _SERVE_CACHE_SAVE_INTERVAL_S = 30.0
 
 
-def _build_shard_frontend(
-    solvers: Optional[Sequence[str]] = None,
-    cache_file: Optional[str] = None,
-    cache_ttl_s: Optional[float] = None,
-) -> ServiceFrontend:
-    """Build one shard's service frontend (called inside the shard process).
-
-    Each shard owns a private frontend and result cache, so hash-routed
-    jobs always land on the shard whose cache already holds their
-    problem.  A ``--cache-file`` is loaded once at shard boot as a warm
-    start; fresh shard results are mirrored back into the parent's
-    cache (see :class:`~repro.server.sharding.ShardPool`), and only the
-    parent process checkpoints that cache back to disk.
-    """
-    cache = ResultCache(path=cache_file, ttl_seconds=cache_ttl_s) if cache_file else None
-    return ServiceFrontend(cache=cache, portfolio_solvers=solvers)
-
-
 def _run_serve(args: argparse.Namespace) -> int:
     """Run the solver server until SIGINT/SIGTERM or a client shutdown.
 
@@ -792,21 +774,7 @@ def _run_serve_traced(args: argparse.Namespace) -> int:
         fusion_window_ms=args.fusion_window_ms,
         fusion_max_jobs=args.fusion_max_jobs,
     )
-    # functools.partial over a module-level function keeps the factory
-    # picklable, so shards can boot under the spawn start method too.
-    frontend_factory = (
-        functools.partial(
-            _build_shard_frontend,
-            solvers=args.solvers,
-            cache_file=args.cache_file,
-            cache_ttl_s=args.cache_ttl_s,
-        )
-        if args.shards != 0
-        else None
-    )
-    server = SolverServer(
-        config=config, frontend=frontend, frontend_factory=frontend_factory
-    )
+    server = SolverServer(config=config, frontend=frontend)
 
     def save_cache() -> None:
         """Checkpoint the shared result cache (atomic; errors reported)."""
@@ -1072,8 +1040,9 @@ def _render_top(host: str, port: int, stats: dict) -> str:
     """Render one ``top`` frame from a ``stats`` payload (pure).
 
     The payload carries throughput and latency percentiles, and under
-    ``health`` the pool's tier state: verdict, tier and, on the sharded
-    tier, one entry per shard with its liveness, depths and job counts.
+    ``health`` the pool's state: verdict, tier, the jobs staged in the
+    fusion window when fusion is on and, with shards, one entry per
+    shard with its liveness, load and job counts.
     """
     health = stats.get("health", {})
     counters = stats.get("counters", {})
@@ -1093,16 +1062,16 @@ def _render_top(host: str, port: int, stats: dict) -> str:
         f"run p50/p99: {job_run.get('p50_ms', 0.0):.1f}/"
         f"{job_run.get('p99_ms', 0.0):.1f} ms",
     ]
+    staged = f" | fusion window staged: {health['staged']}" if "staged" in health else ""
     shards = health.get("shards")
     if not shards:
-        workers = f"workers active: {health.get('active', stats.get('inflight', 0))}"
-        if "staged" in health:
-            workers += f" | fusion window staged: {health['staged']}"
-        lines.append(workers)
+        lines.append(
+            f"workers active: {health.get('active', stats.get('inflight', 0))}{staged}"
+        )
         return "\n".join(lines) + "\n"
     lines.append(
         f"shards: {health.get('alive', 0)}/{health.get('count', 0)} alive, "
-        f"{health.get('restarts', 0)} restarts"
+        f"{health.get('restarts', 0)} restarts{staged}"
     )
     lines.append("")
     rows = []
@@ -1126,8 +1095,6 @@ def _render_top(host: str, port: int, stats: dict) -> str:
                 state.get("retries", 0),
                 state.get("restarts", 0),
                 state.get("assigned", 0),
-                state.get("outbox", 0),
-                state.get("overflow", 0),
                 f"{state.get('heartbeat_age_s', 0.0):.1f}s",
             )
         )
@@ -1135,7 +1102,7 @@ def _render_top(host: str, port: int, stats: dict) -> str:
         format_table(
             [
                 "shard", "pid", "state", "jobs", "fail", "retry",
-                "restarts", "assigned", "outbox", "overflow", "hb age",
+                "restarts", "assigned", "hb age",
             ],
             rows,
         )

@@ -16,6 +16,7 @@ solvers exactly as Figures 4 and 5 do.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -254,7 +255,14 @@ class QuantumMQO:
             with tracer.span("mqo.qubo_build") as span:
                 mapping = LogicalMapping(problem, self.logical_config)
                 span.set_attribute("num_logical_vars", mapping.qubo.num_variables)
-            with tracer.span("mqo.embed", {"embedder": str(self.embedder)}):
+            # A handed-in Embedding is not searched for, so it gets no
+            # ``mqo.embed`` span: one span per embedding search.
+            embed_span = (
+                contextlib.nullcontext()
+                if isinstance(self.embedder, Embedding)
+                else tracer.span("mqo.embed", {"embedder": str(self.embedder)})
+            )
+            with embed_span:
                 embedding = self.build_embedding(problem, mapping)
             with tracer.span("mqo.physical_map"):
                 physical = embed_logical_qubo(

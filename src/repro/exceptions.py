@@ -24,7 +24,6 @@ __all__ = [
     "UnknownSolverError",
     "DuplicateSolverError",
     "ServerError",
-    "ServerConfigError",
     "ProtocolError",
     "AdmissionError",
 ]
@@ -101,10 +100,6 @@ class DuplicateSolverError(ServiceError):
 
 class ServerError(ServiceError):
     """The solver server (or its client) failed to process a request."""
-
-
-class ServerConfigError(ServerError, ValueError):
-    """A server configuration combines options that contradict each other."""
 
 
 class ProtocolError(ServerError, ValueError):

@@ -13,8 +13,8 @@ Two boundaries need explicit help:
   and re-install it inside the worker with :meth:`Tracer.activate`
   (the portfolio scheduler does exactly this, mirroring how it already
   forwards improvement observers).
-* **Processes** — spans cross only the shard pipe of
-  :class:`~repro.server.sharding.ShardPool`: a shard traces each job
+* **Processes** — spans cross only the pipe of a shard process
+  (:mod:`repro.server.sharding`): a shard traces each unit of work
   with its own tracer and ships the finished spans back as dictionaries
   (:meth:`Span.to_dict`), tagged with a ``shard`` attribute, for the
   parent's :meth:`Tracer.adopt`.  Shard spans start their own traces.

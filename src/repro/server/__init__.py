@@ -10,12 +10,13 @@ bounded worker pool) instead of paying cold-start per invocation.
   priorities, response types, size limits,
 * :mod:`repro.server.queue` — priority job queue with round-robin
   per-client fairness and bounded admission control (backpressure),
-* :mod:`repro.server.workers` — worker pool draining the queue into
+* :mod:`repro.server.workers` — the worker pool: slots that pull jobs
+  and fusion windows off the queue into
   :class:`~repro.service.frontend.ServiceFrontend`, coalescing
   duplicate in-flight requests by cache key,
-* :mod:`repro.server.sharding` — :class:`ShardPool`, the multi-process
-  worker tier: one shard process per core, jobs routed by canonical
-  problem hash, zero-copy column handoff (see ``docs/server.md``),
+* :mod:`repro.server.sharding` — the shard processes some slots live
+  in: zero-copy column handoff, respawn, heartbeats (see
+  ``docs/server.md``),
 * :mod:`repro.server.streaming` — fan-out of incremental anytime
   updates to subscribed clients while jobs run,
 * :mod:`repro.server.metrics` — the one registry of server counts and
@@ -58,9 +59,9 @@ from repro.server.protocol import (
     encode_frame,
 )
 from repro.server.queue import FairScheduler, JobQueue, ServerJob
-from repro.server.sharding import ShardPool, default_shard_count, shard_for
+from repro.server.sharding import default_shard_count
 from repro.server.streaming import StreamBroker
-from repro.server.workers import BasePool, WorkerPool
+from repro.server.workers import WorkerPool
 
 __all__ = [
     "ServerConfig",
@@ -73,10 +74,7 @@ __all__ = [
     "JobQueue",
     "ServerJob",
     "StreamBroker",
-    "BasePool",
     "WorkerPool",
-    "ShardPool",
-    "shard_for",
     "default_shard_count",
     "PROTOCOL_VERSION",
     "MAX_FRAME_BYTES",

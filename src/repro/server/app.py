@@ -3,8 +3,9 @@
 :class:`SolverServer` listens on TCP, speaks the newline-delimited JSON
 protocol of :mod:`repro.server.protocol`, and drives the subsystem
 stack: admission control and per-client fairness in
-:class:`~repro.server.queue.JobQueue`, execution and in-flight
-coalescing in :class:`~repro.server.workers.WorkerPool`, live anytime
+:class:`~repro.server.queue.JobQueue`, execution on threads or shard
+processes, fusion windows and in-flight coalescing in
+:class:`~repro.server.workers.WorkerPool`, live anytime
 updates through :class:`~repro.server.streaming.StreamBroker`, and
 counts and latencies in :class:`~repro.server.metrics.ServerMetrics`,
 which the introspection ops render next to the pool's ``health()``.
@@ -31,19 +32,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional
 
-from repro.exceptions import (
-    AdmissionError,
-    ProtocolError,
-    ReproError,
-    ServerConfigError,
-    ServerError,
-)
+from repro.exceptions import AdmissionError, ProtocolError, ReproError, ServerError
 from repro.obs.events import get_event_log, record_event
 from repro.server import protocol
 from repro.server.metrics import ServerMetrics
 from repro.server.queue import JobQueue, ServerJob
 from repro.server.streaming import StreamBroker
-from repro.server.workers import FusionPool, WorkerPool
+from repro.server.workers import WorkerPool
 from repro.service.frontend import ServiceFrontend
 from repro.service.jobs import request_from_spec
 
@@ -58,29 +53,22 @@ DRAIN_GRACE_S = 1.0
 class ServerConfig:
     """Tunables of one :class:`SolverServer` instance.
 
-    Construction raises :class:`~repro.exceptions.ServerConfigError` for
-    a contradictory combination: a fusion window with the sharded tier.
-
     Attributes
     ----------
     host / port:
         Bind address; port 0 lets the OS pick (read it back from
         :attr:`SolverServer.port` after start).
     workers:
-        Concurrent jobs (asyncio worker tasks and executor threads).
-        Ignored when ``shards`` selects the multi-process tier.
+        Concurrent jobs per solver process: executor threads of the
+        server, or threads in each shard process when ``shards`` is set.
     shards:
-        ``0`` (default) executes jobs on the in-process thread tier
-        (:class:`~repro.server.workers.WorkerPool`); a positive count
-        runs that many shard *processes*
-        (:class:`~repro.server.sharding.ShardPool`), routed by canonical
-        problem hash; ``-1`` means one shard per CPU core.
-    shard_retry:
-        Whether a shard death mid-job retries the job once on a live
-        shard (default) instead of failing it immediately.
+        ``0`` (default) runs jobs in the server process; a positive
+        count runs them in that many shard *processes*, ``-1`` in one
+        per CPU core.  Either way every slot pulls its next job from the
+        one queue (:class:`~repro.server.workers.WorkerPool`).
     shard_heartbeat_s:
-        Cadence of each shard's metrics-snapshot heartbeat (sharded
-        tier only); also feeds the ``health`` op's staleness verdict.
+        Cadence of each shard's metrics-snapshot heartbeat (with
+        shards); also feeds the ``health`` op's staleness verdict.
     queue_capacity / max_jobs_per_client:
         Admission-control bounds of the job queue.
     default_budget_ms / max_budget_ms:
@@ -100,15 +88,11 @@ class ServerConfig:
     completed_job_retention_s:
         Minimum age before a finished job may be pruned under the soft
         bound (protects pipelined clients that wait() after submitting).
-    coalesce:
-        Fold duplicate in-flight requests onto one execution.
     fusion_window_ms:
         ``0`` (default) disables cross-request anneal fusion; a positive
-        value selects :class:`~repro.server.workers.FusionPool` on the
-        thread tier: annealing-backed jobs popped within this admission
-        window are executed as **one** fused block-diagonal anneal (see
-        ``docs/fusion.md``).  The sharded tier has no fusion window, so
-        a positive value with ``shards != 0`` is rejected.
+        value stages annealing-backed jobs, and the jobs staged within
+        this admission window run as **one** fused block-diagonal anneal
+        on one slot, with or without shards (see ``docs/fusion.md``).
     fusion_max_jobs:
         Jobs per fusion window before it flushes early.
     allow_shutdown:
@@ -121,7 +105,6 @@ class ServerConfig:
     port: int = 0
     workers: int = 2
     shards: int = 0
-    shard_retry: bool = True
     shard_heartbeat_s: float = 1.0
     queue_capacity: int = 128
     max_jobs_per_client: Optional[int] = None
@@ -131,18 +114,10 @@ class ServerConfig:
     drain_timeout_s: float = 30.0
     completed_jobs_kept: int = 1024
     completed_job_retention_s: float = 300.0
-    coalesce: bool = True
     fusion_window_ms: float = 0.0
     fusion_max_jobs: int = 8
     allow_shutdown: bool = True
     server_name: str = "repro-mqo"
-
-    def __post_init__(self) -> None:
-        if self.shards != 0 and self.fusion_window_ms > 0:
-            raise ServerConfigError(
-                f"fusion_window_ms={self.fusion_window_ms} needs the thread tier; "
-                f"the sharded tier (shards={self.shards}) has no fusion window"
-            )
 
 
 class _Connection:
@@ -214,16 +189,15 @@ class SolverServer:
         with a custom registry/cache to control the solver line-up (the
         end-to-end tests register scripted solvers this way).
     frontend_factory:
-        Zero-argument frontend builder for the sharded tier
-        (``config.shards != 0``): invoked once inside every shard
-        process, so each shard owns private caches.  Must be picklable
-        (module-level function or :func:`functools.partial`) — shard
-        processes start via ``forkserver``/``spawn``.  When omitted,
-        every shard builds a *default* :class:`ServiceFrontend`; a
-        custom registry or cache line-up needs an explicit factory.
-        The parent keeps its own instance for ``hello`` / ``stats``
-        introspection and (sharded tier) as the accumulating result
-        cache that gets checkpointed to disk.
+        Zero-argument frontend builder, invoked once inside every shard
+        process (``config.shards != 0``): a shard solves with its
+        registry.  Must be picklable (module-level function or
+        :func:`functools.partial`) — shard processes start via
+        ``forkserver``/``spawn``.  When omitted, every shard builds a
+        *default* :class:`ServiceFrontend`, so a custom registry needs
+        an explicit factory.  Shards keep no result cache: ``frontend``
+        (built from the factory when not given) answers cache hits and
+        stores every fresh result, whichever process computed it.
     """
 
     def __init__(
@@ -244,48 +218,18 @@ class SolverServer:
         self.broker = StreamBroker(
             on_update_streamed=lambda count: self.metrics.increment("updates_streamed", count)
         )
-        if self.config.shards != 0:
-            # Imported lazily: multiprocessing machinery is only needed
-            # when the sharded tier is actually selected.
-            from repro.server.sharding import ShardPool
-
-            if frontend_factory is None:
-                # A frontend *instance* cannot cross the forkserver/spawn
-                # process boundary (registries and executors rarely
-                # pickle); shards fall back to default frontends.  Pass a
-                # picklable factory to give shards a custom line-up.
-                frontend_factory = ServiceFrontend
-            self.pool: Any = ShardPool(
-                frontend_factory=frontend_factory,
-                queue=self.queue,
-                broker=self.broker,
-                metrics=self.metrics,
-                num_shards=self.config.shards,
-                coalesce=self.config.coalesce,
-                retry_on_shard_death=self.config.shard_retry,
-                result_cache=self.frontend.cache,
-                heartbeat_interval_s=self.config.shard_heartbeat_s,
-            )
-        elif self.config.fusion_window_ms > 0:
-            self.pool = FusionPool(
-                frontend=self.frontend,
-                queue=self.queue,
-                broker=self.broker,
-                metrics=self.metrics,
-                num_workers=self.config.workers,
-                coalesce=self.config.coalesce,
-                fusion_window_ms=self.config.fusion_window_ms,
-                fusion_max_jobs=self.config.fusion_max_jobs,
-            )
-        else:
-            self.pool = WorkerPool(
-                frontend=self.frontend,
-                queue=self.queue,
-                broker=self.broker,
-                metrics=self.metrics,
-                num_workers=self.config.workers,
-                coalesce=self.config.coalesce,
-            )
+        self.pool = WorkerPool(
+            frontend=self.frontend,
+            queue=self.queue,
+            broker=self.broker,
+            metrics=self.metrics,
+            num_workers=self.config.workers,
+            num_shards=self.config.shards,
+            frontend_factory=frontend_factory,
+            heartbeat_interval_s=self.config.shard_heartbeat_s,
+            fusion_window_ms=self.config.fusion_window_ms,
+            fusion_max_jobs=self.config.fusion_max_jobs,
+        )
         self.host = self.config.host
         self.port = self.config.port
         self._server: Optional[asyncio.AbstractServer] = None
@@ -765,7 +709,7 @@ def run_server_in_thread(
     Returns a :class:`ServerHandle` whose :attr:`~ServerHandle.port`
     reports the actual bound port.  The server also stops (and the
     thread exits) when a client issues the ``shutdown`` op.
-    ``frontend_factory`` feeds the sharded tier (see
+    ``frontend_factory`` builds each shard's frontend (see
     :class:`SolverServer`).
     """
     server = SolverServer(config=config, frontend=frontend, frontend_factory=frontend_factory)

@@ -5,8 +5,8 @@ Every count and latency the server keeps lives in one
 the job and stream counters of :data:`COUNTERS` (registered at zero, so
 every series carries its HELP line from the start), per-op request
 counts, errors and handler latency (``repro_server_request*{op="..."}``),
-the queue-wait, job-run and fusion-window histograms, and the sharded
-tier's per-shard counters and gauges.  Latency percentiles come from
+the queue-wait, job-run and fusion-window histograms, and the shard
+processes' per-shard counters and gauges.  Latency percentiles come from
 each histogram's bounded window of recent samples, so memory stays
 constant however long the server runs.
 
@@ -18,7 +18,7 @@ stored here: the pool's ``health()`` produces it, ``stats`` carries that
 block under ``"health"``, and :meth:`ServerMetrics.set_shard_gauges`
 mirrors its per-shard entries into gauges before each exposition.
 
-The sharded tier federates: each shard process ships its process-global
+Shard processes federate: each ships its process-global
 registry as a :meth:`~repro.obs.metrics.MetricsRegistry.to_snapshot`
 payload over the control pipe (heartbeat ticks and drain), the parent
 stores the latest snapshot per slot (:meth:`ServerMetrics.record_shard_snapshot`)
@@ -52,7 +52,7 @@ COUNTERS: Dict[str, str] = {
     "jobs_failed": "Jobs finished with an error.",
     "jobs_coalesced": "Duplicate jobs attached to an in-flight twin.",
     "jobs_rejected": "Jobs refused at admission.",
-    "jobs_retried": "Jobs re-dispatched after their owning shard died.",
+    "jobs_retried": "Jobs queued again after their shard died.",
     "updates_streamed": "Anytime improvement frames streamed to clients.",
     "connections_opened": "Client connections accepted.",
     "connections_closed": "Client connections closed.",
@@ -61,20 +61,18 @@ COUNTERS: Dict[str, str] = {
 }
 
 #: Per-shard counters ``repro_server_shard_<short>_total{shard="i"}``;
-#: each shard's entry in the sharded ``health()`` block carries them.
+#: each shard's entry in the ``health()`` block carries them.
 SHARD_COUNTERS: Dict[str, str] = {
     "jobs": "Jobs finished per shard process.",
     "failures": "Jobs failed per shard process.",
-    "retries": "Jobs re-dispatched after their owning shard died.",
+    "retries": "Jobs queued again after their shard died.",
     "restarts": "Shard process respawns after an unexpected death.",
 }
 
 #: Per-shard gauges ``repro_server_shard_<short>{shard="i"}``: short name
 #: -> (key of the shard's ``health()`` entry, HELP text).
 _SHARD_GAUGES: Dict[str, Tuple[str, str]] = {
-    "inflight_jobs": ("assigned", "Jobs dispatched to the shard and not yet finished."),
-    "outbox_depth": ("outbox", "Jobs waiting in the shard's bounded outbox."),
-    "overflow_depth": ("overflow", "Jobs parked in the shard's overflow deque."),
+    "inflight_jobs": ("assigned", "Jobs sent to the shard and not yet answered."),
     "heartbeat_age_seconds": ("heartbeat_age_s", "Seconds since the shard last sent any message."),
 }
 
@@ -196,7 +194,7 @@ class ServerMetrics:
         return instrument.value if instrument is not None else 0
 
     # ------------------------------------------------------------------ #
-    # Per-shard series (the sharded worker tier)
+    # Per-shard series (shard processes)
     # ------------------------------------------------------------------ #
     def _shard_counter(self, short: str, shard: int) -> Counter:
         """The ``{shard="<i>"}``-labelled series of one :data:`SHARD_COUNTERS` name."""
@@ -227,8 +225,8 @@ class ServerMetrics:
 
         Sets ``repro_server_shard_up`` and the :data:`_SHARD_GAUGES`
         series of every shard, plus the all-slot
-        ``repro_server_dispatched_jobs``.  A block without shards (the
-        thread and fusion tiers) sets nothing.
+        ``repro_server_dispatched_jobs``.  A block without shards sets
+        nothing.
         """
         shards = health.get("shards") or {}
         for index, state in shards.items():
@@ -241,7 +239,7 @@ class ServerMetrics:
         if shards:
             self.registry.gauge(
                 "repro_server_dispatched_jobs",
-                "Jobs dispatched to shards and not yet finished (all slots).",
+                "Jobs sent to shards and not yet answered (all slots).",
             ).set(sum(state["assigned"] for state in shards.values()))
 
     # ------------------------------------------------------------------ #

@@ -9,11 +9,14 @@ Two layers:
   capacity or a per-client quota raise
   :class:`~repro.exceptions.AdmissionError` (bounded backpressure —
   callers are told to retry instead of the queue growing without bound).
-* :class:`JobQueue` — the thin asyncio shell the server uses: worker
-  tasks ``await get()``, connection handlers ``push()`` from the event
-  loop, and :meth:`JobQueue.drain` flips the queue into shutdown mode
-  (new pushes rejected, ``get()`` returns ``None`` once empty so workers
-  exit after finishing what was already admitted).
+* :class:`JobQueue` — the thin asyncio shell the server uses: the
+  worker pool's slots ``await get()``, connection handlers ``push()``
+  from the event loop, and :meth:`JobQueue.drain` flips the queue into
+  shutdown mode (new pushes rejected, ``get()`` returns ``None`` once
+  empty so slots exit after finishing what was already admitted).
+  Work the pool already holds — a closed fusion window, a job retried
+  after its shard died — goes back in with :meth:`JobQueue.push_front`,
+  ahead of every queued job.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class ServerJob:
     request:
         The solve request handed to the service frontend, held only
         while the job is queued or running.  Once the job's result is
-        published, :meth:`~repro.server.workers.BasePool._finish`
+        published, :meth:`~repro.server.workers.WorkerPool._finish`
         releases it (``None``): a finished job keeps its identity,
         priority, timestamps, ``coalesced_with`` and result — what
         ``wait``, ``subscribe``, ``stats`` and the metrics read — and
@@ -63,8 +66,8 @@ class ServerJob:
         Job id of the in-flight representative when this job was
         coalesced instead of queued.
     retries:
-        Times the job was re-dispatched after its worker died mid-job
-        (the sharded tier retries once before failing the job).
+        Times the job was queued again after its shard died mid-job
+        (the pool retries once before failing the job).
     enqueued_at / started_at / finished_at:
         Monotonic timestamps of the lifecycle transitions.
     result:
@@ -252,7 +255,7 @@ class FairScheduler:
 class JobQueue:
     """Asyncio shell around :class:`FairScheduler` for the server loop.
 
-    All methods must be called from the event-loop thread.  Workers
+    All methods must be called from the event-loop thread.  Slots
     ``await get()``; connection handlers ``push()``.  :meth:`drain`
     starts graceful shutdown: subsequent pushes raise
     :class:`AdmissionError` (``code="draining"``) and every waiting or
@@ -261,6 +264,7 @@ class JobQueue:
 
     def __init__(self, capacity: int = 128, max_per_client: Optional[int] = None) -> None:
         self._scheduler = FairScheduler(capacity=capacity, max_per_client=max_per_client)
+        self._front: Deque[Any] = deque()
         self._waiters: Deque["asyncio.Future[Any]"] = deque()
         self._draining = False
 
@@ -305,13 +309,25 @@ class JobQueue:
         self._scheduler.push(job)
         self._wake(1)
 
+    def push_front(self, unit: Any) -> None:
+        """Hand ``unit`` to the next ``get()``, ahead of every queued job.
+
+        For work that was admitted once already: it bypasses admission
+        control, priorities and the drain, and is not counted in
+        :attr:`depth`.
+        """
+        self._front.append(unit)
+        self._wake(1)
+
     def promote(self, job: ServerJob, priority: int) -> bool:
         """Raise a queued job's urgency (see :meth:`FairScheduler.promote`)."""
         return self._scheduler.promote(job, priority)
 
-    async def get(self) -> Optional[ServerJob]:
-        """Wait for the next job; ``None`` signals a worker to exit."""
+    async def get(self) -> Optional[Any]:
+        """Wait for the next unit (``push_front``) or job; ``None`` signals a slot to exit."""
         while True:
+            if self._front:
+                return self._front.popleft()
             job = self._scheduler.pop()
             if job is not None:
                 return job
@@ -327,7 +343,7 @@ class JobQueue:
                 raise
 
     def drain(self) -> None:
-        """Reject new pushes and release every waiting worker."""
+        """Reject new pushes and release every waiting slot."""
         self._draining = True
         self._wake(len(self._waiters))
 

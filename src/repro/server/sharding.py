@@ -1,18 +1,18 @@
-"""Sharded multi-process worker tier: one solver process per core.
+"""Shard processes: the worker pool's slots outside the server process.
 
-:class:`~repro.server.workers.WorkerPool` executes jobs on threads, so
-CPU-bound solves serialise on the GIL.  :class:`ShardPool` is the
-shared-nothing alternative: ``num_shards`` child processes, each owning
-a private :class:`~repro.service.frontend.ServiceFrontend` (result
-cache, prepared-pipeline caches, solver registry), fed over one
-:class:`multiprocessing.connection.Connection` pipe each.
+:class:`~repro.server.workers.WorkerPool` runs units of work on slots.
+On the thread tier a slot is an executor thread of the server; with
+``shards`` a slot is one of ``workers`` threads in a shard process, and
+this module owns those processes.  CPU-bound solves in different shards
+no longer serialise on one GIL.
 
 Design points:
 
-* **Routing.** Jobs are routed by the problem's ``canonical_hash``
-  (:func:`shard_for`), so repeated solves of the same instance land on
-  the same shard and hit that shard's warm caches.  The hash is already
-  memoised by admission-time coalescing, so routing costs one modulo.
+* **Pull dispatch.** Nothing is routed here: each slot pulls its next
+  unit from the server's one :class:`~repro.server.queue.JobQueue` and
+  runs it on its shard (:meth:`ShardSet.run`), so an idle shard never
+  waits while another has a backlog, and priorities and per-client
+  fairness decide what runs next.
 * **Zero-copy handoff.** Requests cross the pipe as the problem's
   :class:`~repro.mqo.arrays.ProblemArrays` columns pickled with
   protocol 5: every NumPy column travels as an out-of-band buffer
@@ -20,100 +20,83 @@ Design points:
   the receiving arrays wrap the received buffers directly.  The shard
   rebuilds the problem object around the transferred columns
   (:func:`~repro.mqo.arrays.problem_from_arrays`).
+* **No shard cache.** A shard only executes: the server's frontend
+  answers cache hits before a request crosses a pipe and stores every
+  fresh result a shard returns.  The prepared-pipeline cache of the QA
+  solver is per process, so each shard prepares an instance once.
 * **Streaming.** Anytime improvements and decomposition progress
   observed inside a shard are forwarded over the pipe
   (:func:`~repro.server.streaming.forward_job_stream`) and republished
   on the parent's event loop through the
   :class:`~repro.server.streaming.StreamBroker`, so clients see the same
   live ``update`` and ``progress`` stream as with the thread tier.
-* **Coalescing** stays in the parent (:class:`BasePool.admit`): only
-  execution moves into the shards, so duplicate in-flight requests are
-  folded before any bytes cross a pipe.
-* **Faults.** A shard that dies mid-job (crash, OOM-kill, SIGKILL) is
-  detected by its reader thread (pipe EOF).  Its in-flight jobs are
-  retried once on a live shard (when ``retry_on_shard_death``) or
-  failed with a clean error result; the dead slot is respawned (up to
-  ``max_restarts_per_shard`` times) and routing heals around it in the
-  meantime.  Fail-over is **single-owner**: a job is failed over by
-  whichever path pops it from the shard's ``assigned`` map first
-  (:meth:`ShardPool._on_shard_exit` on pipe EOF, or the sender on a
-  send error), so one job is never retried twice or finished twice.
-  ``assigned`` holds unfinished jobs only — a job leaves it before its
-  result is published — so retry and fail-over never meet a finished
-  job, whose request :meth:`BasePool._finish` has already released.
-* **Dispatch.** The dispatcher never blocks on one shard: a job whose
-  shard's bounded outbox is full is parked in that shard's unbounded
-  overflow deque instead, so a saturated shard cannot head-of-line
-  block dispatch to idle shards.  The global bound that the outbox
-  capacity used to provide moves to admission:
-  :meth:`ShardPool.admit` rejects new jobs once queued plus dispatched
-  jobs exceed the queue capacity plus a per-shard in-flight allowance.
+* **Faults.** A shard that dies mid-unit (crash, OOM-kill, SIGKILL) is
+  detected by its reader thread (pipe EOF).  The dead slot is respawned
+  (at most :data:`_MAX_RESTARTS` times, never while draining) before
+  the units it held fail with :class:`ShardDied`; the pool coroutine
+  that awaits each unit is its only owner and decides alone whether to
+  retry or fail it.
 * **Telemetry.** Each shard heartbeats its process-global metrics
   registry over the pipe (``heartbeat_interval_s``, plus an initial and
   a final drain-time snapshot); the parent stores the latest snapshot
   per slot and federates them into the Prometheus exposition under a
   ``shard="N"`` label.  Any inbound message refreshes the slot's
-  ``last_heartbeat``.  :meth:`ShardPool.health` is the one producer of
-  tier state — an ``ok|degraded|draining`` verdict plus per-shard
-  liveness, depths and counts (read from the server registry) — which
-  the ``health``, ``stats`` and ``metrics`` ops all render.
-* **Drain.** ``queue.drain()`` stops admission; the dispatcher forwards
-  the backlog, every shard receives a ``stop`` sentinel *behind* its
-  queued jobs (pipes are FIFO), finishes them, and exits; ``join()``
-  returns once every shard process has gone.
+  ``last_heartbeat``.  :meth:`ShardSet.health` reports an
+  ``ok|degraded|draining`` verdict plus per-shard liveness, load and
+  counts (read from the server registry).
+* **Drain.** Once every slot has exited, :meth:`ShardSet.stop` sends
+  each live shard ``stop`` and waits for all of them to exit;
+  :meth:`ShardSet.shutdown` then reaps every process the set started,
+  including the dead ones that were replaced.
 
-Span adoption: when tracing is enabled at dispatch time the shard runs
-the job under its own tracer and ships the finished span records back
-with the result, each tagged with a ``shard`` attribute, where the
-parent :meth:`~repro.obs.trace.Tracer.adopt`\\ s them.  This pipe is
-the only place spans cross a process boundary.
+Span adoption: when tracing is enabled as a unit is sent, the shard
+traces it and ships the finished span records back with the results,
+each tagged with a ``shard`` attribute, where the parent
+:meth:`~repro.obs.trace.Tracer.adopt`\\ s them.  This pipe is the only
+place spans cross a process boundary.
 """
 
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import pickle
 import struct
 import threading
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from multiprocessing import get_all_start_methods, get_context
 from multiprocessing.connection import Connection
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.exceptions import AdmissionError
 from repro.mqo.arrays import problem_from_arrays
 from repro.obs.events import record_event
 from repro.obs.metrics import get_registry
 from repro.obs.trace import configure_tracer, get_tracer
 from repro.server.metrics import ServerMetrics
-from repro.server.queue import JobQueue, ServerJob
+from repro.server.queue import JobQueue
 from repro.server.streaming import StreamBroker, forward_job_stream
-from repro.server.workers import BasePool
-from repro.service.cache import ResultCache
+from repro.service.batch import execute_request
 from repro.service.frontend import ServiceFrontend
+from repro.service.fusion import execute_fused_requests
 from repro.service.jobs import SolveRequest, SolveResult
 
 __all__ = [
-    "shard_for",
     "send_message",
     "recv_message",
     "encode_shard_request",
     "decode_shard_request",
     "default_shard_count",
-    "ShardPool",
+    "ShardDied",
+    "ShardSet",
 ]
 
-#: Hex digits of the canonical hash used for routing (64 bits is plenty).
-_ROUTE_PREFIX = 16
+#: Respawns per shard slot; beyond them the slot stays dead.
+_MAX_RESTARTS = 5
 
-#: Per-shard bound on dispatched-but-unsent jobs.  Small on purpose:
-#: beyond it the dispatcher parks jobs in the shard's overflow deque,
-#: and the per-shard in-flight allowance :meth:`ShardPool.admit` grants
-#: on top of the queue capacity is sized from it.
-_OUTBOX_CAPACITY = 4
+#: Process-unique ids of the units sent to shards.
+_UNIT_IDS = itertools.count(1)
 
 
 def default_shard_count() -> int:
@@ -122,12 +105,12 @@ def default_shard_count() -> int:
 
 
 def _default_mp_context() -> str:
-    """The start method used when none is requested.
+    """The start method shard processes use.
 
     ``forkserver`` where available (Unix): shard processes fork from a
     clean, single-threaded server process, so spawning (and *re*-spawning
     after a fault) is safe even though the parent runs reader threads,
-    the send executor and — under :func:`~repro.server.app.run_server_in_thread`
+    executor threads and — under :func:`~repro.server.app.run_server_in_thread`
     — the whole event loop off the main thread.  A bare ``fork`` in that
     parent could deadlock the child on locks held mid-fork (and is
     deprecated with threads from Python 3.12).  ``spawn`` is the
@@ -137,18 +120,6 @@ def _default_mp_context() -> str:
     if "forkserver" in methods:
         return "forkserver"
     return "spawn" if "spawn" in methods else "fork"
-
-
-def shard_for(canonical_hash: str, num_shards: int) -> int:
-    """Deterministic shard slot of a problem's canonical hash.
-
-    Pure function of the hash prefix and the shard count — stable across
-    processes, runs and machines, so a client re-submitting the same
-    problem always lands on the same (warm) shard.
-    """
-    if num_shards <= 0:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
-    return int(canonical_hash[:_ROUTE_PREFIX], 16) % num_shards
 
 
 # ---------------------------------------------------------------------- #
@@ -233,14 +204,15 @@ def _shard_main(
     conn: Connection,
     frontend_factory: Callable[[], ServiceFrontend],
     heartbeat_interval_s: float = 1.0,
+    workers: int = 1,
 ) -> None:
-    """Child-process body: serve jobs off the pipe until ``stop`` or EOF.
+    """Child-process body: run units off the pipe until ``stop`` or EOF.
 
-    One job executes at a time (parallelism comes from the shard count).
-    Improvement updates and progress reports are sent from solver
-    threads while the main thread is blocked inside ``frontend.submit``,
-    so every pipe write goes through one lock — frames never interleave,
-    and a job's stream always precedes its result frame.
+    Up to ``workers`` units run at once, one per thread, each under the
+    registry of the frontend ``frontend_factory`` builds.  Results,
+    improvement updates and progress reports are sent from those
+    threads, so every pipe write goes through one lock — frames never
+    interleave, and a job's stream always precedes its result frame.
 
     A daemon heartbeat thread ships the shard's process-global metrics
     registry (:meth:`~repro.obs.metrics.MetricsRegistry.to_snapshot`)
@@ -251,6 +223,8 @@ def _shard_main(
     """
     configure_tracer(False)  # never inherit the parent's tracer state
     send_lock = threading.Lock()
+    trace_lock = threading.Lock()
+    traced_units = 0
 
     def send(message: Tuple[Any, ...]) -> None:
         with send_lock:
@@ -263,14 +237,47 @@ def _shard_main(
         # Solver-thread context: a broken pipe surfaces on the result send.
         try:
             send(message)
-        except (BrokenPipeError, OSError):
+        except OSError:
             pass
 
-    frontend = frontend_factory()
+    def trace(collect: bool, done: bool) -> List[Dict[str, Any]]:
+        """Keep the tracer on while any traced unit runs; ship spans as each ends."""
+        nonlocal traced_units
+        if not collect:
+            return []
+        with trace_lock:
+            traced_units += -1 if done else 1
+            configure_tracer(traced_units > 0)
+            spans = [span.to_dict() for span in get_tracer().drain()] if done else []
+        for record in spans:
+            # Attribute every shipped span to this shard so the bench's
+            # stage breakdown can group by shard.
+            record.setdefault("attributes", {})["shard"] = shard_index
+        return spans
+
+    def run(unit_id: int, job_id: str, payloads: list, fused: bool, collect: bool) -> None:
+        trace(collect, done=False)
+        try:
+            requests = [decode_shard_request(payload) for payload in payloads]
+            if fused:
+                results = execute_fused_requests(requests, registry=registry)
+            else:
+                with forward_job_stream(job_id, time.monotonic(), forward):
+                    results = [execute_request(requests[0], registry=registry)]
+            answers = [result.to_dict() for result in results]
+        except Exception as exc:  # noqa: BLE001 — one bad unit must not kill the shard
+            answers = [{"error": f"{type(exc).__name__}: {exc}"}] * len(payloads)
+        spans = trace(collect, done=True)
+        try:
+            send(("result", unit_id, answers, spans))
+        except OSError:
+            pass  # parent gone: the receive loop ends on EOF
+
+    registry = frontend_factory().registry
     try:
         send(("ready", shard_index, os.getpid()))
         send_metrics()
-    except (BrokenPipeError, OSError):
+    except OSError:
         return
     heartbeat_stop = threading.Event()
 
@@ -278,13 +285,14 @@ def _shard_main(
         while not heartbeat_stop.wait(heartbeat_interval_s):
             try:
                 send_metrics()
-            except (BrokenPipeError, OSError):
+            except OSError:
                 return
 
     if heartbeat_interval_s > 0:
         threading.Thread(
             target=heartbeat_loop, name=f"repro-shard-{shard_index}-hb", daemon=True
         ).start()
+    executor = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-shard-slot")
     while True:
         try:
             message = recv_message(conn)
@@ -292,46 +300,28 @@ def _shard_main(
             break  # parent gone: nothing sensible left to do
         if message[0] == "stop":
             break
-        _, job_id, payload, collect_spans = message
-        try:
-            send(("started", job_id))
-            request = decode_shard_request(payload)
-            stream = forward_job_stream(job_id, time.monotonic(), forward)
-            spans: List[Dict[str, Any]] = []
-            if collect_spans:
-                tracer = configure_tracer(True)
-                try:
-                    with stream:
-                        result = frontend.submit(request)
-                    spans = [span.to_dict() for span in tracer.drain()]
-                    for record in spans:
-                        # Attribute every shipped span to this shard so
-                        # the bench's stage breakdown can group by shard.
-                        record.setdefault("attributes", {})["shard"] = shard_index
-                finally:
-                    configure_tracer(False)
-            else:
-                with stream:
-                    result = frontend.submit(request)
-            send(("result", job_id, result.to_dict(), spans))
-        except (BrokenPipeError, OSError):
-            break
-        except Exception as exc:  # noqa: BLE001 — one bad job must not kill the shard
-            failure = {"job_id": job_id, "error": f"{type(exc).__name__}: {exc}"}
-            try:
-                send(("result", job_id, failure, []))
-            except (BrokenPipeError, OSError):
-                break
+        executor.submit(run, *message[1:])
+    executor.shutdown(wait=True)
     heartbeat_stop.set()
     try:
         send_metrics()  # final snapshot: the drain tail must federate too
-    except (BrokenPipeError, OSError):
+    except OSError:
         pass
     conn.close()
 
 
+class ShardDied(Exception):
+    """The shard a unit was sent to died before answering it."""
+
+    def __init__(self, shard: "_Shard") -> None:
+        super().__init__(
+            f"shard {shard.index} (pid {shard.pid}) died while executing this job"
+        )
+        self.shard = shard.index
+
+
 class _Shard:
-    """Parent-side handle of one shard slot."""
+    """Parent-side handle of one shard process."""
 
     def __init__(self, index: int, process: Any, conn: Connection) -> None:
         self.index = index
@@ -344,18 +334,13 @@ class _Shard:
         #: shard (any kind counts — heartbeats, results, updates).
         #: Initialised to spawn time so the age is always defined.
         self.last_heartbeat: float = time.monotonic()
-        #: Jobs dispatched to this shard and not yet finished.  This map
-        #: is also the fail-over ownership record: whichever path pops a
-        #: job from it owns (and is alone responsible for) its fail-over.
-        self.assigned: Dict[str, ServerJob] = {}
-        #: Dispatcher → sender queue; ``None`` is the stop sentinel.
-        self.outbox: "asyncio.Queue[Optional[Tuple[ServerJob, Tuple[Any, ...]]]]" = (
-            asyncio.Queue(maxsize=_OUTBOX_CAPACITY)
-        )
-        #: Items parked when the outbox is full, drained by the sender
-        #: after the outbox — one logical FIFO, so dispatch to other
-        #: shards never blocks on this shard's backlog.
-        self.overflow: Deque[Optional[Tuple[ServerJob, Tuple[Any, ...]]]] = deque()
+        #: Units sent and not answered: unit id -> (future, job count).
+        #: Guarded by ``lock`` together with ``dead``, so a unit is
+        #: either answered, failed with the shard, or refused up front.
+        self.pending: Dict[int, Tuple["Future[Any]", int]] = {}
+        self.lock = threading.Lock()
+        #: Serialises pipe writes from the slots' executor threads.
+        self.send_lock = threading.Lock()
         self.exited = asyncio.Event()
 
     @property
@@ -363,43 +348,83 @@ class _Shard:
         """OS pid of the shard process (``None`` before start)."""
         return self.process.pid
 
+    @property
+    def assigned(self) -> int:
+        """Jobs sent to this shard and not answered yet."""
+        with self.lock:
+            return sum(count for _, count in self.pending.values())
 
-class ShardPool(BasePool):
-    """Multi-process worker tier: hash-routed shards behind one queue.
+    def call(self, job_id: str, requests: Sequence[SolveRequest], fused: bool) -> Any:
+        """Send one unit and block until the shard answers it.
 
-    Mirrors :class:`~repro.server.workers.WorkerPool`'s surface (admit /
-    start / join / shutdown) so :class:`~repro.server.app.SolverServer`
-    can run either tier; see the module docstring for the architecture.
+        Runs on an executor thread.  Returns the ``(answers, spans)`` of
+        the shard's ``result`` frame; raises :class:`ShardDied` when the
+        shard is dead or dies first.
+        """
+        future: "Future[Any]" = Future()
+        with self.lock:
+            if self.dead:
+                raise ShardDied(self)
+            unit_id = next(_UNIT_IDS)
+            self.pending[unit_id] = (future, len(requests))
+        message = (
+            "run",
+            unit_id,
+            job_id,
+            [encode_shard_request(request) for request in requests],
+            fused,
+            bool(get_tracer().enabled),
+        )
+        try:
+            with self.send_lock:
+                send_message(self.conn, message)
+        except OSError:
+            pass  # a broken pipe: the reader's EOF fails the future
+        except BaseException:
+            with self.lock:
+                self.pending.pop(unit_id, None)
+            raise
+        return future.result()
+
+    def answer(self, unit_id: int, answers: list, spans: list) -> None:
+        """Resolve one unit's future (reader thread)."""
+        with self.lock:
+            future, _ = self.pending.pop(unit_id, (None, 0))
+        if future is not None:
+            future.set_result((answers, spans))
+
+    def disown(self) -> List["Future[Any]"]:
+        """Mark the shard dead and take every unanswered unit's future."""
+        with self.lock:
+            self.dead = True
+            futures = [future for future, _ in self.pending.values()]
+            self.pending.clear()
+        return futures
+
+
+class ShardSet:
+    """The shard processes of a sharded :class:`~repro.server.workers.WorkerPool`.
 
     Parameters
     ----------
-    frontend_factory:
-        Zero-argument callable building a shard's private
-        :class:`ServiceFrontend`, invoked *inside* each child process.
-        Must be picklable (a module-level function or
-        :func:`functools.partial` over one) under the default
-        ``forkserver``/``spawn`` start methods; only an explicit
-        ``mp_context="fork"`` admits closures.
-    queue / broker / metrics / coalesce:
-        See :class:`BasePool`.
-    num_shards:
+    count:
         Shard process count (``-1`` = one per CPU core).
-    retry_on_shard_death:
-        Retry a dead shard's in-flight jobs once on a live shard before
-        failing them (default); ``False`` fails them immediately.
-    mp_context:
-        Multiprocessing start method; defaults to ``forkserver`` where
-        available, else ``spawn`` (see :func:`_default_mp_context` for
-        why ``fork`` is unsafe in this multi-threaded parent).
-    max_restarts_per_shard:
-        Respawn budget per slot; beyond it the slot stays dead and
-        routing permanently heals around it.
-    result_cache:
-        Optional parent-side :class:`~repro.service.cache.ResultCache`
-        that every fresh shard result is mirrored into.  Shard caches
-        are process-private, so without this the parent's cache (the
-        one ``--cache-file`` checkpoints to disk) would never see what
-        the shards solved.
+    workers:
+        Units each shard runs at once (its slot count).
+    frontend_factory:
+        Zero-argument callable building a shard's
+        :class:`ServiceFrontend`, invoked *inside* each child process;
+        the shard runs requests against its registry.  Must be
+        picklable (a module-level function or :func:`functools.partial`
+        over one), because shards start under ``forkserver`` or
+        ``spawn``.
+    queue:
+        The server's queue; a shard that dies while it drains stays dead.
+    broker:
+        Stream broker the shards' ``update`` and ``progress`` messages
+        are republished through.
+    metrics:
+        Sink of the per-shard counters and heartbeat snapshots.
     heartbeat_interval_s:
         Cadence of each shard's metrics-snapshot heartbeat (seconds);
         ``0`` disables the ticker (the initial and drain snapshots are
@@ -407,35 +432,28 @@ class ShardPool(BasePool):
         staleness verdict.
     """
 
-    tier = "shards"
-
     def __init__(
         self,
+        count: int,
+        workers: int,
         frontend_factory: Callable[[], ServiceFrontend],
         queue: JobQueue,
         broker: StreamBroker,
         metrics: ServerMetrics,
-        num_shards: int = -1,
-        coalesce: bool = True,
-        retry_on_shard_death: bool = True,
-        mp_context: Optional[str] = None,
-        max_restarts_per_shard: int = 5,
-        result_cache: Optional[ResultCache] = None,
         heartbeat_interval_s: float = 1.0,
     ) -> None:
-        super().__init__(queue=queue, broker=broker, metrics=metrics, coalesce=coalesce)
-        if num_shards == -1:
-            num_shards = default_shard_count()
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive (or -1 = auto), got {num_shards}")
+        if count == -1:
+            count = default_shard_count()
+        if count <= 0:
+            raise ValueError(f"num_shards must be positive (or -1 = auto), got {count}")
+        self.count = count
+        self.workers = workers
         self.frontend_factory = frontend_factory
-        self.num_shards = num_shards
-        self.retry_on_shard_death = retry_on_shard_death
-        self.max_restarts_per_shard = max_restarts_per_shard
+        self.queue = queue
+        self.broker = broker
+        self.metrics = metrics
         self.heartbeat_interval_s = heartbeat_interval_s
-        self._result_cache = result_cache
-        if mp_context is None:
-            mp_context = _default_mp_context()
+        mp_context = _default_mp_context()
         self._mp = get_context(mp_context)
         if mp_context == "forkserver":
             # Warm the forkserver with this module (pulls in numpy and
@@ -444,30 +462,161 @@ class ShardPool(BasePool):
             # instead of re-importing from scratch.
             self._mp.set_forkserver_preload(["repro.server.sharding"])
         self.shards: List[_Shard] = []
+        #: Every process this set started, replaced ones included.
+        self._processes: List[Any] = []
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # One send thread per shard: a sender blocked on one shard's full
-        # pipe must not stall writes to the others.
-        self._send_executor = ThreadPoolExecutor(
-            max_workers=num_shards, thread_name_prefix="repro-shard-send"
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+    def start(self) -> None:
+        """Start the shard processes (on the running event loop)."""
+        if self.shards:
+            raise RuntimeError("shards already started")
+        self._loop = asyncio.get_running_loop()
+        self.shards = [self._spawn(slot) for slot in range(self.count)]
+
+    def _spawn(self, slot: int) -> _Shard:
+        """Start one shard process plus its reader thread."""
+        parent_conn, child_conn = self._mp.Pipe()
+        process = self._mp.Process(
+            target=_shard_main,
+            args=(slot, child_conn, self.frontend_factory, self.heartbeat_interval_s, self.workers),
+            name=f"repro-shard-{slot}",
+            daemon=True,
         )
+        process.start()
+        child_conn.close()
+        self._processes.append(process)
+        shard = _Shard(index=slot, process=process, conn=parent_conn)
+        record_event("shard_spawn", shard=slot, pid=process.pid)
+        threading.Thread(
+            target=self._reader, args=(shard,), name=f"repro-shard-reader-{slot}", daemon=True
+        ).start()
+        return shard
+
+    async def stop(self) -> None:
+        """Ask every live shard to exit and wait until all have (after the slots)."""
+        for shard in self.shards:
+            if not shard.dead:
+                shard.stop_sent = True
+                try:
+                    with shard.send_lock:
+                        send_message(shard.conn, ("stop",))
+                except OSError:
+                    pass
+        await asyncio.gather(*(shard.exited.wait() for shard in self.shards))
+
+    def shutdown(self) -> None:
+        """Stop whatever is still alive and reap every process this set started."""
+        for process in self._processes:
+            if process.is_alive():
+                process.terminate()
+        for process in self._processes:
+            process.join(timeout=2.0)
+            if process.is_alive():  # pragma: no cover — stuck in kernel
+                process.kill()
+                process.join(timeout=1.0)
+        for shard in self.shards:
+            try:
+                shard.conn.close()
+            except OSError:  # pragma: no cover — already closed
+                pass
+
+    # ------------------------------------------------------------------ #
+    # Execution (executor threads)
+    # ------------------------------------------------------------------ #
+    def dead(self, index: int) -> bool:
+        """Whether slot ``index`` holds a dead shard that was not replaced."""
+        return self.shards[index].dead
+
+    def any_alive(self) -> bool:
+        """Whether any slot holds a live shard."""
+        return any(not shard.dead for shard in self.shards)
+
+    def run(
+        self, index: int, job_id: str, requests: Sequence[SolveRequest], fused: bool
+    ) -> List[SolveResult]:
+        """Run ``requests`` in shard ``index``; one unit, blocking.
+
+        ``fused`` runs them as one fusion window
+        (:func:`~repro.service.fusion.execute_fused_requests`), otherwise
+        the single request runs through
+        :func:`~repro.service.batch.execute_request` and streams under
+        the server job id ``job_id``.  The shard's spans are adopted and
+        each answered job counts into the shard's counters.
+        """
+        shard = self.shards[index]
+        answers, spans = shard.call(job_id, requests, fused)
+        if spans:
+            get_tracer().adopt(spans)
+        results = [
+            SolveResult.from_dict(answer)
+            if "winner" in answer
+            else SolveResult.from_error(request, answer["error"])
+            for request, answer in zip(requests, answers)
+        ]
+        for result in results:
+            self.metrics.observe_shard_job(shard.index, failed=not result.ok)
+        return results
+
+    # ------------------------------------------------------------------ #
+    # Shard → parent messages
+    # ------------------------------------------------------------------ #
+    def _reader(self, shard: _Shard) -> None:
+        """Reader-thread body: answer units, hop everything else onto the loop."""
+        assert self._loop is not None
+        try:
+            while True:
+                message = recv_message(shard.conn)
+                shard.last_heartbeat = time.monotonic()  # any message proves liveness
+                if message[0] == "result":
+                    shard.answer(*message[1:])
+                else:
+                    self._loop.call_soon_threadsafe(self._on_message, shard, message)
+        except (EOFError, OSError):
+            pass
+        finally:
+            orphans = shard.disown()
+            try:
+                # Scheduled before the orphans fail, so a respawn is in
+                # place when their owners decide whether to retry.
+                self._loop.call_soon_threadsafe(self._on_shard_exit, shard, len(orphans))
+            except RuntimeError:  # loop already closed mid-shutdown
+                pass
+            for future in orphans:
+                future.set_exception(ShardDied(shard))
+
+    def _on_message(self, shard: _Shard, message: Tuple[Any, ...]) -> None:
+        """Handle one non-result shard message on the event-loop thread."""
+        kind = message[0]
+        if kind == "ready":
+            shard.ready = True
+        elif kind == "metrics":
+            self.metrics.record_shard_snapshot(shard.index, message[1])
+        elif kind in ("update", "progress"):
+            self.broker.publish(message)
+
+    def _on_shard_exit(self, shard: _Shard, orphans: int) -> None:
+        """Pipe EOF: an exit after ``stop``, or a death to heal by respawning."""
+        shard.exited.set()
+        try:
+            shard.conn.close()
+        except OSError:  # pragma: no cover — race with the reader thread
+            pass
+        unexpected = not shard.stop_sent
+        record_event(
+            "shard_exit", shard=shard.index, pid=shard.pid, unexpected=unexpected, orphans=orphans
+        )
+        restarts = self.metrics.shard_counts(shard.index)["restarts"]
+        if unexpected and not self.queue.draining and restarts < _MAX_RESTARTS:
+            self.metrics.observe_shard_restart(shard.index)
+            self.shards[shard.index] = self._spawn(shard.index)
+            record_event("shard_respawn", shard=shard.index, restarts=restarts + 1)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    @property
-    def active(self) -> int:
-        """Jobs currently executing inside shard processes."""
-        return sum(
-            1
-            for shard in self.shards
-            for job in shard.assigned.values()
-            if job.started_at is not None
-        )
-
-    def pending_jobs(self) -> int:
-        """Queued plus dispatched-but-unfinished jobs."""
-        return self.queue.depth + sum(len(shard.assigned) for shard in self.shards)
-
     def _heartbeat_stale_after(self) -> Optional[float]:
         """Heartbeat age beyond which a shard counts as unhealthy."""
         if self.heartbeat_interval_s <= 0:
@@ -475,7 +624,7 @@ class ShardPool(BasePool):
         return max(5.0 * self.heartbeat_interval_s, 3.0)
 
     def health(self) -> Dict[str, Any]:
-        """Structured per-shard state with an overall verdict.
+        """Per-shard state with an overall verdict.
 
         The verdict is ``draining`` while the queue refuses admission,
         ``degraded`` when any slot is dead, not yet ready, or silent for
@@ -495,9 +644,7 @@ class ShardPool(BasePool):
                 "ready": shard.ready,
                 "dead": shard.dead,
                 "stale": stale_after is not None and age > stale_after,
-                "assigned": len(shard.assigned),
-                "outbox": shard.outbox.qsize(),
-                "overflow": len(shard.overflow),
+                "assigned": shard.assigned,
                 "heartbeat_age_s": round(age, 3),
                 **self.metrics.shard_counts(shard.index),
             }
@@ -510,352 +657,9 @@ class ShardPool(BasePool):
             verdict = "ok" if alive == len(shards) else "degraded"
         return {
             "verdict": verdict,
-            "tier": self.tier,
+            "tier": "shards",
             "count": len(self.shards),
             "alive": alive,
             "restarts": sum(state["restarts"] for state in shards.values()),
-            "queue_depth": self.queue.depth,
-            "draining": self.queue.draining,
             "shards": shards,
         }
-
-    # ------------------------------------------------------------------ #
-    # Admission
-    # ------------------------------------------------------------------ #
-    def admit(self, job: ServerJob) -> str:
-        """Admit with the dispatched backlog counted against capacity.
-
-        Dispatch never blocks (full outboxes park into overflow), so
-        jobs leave the central queue — where ``queue.push`` enforces the
-        capacity — the moment the dispatcher runs.  Counting dispatched
-        but unfinished jobs here restores the global bound: the server
-        holds at most ``capacity`` jobs beyond a per-shard in-flight
-        allowance, and everything past that is told to retry.
-        Coalescable duplicates are exempt — they fold onto an in-flight
-        representative instead of adding backlog.
-        """
-        dispatched = sum(len(shard.assigned) for shard in self.shards)
-        allowance = len(self.shards) * (_OUTBOX_CAPACITY + 1)
-        if self.queue.depth + dispatched >= self.queue.capacity + allowance and not (
-            self.coalesce and self.coalesce_key(job) in self._inflight_by_key
-        ):
-            raise AdmissionError(
-                f"server backlog is full ({self.queue.depth} queued + "
-                f"{dispatched} dispatched jobs); retry later",
-                code="queue_full",
-            )
-        return super().admit(job)
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def start(self) -> None:
-        """Start the shard processes and spawn dispatcher/sender tasks."""
-        if self._tasks or self.shards:
-            raise RuntimeError("shard pool already started")
-        self._loop = asyncio.get_running_loop()
-        for slot in range(self.num_shards):
-            self.shards.append(self._spawn(slot))
-        self._tasks.append(
-            self._loop.create_task(self._dispatcher(), name="repro-shard-dispatcher")
-        )
-
-    def _spawn(self, slot: int) -> _Shard:
-        """Start one shard process plus its sender task and reader thread."""
-        parent_conn, child_conn = self._mp.Pipe()
-        process = self._mp.Process(
-            target=_shard_main,
-            args=(slot, child_conn, self.frontend_factory, self.heartbeat_interval_s),
-            name=f"repro-shard-{slot}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        shard = _Shard(index=slot, process=process, conn=parent_conn)
-        record_event("shard_spawn", shard=slot, pid=process.pid)
-        loop = self._loop if self._loop is not None else asyncio.get_running_loop()
-        self._tasks.append(
-            loop.create_task(self._sender(shard), name=f"repro-shard-sender-{slot}")
-        )
-        reader = threading.Thread(
-            target=self._reader, args=(shard,), name=f"repro-shard-reader-{slot}", daemon=True
-        )
-        reader.start()
-        return shard
-
-    async def join(self) -> None:
-        """Wait for the dispatcher, the senders and every shard process."""
-        await super().join()
-        if self.shards:
-            await asyncio.gather(*(shard.exited.wait() for shard in self.shards))
-
-    def shutdown_executor(self) -> None:
-        """Force-stop anything still alive (after :meth:`join` or on abort)."""
-        for shard in self.shards:
-            if shard.process.is_alive():
-                shard.process.terminate()
-        for shard in self.shards:
-            if shard.process.is_alive():
-                shard.process.join(timeout=2.0)
-            if shard.process.is_alive():  # pragma: no cover — stuck in kernel
-                shard.process.kill()
-                shard.process.join(timeout=1.0)
-            try:
-                shard.conn.close()
-            except OSError:  # pragma: no cover — already closed by the reader
-                pass
-        self._send_executor.shutdown(wait=False, cancel_futures=True)
-
-    # ------------------------------------------------------------------ #
-    # Dispatch path (event-loop thread)
-    # ------------------------------------------------------------------ #
-    def _route(self, job: ServerJob) -> Optional[_Shard]:
-        """The shard a job belongs on: hash slot, healing around dead slots."""
-        slot = shard_for(job.request.problem.canonical_hash(), len(self.shards))
-        shard = self.shards[slot]
-        if not shard.dead:
-            return shard
-        live = [candidate for candidate in self.shards if not candidate.dead]
-        if not live:
-            return None
-        return live[slot % len(live)]
-
-    def _outbox_put(
-        self, shard: _Shard, item: Optional[Tuple[ServerJob, Tuple[Any, ...]]]
-    ) -> None:
-        """Hand one item (or the ``None`` sentinel) to a shard's sender.
-
-        Never blocks: once the bounded outbox is full — or the overflow
-        already holds items, which must stay behind them — the item
-        parks in the overflow deque instead.  The sender consumes the
-        outbox first and the overflow second, so the two form one FIFO
-        and a saturated shard cannot stall the dispatcher (and with it
-        every other shard's dispatch).
-        """
-        if shard.overflow:
-            shard.overflow.append(item)
-            return
-        try:
-            shard.outbox.put_nowait(item)
-        except asyncio.QueueFull:
-            shard.overflow.append(item)
-
-    def _dispatch(self, job: ServerJob) -> None:
-        """Assign one job to its shard and hand it to the shard's sender.
-
-        Synchronous on purpose: admission, routing, the ``assigned``
-        bookkeeping and the outbox hand-off all happen in one event-loop
-        slice, so no drain sentinel or fault handling can interleave
-        between them.
-        """
-        shard = self._route(job)
-        if shard is None:
-            self._finish(
-                job,
-                SolveResult.from_error(job.request, "ServerError: no live shards available"),
-            )
-            return
-        shard.assigned[job.job_id] = job
-        tracer = get_tracer()
-        message = (
-            "job",
-            job.job_id,
-            encode_shard_request(job.request),
-            bool(tracer.enabled),
-        )
-        self._outbox_put(shard, (job, message))
-
-    async def _dispatcher(self) -> None:
-        """Pump the central queue into the shard outboxes until drained."""
-        while True:
-            job = await self.queue.get()
-            if job is None:
-                break
-            self._dispatch(job)
-        # Drain: one stop sentinel per *current* shard, behind its backlog.
-        for shard in self.shards:
-            self._outbox_put(shard, None)
-
-    async def _sender(self, shard: _Shard) -> None:
-        """Serialise and write one shard's outbox onto its pipe.
-
-        Pickling and the (potentially blocking) pipe write run on the
-        send executor so a full pipe never stalls the event loop.  The
-        bounded outbox is drained before the overflow deque — overflow
-        items are always the younger ones — so send order matches
-        dispatch order.
-        """
-        loop = asyncio.get_running_loop()
-        while True:
-            if not shard.outbox.empty():
-                item = shard.outbox.get_nowait()
-            elif shard.overflow:
-                item = shard.overflow.popleft()
-            else:
-                item = await shard.outbox.get()
-            if item is None:
-                if not shard.dead:
-                    try:
-                        await loop.run_in_executor(
-                            self._send_executor, send_message, shard.conn, ("stop",)
-                        )
-                    except (OSError, ValueError):
-                        pass
-                shard.stop_sent = True
-                return
-            job, message = item
-            if shard.dead:
-                # Single-owner fail-over: on pipe EOF, _on_shard_exit
-                # pops *every* assigned job — including ones still
-                # parked here — and fails them over itself.  Only a job
-                # this sender still owns (not reassigned yet) may be
-                # failed over here; a disowned one is simply dropped,
-                # never retried or finished a second time.
-                if shard.assigned.pop(job.job_id, None) is not None:
-                    self._reassign_or_fail(job, shard)
-                continue
-            try:
-                await loop.run_in_executor(
-                    self._send_executor, send_message, shard.conn, message
-                )
-            except (OSError, ValueError):
-                # Pipe broke under us; if the reader's EOF handling has
-                # already disowned the job, it was dealt with there.
-                if shard.assigned.pop(job.job_id, None) is not None:
-                    self._reassign_or_fail(job, shard)
-
-    # ------------------------------------------------------------------ #
-    # Shard → parent messages (reader threads hop onto the loop)
-    # ------------------------------------------------------------------ #
-    def _reader(self, shard: _Shard) -> None:
-        """Reader-thread body: pump shard messages onto the event loop."""
-        assert self._loop is not None
-        try:
-            while True:
-                message = recv_message(shard.conn)
-                self._loop.call_soon_threadsafe(self._on_message, shard, message)
-        except (EOFError, OSError):
-            pass
-        finally:
-            try:
-                self._loop.call_soon_threadsafe(self._on_shard_exit, shard)
-            except RuntimeError:  # loop already closed mid-shutdown
-                pass
-
-    def _on_message(self, shard: _Shard, message: Tuple[Any, ...]) -> None:
-        """Handle one shard message on the event-loop thread."""
-        kind = message[0]
-        shard.last_heartbeat = time.monotonic()  # any message proves liveness
-        if kind == "ready":
-            shard.ready = True
-        elif kind == "metrics":
-            self.metrics.record_shard_snapshot(shard.index, message[1])
-        elif kind == "started":
-            job = shard.assigned.get(message[1])
-            if job is not None and job.started_at is None:
-                job.started_at = time.monotonic()
-        elif kind in ("update", "progress"):
-            self.broker.publish(message)
-        elif kind == "result":
-            _, job_id, result_dict, spans = message
-            job = shard.assigned.pop(job_id, None)
-            if spans:
-                get_tracer().adopt(spans)
-            if job is None:
-                return  # already failed over by fault handling
-            if job.started_at is None:
-                job.started_at = time.monotonic()
-            if "winner" in result_dict:
-                result = SolveResult.from_dict(result_dict)
-            else:  # the shard's bare-failure shape (solve crashed early)
-                result = SolveResult.from_error(job.request, result_dict["error"])
-            if (
-                self._result_cache is not None
-                and result.ok
-                and not result.from_cache
-                and result.cache_key
-            ):
-                # Shard caches are process-private; mirroring every fresh
-                # result here keeps the parent's cache — the one that is
-                # checkpointed to --cache-file — accumulating entries.
-                self._result_cache.put(result.cache_key, result.to_dict())
-            self.metrics.observe_shard_job(shard.index, failed=not result.ok)
-            self._finish(job, result)
-
-    def _on_shard_exit(self, shard: _Shard) -> None:
-        """Pipe EOF: normal exit after drain, or a mid-job shard death."""
-        if shard.exited.is_set():
-            return
-        shard.dead = True
-        shard.exited.set()
-        try:
-            shard.conn.close()
-        except OSError:  # pragma: no cover — race with the reader thread
-            pass
-        # Take single ownership of every unfinished job — executing,
-        # in the pipe, or still parked in the outbox/overflow — by
-        # popping them all from ``assigned``.  The sender drops any
-        # parked item it later pulls for a job it no longer owns, so
-        # nothing is retried twice or failed while its retry runs.
-        orphans = list(shard.assigned.values())
-        shard.assigned.clear()
-        unexpected = bool(orphans) or not shard.stop_sent
-        record_event(
-            "shard_exit",
-            shard=shard.index,
-            pid=shard.pid,
-            unexpected=unexpected,
-            orphans=len(orphans),
-        )
-        if unexpected and not self.queue.draining:
-            self._respawn(shard)
-        # Release this slot's sender task: after a respawn (or a death
-        # during drain) the dispatcher's stop sentinel goes to the
-        # *replacement* shard's outbox, so without one here the old
-        # sender would wait forever and stall ``join()``.  Parked items
-        # ahead of the sentinel are disowned and dropped by the sender.
-        self._outbox_put(shard, None)
-        for job in orphans:
-            self._reassign_or_fail(job, shard)
-
-    def _respawn(self, shard: _Shard) -> None:
-        """Replace a dead slot with a fresh process (within the budget)."""
-        restarts = self.metrics.shard_counts(shard.index)["restarts"]
-        if restarts >= self.max_restarts_per_shard:
-            return
-        self.metrics.observe_shard_restart(shard.index)
-        self.shards[shard.index] = self._spawn(shard.index)
-        record_event("shard_respawn", shard=shard.index, restarts=restarts + 1)
-
-    def _reassign_or_fail(self, job: ServerJob, shard: _Shard) -> None:
-        """Fault policy for a job stranded on a dead shard: retry once.
-
-        The re-dispatch is synchronous: the draining check and the
-        outbox hand-off happen in the same event-loop slice, so a drain
-        beginning concurrently cannot slip its stop sentinel in front of
-        the retried job (which would strand it behind the sentinel and
-        hang its client until the drain timeout).
-        """
-        can_retry = (
-            self.retry_on_shard_death
-            and job.retries < 1
-            and not self.queue.draining
-            and any(not candidate.dead for candidate in self.shards)
-        )
-        if can_retry:
-            job.retries += 1
-            job.started_at = None
-            self.metrics.increment("jobs_retried")
-            self.metrics.observe_shard_retry(shard.index)
-            record_event("job_retry", job_id=job.job_id, shard=shard.index)
-            self._dispatch(job)
-            return
-        self.metrics.observe_shard_job(shard.index, failed=True)
-        self._finish(
-            job,
-            SolveResult.from_error(
-                job.request,
-                f"ServerError: shard {shard.index} (pid {shard.pid}) "
-                "died while executing this job",
-            ),
-        )

@@ -2,8 +2,9 @@
 
 :func:`execute_request` is where a :class:`SolveRequest` meets its
 solver: :meth:`~repro.service.frontend.ServiceFrontend.submit` runs every
-cache miss here, on the server's thread tier and inside every shard
-(the fusion window's fused anneal is the one other path).  Solver
+cache miss here, in the server process on the thread tier and inside a
+shard process on the shard tier (the fusion window's fused anneal is
+the one other path).  Solver
 failures come back as error results, so one bad job cannot take down a
 workload.
 

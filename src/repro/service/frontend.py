@@ -12,13 +12,14 @@ cache together and offers the entry points the outer layers need:
   :class:`~repro.experiments.runner.ExperimentRunner` uses to run its
   solver sweep through the service layer.
 
-Many problems go through the solver server, whose thread and shard
-tiers call ``submit`` per job; ``repro-mqo batch`` hosts a private one.
+Many problems go through the solver server, whose worker pool calls
+``submit`` per job and ``submit_fused`` per fusion window on every
+tier; ``repro-mqo batch`` hosts a private one.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.mqo.problem import MQOProblem
 from repro.obs.metrics import get_registry
@@ -137,8 +138,18 @@ class ServiceFrontend:
             if self.cache is not None:
                 self.cache.put(request.cache_key(), result.to_dict())
 
-    def submit(self, request: SolveRequest) -> SolveResult:
-        """Solve one prepared request (cache-aware)."""
+    def submit(
+        self,
+        request: SolveRequest,
+        execute: Optional[Callable[[SolveRequest], SolveResult]] = None,
+    ) -> SolveResult:
+        """Solve one prepared request (cache-aware).
+
+        A cache miss runs through ``execute`` when given — the server's
+        shard slots pass one that runs it in a shard process — and
+        through :func:`~repro.service.batch.execute_request` in this
+        process otherwise.  Either way the result is cached here.
+        """
         request = self._with_default_lineup(request)
         tracer = get_tracer()
         with tracer.span(
@@ -149,20 +160,28 @@ class ServiceFrontend:
                 span.set_attribute("cache", "miss" if cached is None else "hit")
             if cached is not None:
                 return cached
-            result = execute_request(request, registry=self.registry)
+            if execute is None:
+                result = execute_request(request, registry=self.registry)
+            else:
+                result = execute(request)
             self._record(request, result)
             if result.ok:
                 span.set_attribute("winner", result.winner)
             return result
 
-    def submit_fused(self, requests: Sequence[SolveRequest]) -> List[SolveResult]:
+    def submit_fused(
+        self,
+        requests: Sequence[SolveRequest],
+        execute: Optional[Callable[[List[SolveRequest]], List[SolveResult]]] = None,
+    ) -> List[SolveResult]:
         """Solve a window of requests with their anneals fused.
 
         The cross-request counterpart of :meth:`submit`, used by the
         server's fusion window: cache hits are served per request
         exactly as :meth:`submit` serves them, and the misses run
-        through :func:`~repro.service.fusion.execute_fused_requests`,
-        which anneals every annealing-backed request in one fused
+        through ``execute`` when given (a shard slot's) or else
+        :func:`~repro.service.fusion.execute_fused_requests`, which
+        anneals every annealing-backed request in one fused
         block-diagonal sweep and runs the rest solo.  Results come back
         in request order; each is bit-identical to what :meth:`submit`
         would have returned (wall-clock timing aside).
@@ -175,9 +194,11 @@ class ServiceFrontend:
             misses = [index for index, result in enumerate(results) if result is None]
             span.set_attribute("cache_hits", len(requests) - len(misses))
             if misses:
-                executed = execute_fused_requests(
-                    [requests[index] for index in misses], registry=self.registry
-                )
+                missed = [requests[index] for index in misses]
+                if execute is None:
+                    executed = execute_fused_requests(missed, registry=self.registry)
+                else:
+                    executed = execute(missed)
                 for index, result in zip(misses, executed):
                     self._record(requests[index], result)
                     results[index] = result

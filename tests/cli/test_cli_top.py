@@ -61,10 +61,10 @@ class TestRenderTop:
             "restarts": 1,
             "shards": {
                 "0": {"pid": 11, "ready": True, "dead": False, "stale": False,
-                      "assigned": 1, "outbox": 0, "overflow": 0, "restarts": 0,
+                      "assigned": 1, "restarts": 0,
                       "heartbeat_age_s": 0.3, "jobs": 4},
                 "1": {"pid": None, "ready": False, "dead": True, "stale": False,
-                      "assigned": 0, "outbox": 2, "overflow": 1, "restarts": 1,
+                      "assigned": 0, "restarts": 1,
                       "heartbeat_age_s": 6.2},
             },
         }
@@ -81,8 +81,7 @@ class TestRenderTop:
             "verdict": "degraded", "tier": "shards", "count": 1, "alive": 0,
             "restarts": 0,
             "shards": {"0": {"pid": 9, "ready": True, "dead": False, "stale": True,
-                             "assigned": 0, "outbox": 0, "overflow": 0,
-                             "restarts": 0, "heartbeat_age_s": 9.9}},
+                             "assigned": 0, "restarts": 0, "heartbeat_age_s": 9.9}},
         }
         frame = _render_top("h", 1, {**self.STATS, "health": health})
         assert "stale" in frame

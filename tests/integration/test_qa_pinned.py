@@ -18,10 +18,11 @@ leaves.  The last three cases run ``QuantumMQO`` directly and are not
 presolved.
 
 The paper-class requests also run over a socket through a thread
-server, a fusion server and a 2-shard server, and each answer must equal
-its pinned ``submit`` record: a seeded request gets one answer on every
-execution tier, and the fusion server fuses the anneals of several of
-them.
+server, a fusion server, a 2-shard server and a fusing 2-shard server,
+and each answer must equal its pinned ``submit`` record: a seeded
+request gets one answer on every execution tier, and both fusing
+servers fuse the anneals of several of them (on shards, in the shard
+processes whose spans the server adopts).
 
 Regenerate the fixture only when a change is *meant* to alter answers::
 
@@ -187,6 +188,7 @@ SERVER_TIERS = {
     "threads": dict(workers=2),
     "fusion": dict(workers=2, fusion_window_ms=300.0, fusion_max_jobs=4),
     "shards": dict(shards=2),
+    "fused-shards": dict(shards=2, fusion_window_ms=300.0, fusion_max_jobs=4),
 }
 
 
@@ -212,7 +214,7 @@ def test_server_tier_matches_pinned_submits(tier, pinned):
                 for request in _class_requests()
             ]
             results = [client.wait(job_id) for job_id in job_ids]
-            if tier == "fusion":
+            if config.fusion_window_ms > 0:
                 assert client.stats()["counters"]["fusion_jobs"] == len(job_ids)
     finally:
         handle.stop()
@@ -220,9 +222,12 @@ def test_server_tier_matches_pinned_submits(tier, pinned):
         configure_tracer(enabled, buffer_size=buffer_size)
     for key, result in zip(SERVED, results):
         assert _service_record(result) == pinned[f"submit/{key}"]
-    if tier == "fusion":
+    if config.fusion_window_ms > 0:
         fused = [span.attributes["jobs"] for span in spans if span.name == "service.fuse"]
         assert max(fused) >= 2, f"no window fused two anneals: {fused}"
+        if config.shards:
+            shards = {span.attributes.get("shard") for span in spans if span.name == "service.fuse"}
+            assert None not in shards, "a fused anneal ran outside the shards"
 
 
 if __name__ == "__main__":

@@ -75,8 +75,8 @@ def cluster(server_factory):
 class TestShardMetricsFederation:
     def test_shard_side_counters_reach_the_parent_with_labels_and_rollup(self, cluster):
         with SolverClient(port=cluster.port) as client:
-            # Distinct instances hash-route to (with 2^-15 failure odds)
-            # both shards, so both report non-zero solver improvements.
+            # Idle slots alternate between the shards, so both run
+            # jobs and report non-zero solver improvements.
             for seed in range(16):
                 spec = {"queries": 4, "plans": 2, "seed": seed}
                 assert client.solve(spec, solver="STEP", budget_ms=500.0).ok
@@ -172,7 +172,7 @@ class TestOneIntrospectionSource:
         ("config", "tier"),
         [
             (ServerConfig(workers=2), "threads"),
-            (ServerConfig(workers=2, fusion_window_ms=50.0), "fusion"),
+            (ServerConfig(workers=2, fusion_window_ms=50.0), "threads"),
         ],
         ids=["threads", "fusion"],
     )

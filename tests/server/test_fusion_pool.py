@@ -1,4 +1,4 @@
-"""End-to-end tests of the server's fusion window (FusionPool).
+"""End-to-end tests of the server's fusion window (the worker pool's staging).
 
 Covers the tentpole contract of cross-request anneal fusion from the
 client's point of view: concurrent annealing jobs admitted within one

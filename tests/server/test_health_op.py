@@ -56,11 +56,13 @@ class TestThreadTierHealth:
 
 class TestFusionTierHealth:
     def test_fusion_server_names_its_tier_and_staged_jobs(self, server_factory):
+        # Fusion is not a tier of its own: the thread tier reports its
+        # staged jobs.
         handle = server_factory(ServerConfig(workers=2, fusion_window_ms=50.0))
         with SolverClient(port=handle.port) as client:
             health = client.health()
         assert health["verdict"] == "ok"
-        assert health["tier"] == "fusion"
+        assert health["tier"] == "threads"
         assert health["staged"] == 0
         assert health["active"] == 0
 

@@ -5,8 +5,8 @@ the parsed problem is freed on every tier: a finished job keeps only its
 identity, timestamps and result, and ``wait``/``subscribe`` keep serving
 that result.  Finished jobs are pruned oldest finish first under a soft
 bound (beyond the retention window only) and a hard bound (regardless
-of age).  A contradictory configuration — a fusion window on the
-sharded tier — is rejected at construction.
+of age).  A fusion window and shards combine: the windows run on
+shard slots.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import weakref
 
 import pytest
 
-from repro import cli
-from repro.exceptions import ServerConfigError
 from repro.mqo.generator import generate_paper_testcase
 from repro.server import app as server_app
 from repro.server.app import ServerConfig, SolverServer
@@ -223,25 +221,9 @@ class TestPruneBounds:
 
 
 # ---------------------------------------------------------------------- #
-# Contradictory configuration
+# Fusion and shards
 # ---------------------------------------------------------------------- #
 class TestContradictoryConfig:
-    @pytest.mark.parametrize("shards", [1, -1])
-    def test_fusion_window_on_the_sharded_tier_is_rejected(self, shards):
-        with pytest.raises(ServerConfigError, match="fusion_window_ms"):
-            ServerConfig(shards=shards, fusion_window_ms=5.0)
-        assert issubclass(ServerConfigError, ValueError)
-
     def test_each_alone_is_accepted(self):
         assert ServerConfig(shards=2).fusion_window_ms == 0.0
         assert ServerConfig(fusion_window_ms=5.0).shards == 0
-
-    def test_serve_rejects_it_before_starting(self, capsys, monkeypatch):
-        def no_server(*_args, **_kwargs):
-            raise AssertionError("serve built a server from a contradictory config")
-
-        monkeypatch.setattr(cli, "SolverServer", no_server)
-        code = cli.main(["serve", "--port", "0", "--shards", "2", "--fusion-window-ms", "5"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "fusion_window_ms" in err and "listening" not in err

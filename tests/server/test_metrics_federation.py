@@ -89,8 +89,7 @@ class TestFederatedExposition:
         metrics.observe_shard_job(0, failed=False)
         metrics.observe_shard_retry(0)
         metrics.set_shard_gauges(
-            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "outbox": 3,
-                              "overflow": 0, "heartbeat_age_s": 0.2}}}
+            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "heartbeat_age_s": 0.2}}}
         )
         metrics.record_shard_snapshot(0, shard_registry().to_snapshot())
         validate_exposition(metrics.prometheus_text(queue_depth=0, inflight=0))

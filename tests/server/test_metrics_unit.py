@@ -131,8 +131,7 @@ class TestPrometheusText:
         metrics.observe_shard_restart(0)
         metrics.observe_shard_retry(0)
         metrics.set_shard_gauges(
-            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "outbox": 0,
-                              "overflow": 0, "heartbeat_age_s": 0.1}}}
+            {"shards": {"0": {"ready": True, "dead": False, "assigned": 1, "heartbeat_age_s": 0.1}}}
         )
         lines = metrics.prometheus_text(queue_depth=0, inflight=0).splitlines()
 

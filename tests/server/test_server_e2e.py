@@ -13,6 +13,7 @@ scripted solver registry from ``conftest``) and talks to it through
   and closes idle connections after a bounded grace period.
 """
 
+import multiprocessing
 import socket
 import time
 
@@ -61,6 +62,22 @@ class TestBasics:
             with pytest.raises(ServerError):
                 client.solve({"nonsense": True})
             assert client.ping()  # the connection survives the bad request
+
+
+class TestThreadTier:
+    def test_runs_fusion_and_solo_jobs_without_a_child_process(self, server_factory):
+        """Without shards every slot is a thread of this process: neither a
+        solo job nor a fusion window may start a child process."""
+        before = set(multiprocessing.active_children())
+        handle = server_factory(
+            ServerConfig(workers=2, fusion_window_ms=20.0), frontend=ServiceFrontend()
+        )
+        with SolverClient(port=handle.port) as client:
+            assert client.solve(tiny_problem(), solver="CLIMB", budget_ms=50.0).ok
+            qa = client.solve({"queries": 4, "plans": 2, "seed": 1}, solver="QA", budget_ms=40.0)
+            assert qa.ok and client.stats()["counters"]["fusion_jobs"] == 1
+        assert handle.server.pool.shards is None
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestStreaming:

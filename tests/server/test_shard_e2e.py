@@ -1,21 +1,27 @@
-"""End-to-end tests of the sharded (multi-process) worker tier.
+"""End-to-end tests of the shard tier (slots in shard processes).
 
 Same acceptance bar as the threaded end-to-end suite, but with
 ``ServerConfig(shards=2)``: solving, anytime streaming, coalescing and
 graceful drain must all work when execution happens in shard *processes*
 and every update/result crosses a pipe before reaching the client.
-Fault injection (killed shards) lives in ``test_shard_faults.py`` under
-the ``stress`` marker; this file stays in the default lane.
+Shard slots pull from the one queue, so any instance can run on any
+shard and a job's priority decides when it starts.  Fault injection
+(killed shards) lives in ``test_shard_faults.py`` under the ``stress``
+marker; this file stays in the default lane.
 """
+
+import sys
 
 import pytest
 
+from repro.mqo.generator import generate_paper_testcase
+from repro.obs.metrics import get_registry
 from repro.server.app import ServerConfig
 from repro.server.client import SolverClient
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
 
-from tests.server.conftest import scripted_registry, tiny_problem
+from tests.server.conftest import scripted_registry, tiny_problem, wait_until
 
 
 @pytest.fixture()
@@ -46,20 +52,75 @@ class TestShardedBasics:
         for state in health["shards"].values():
             assert state["pid"] is not None
             assert state["dead"] is False
-        # Exactly one shard executed the job (hash routing, one job).
+        # The job finished: nothing is left assigned on either shard.
         executed = [s for s in health["shards"].values() if s["assigned"] == 0]
-        assert len(executed) == 2  # finished: nothing left assigned
+        assert len(executed) == 2
 
-    def test_jobs_spread_across_shards_by_hash(self, sharded_server):
-        # Distinct instances hash to (eventually) both shards; with 16
-        # problems the chance of all landing on one shard is 2^-15.
-        with SolverClient(port=sharded_server.port) as client:
-            for index in range(16):
-                spec = {"queries": 4, "plans": 2, "seed": index}
-                assert client.solve(spec, solver="STEP", budget_ms=500.0).ok
-            text = client.metrics_text()
-        assert 'repro_server_shard_jobs_total{shard="0"}' in text
-        assert 'repro_server_shard_jobs_total{shard="1"}' in text
+
+class TestPullScheduling:
+    def test_instances_of_one_hash_parity_finish_on_both_shards(self, server_factory):
+        """No instance is tied to a shard: jobs whose canonical-hash prefix
+        is even — which a hash router sends to one of two shards — run on
+        both, because every idle slot pulls the next job."""
+        even = []
+        for seed in range(64):
+            problem = generate_paper_testcase(4, 2, seed=seed)
+            if int(problem.canonical_hash()[:16], 16) % 2 == 0:
+                even.append(problem)
+        assert len(even) >= 4
+        handle = server_factory(ServerConfig(workers=1, shards=2))
+        with SolverClient(port=handle.port) as client:
+            job_ids = [
+                client.submit(problem, solver="SLEEPY", budget_ms=2000.0) for problem in even[:4]
+            ]
+            assert all(client.wait(job_id).ok for job_id in job_ids)
+            per_shard = client.stats()["health"]["shards"]
+        assert per_shard["0"]["jobs"] >= 1 and per_shard["1"]["jobs"] >= 1
+        assert per_shard["0"]["jobs"] + per_shard["1"]["jobs"] == 4
+
+    def test_a_high_priority_job_overtakes_queued_low_ones(self, server_factory):
+        """Jobs wait in the one priority queue until a slot is free, so an
+        urgent job admitted behind a low-priority backlog runs next."""
+        handle = server_factory(ServerConfig(workers=1, shards=1))
+        with SolverClient(port=handle.port) as client:
+            # Distinct seeds keep the jobs from coalescing.
+            low = [
+                client.submit(
+                    tiny_problem(), solver="SLEEPY", budget_ms=2000.0, seed=i, priority="low"
+                )
+                for i in range(3)
+            ]
+            high = client.submit(
+                tiny_problem(), solver="SLEEPY", budget_ms=2000.0, seed=99, priority="high"
+            )
+            assert all(client.wait(job_id).ok for job_id in [*low, high])
+        order = [job.job_id for job in handle.server.pool.finished]
+        # The first low job was already running when the urgent one came.
+        assert order.index(high) < order.index(low[1])
+        assert order.index(high) < order.index(low[2])
+
+
+class TestSlotsOfOneShard:
+    def test_concurrent_units_are_each_answered_once(self, server_factory):
+        """More slots than cores share one shard's pipe and pending map:
+        every unit is answered exactly once and none stays assigned."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            handle = server_factory(ServerConfig(workers=4, shards=1))
+            with SolverClient(port=handle.port) as client:
+                job_ids = [
+                    client.submit(tiny_problem(), solver="STEP", budget_ms=500.0, seed=seed)
+                    for seed in range(16)
+                ]
+                results = [client.wait(job_id) for job_id in job_ids]
+                stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(result.ok for result in results)
+        assert stats["counters"]["jobs_finished"] == 16
+        (state,) = stats["health"]["shards"].values()
+        assert state["jobs"] == 16 and state["assigned"] == 0
 
 
 class TestShardedStreaming:
@@ -111,11 +172,10 @@ class TestShardedCoalescing:
 
 class TestShardedCaching:
     def test_parent_cache_accumulates_shard_results(self, server_factory):
-        """Fresh shard results are mirrored into the parent's cache.
+        """Fresh shard results are stored in the parent's cache.
 
-        Shard caches are process-private; the parent's cache is the one
-        ``--cache-file`` checkpoints to disk, so without the mirror a
-        sharded server would persist an eternally-empty cache.
+        Shards keep no cache: the parent's is the server's only one, the
+        one ``--cache-file`` checkpoints to disk.
         """
         frontend = ServiceFrontend(registry=scripted_registry(), cache=ResultCache())
         handle = server_factory(ServerConfig(workers=2, shards=2), frontend=frontend)
@@ -127,6 +187,46 @@ class TestShardedCaching:
         assert mirrored is not None
         assert mirrored["best_cost"] == pytest.approx(result.best_cost)
 
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_each_job_counts_once_in_the_cache_and_service_counters(
+        self, server_factory, shards
+    ):
+        """The parent's frontend looks up, solves through a shard and
+        stores each job, so cache hits and misses and the winner count
+        once per job on either tier, and shards count none of them."""
+        wins = get_registry().counter("repro_service_wins_total", labels={"solver": "STEP"})
+        before = wins.value
+        frontend = ServiceFrontend(registry=scripted_registry(), cache=ResultCache())
+        config = ServerConfig(workers=1, shards=shards, shard_heartbeat_s=0.1)
+        handle = server_factory(config, frontend=frontend)
+        with SolverClient(port=handle.port) as client:
+            results = [
+                client.solve(tiny_problem(), solver="STEP", budget_ms=500.0, seed=seed)
+                for seed in (1, 1, 2)
+            ]
+
+            def snapshots_after_the_jobs():
+                # A shard's snapshot counts its solver improvements, so
+                # a non-zero one was taken after the jobs ran.
+                text = client.metrics_text()
+                improved = any(
+                    float(line.rsplit(" ", 1)[1]) > 0
+                    for line in text.splitlines()
+                    if line.startswith('repro_solver_improvements_total{shard="')
+                )
+                return text if improved or not shards else None
+
+            text = wait_until(snapshots_after_the_jobs)
+        assert [result.from_cache for result in results] == [False, True, False]
+        assert (frontend.cache.stats.hits, frontend.cache.stats.misses) == (1, 2)
+        assert wins.value == before + 2
+        shard_counts = [
+            float(line.rsplit(" ", 1)[1])
+            for line in text.splitlines()
+            if line.startswith("repro_service_") and 'shard="' in line
+        ]
+        assert not any(shard_counts)
 
 class TestShardedDrain:
     def test_graceful_drain_finishes_backlog_then_exits(self, server_factory):

@@ -1,6 +1,6 @@
 """Round-trip tests of the zero-copy ProblemArrays pipe transport.
 
-The sharded tier moves problems between processes as pickled
+Shard slots move problems between processes as pickled
 :class:`~repro.mqo.arrays.ProblemArrays` with protocol-5 out-of-band
 buffers.  Three things must hold, and each gets a test here:
 
@@ -29,6 +29,7 @@ from repro.mqo.generator import generate_paper_testcase
 from repro.mqo.serialization import exact_problem_token
 from repro.server.sharding import (
     decode_shard_request,
+    default_shard_count,
     encode_shard_request,
     recv_message,
     send_message,
@@ -188,3 +189,8 @@ def test_problem_from_arrays_reuses_columns() -> None:
     rebuilt = problem_from_arrays(arrays, name=original.name)
     assert rebuilt.arrays() is arrays
     assert rebuilt.canonical_hash() == original.canonical_hash()
+
+
+def test_default_shard_count_positive() -> None:
+    """Auto shard count is always at least one, whatever the host says."""
+    assert default_shard_count() >= 1

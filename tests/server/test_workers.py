@@ -63,7 +63,7 @@ def _job(job_id: str, seed: int = 1, client: str = "c") -> ServerJob:
     )
 
 
-def _run_pool(frontend, jobs, num_workers=1, coalesce=True, timeout_s=5.0):
+def _run_pool(frontend, jobs, num_workers=1, timeout_s=5.0):
     """Admit ``jobs``, run the pool to completion, return delivered frames."""
 
     async def scenario():
@@ -76,7 +76,6 @@ def _run_pool(frontend, jobs, num_workers=1, coalesce=True, timeout_s=5.0):
             broker=broker,
             metrics=metrics,
             num_workers=num_workers,
-            coalesce=coalesce,
         )
         delivered = {}
         statuses = {}
@@ -131,13 +130,6 @@ class TestCoalescing:
         assert statuses == {"a": "queued", "b": "queued"}
         assert len(frontend.calls) == 2
         assert metrics.counter_value("jobs_coalesced") == 0
-
-    def test_coalescing_can_be_disabled(self):
-        frontend = StubFrontend()
-        jobs = [_job("a", seed=7), _job("b", seed=7)]
-        _, statuses, _ = _run_pool(frontend, jobs, num_workers=1, coalesce=False)
-        assert statuses == {"a": "queued", "b": "queued"}
-        assert len(frontend.calls) == 2
 
     def test_followers_rejected_while_draining(self):
         async def scenario():

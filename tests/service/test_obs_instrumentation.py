@@ -63,3 +63,33 @@ class TestAnnealCounters:
         QuantumMQO(seed=0).solve(generate_paper_testcase(4, 2, seed=0), num_reads=40)
         assert reads.value == before[0] + 40
         assert gauges.value > before[1]
+
+
+class TestEmbedSpans:
+    def test_a_presolved_qa_request_opens_one_embed_span(self):
+        """The adapter searches the original instance's embedding once and
+        hands its restriction to the pipeline, which searches nothing: one
+        ``mqo.embed`` span per annealed request, so ``mean_ms`` of the
+        bench's ``embed`` stage is the whole search time."""
+        from repro.mqo.presolve import presolve
+        from repro.obs.trace import configure_tracer, get_tracer
+        from repro.service.qa_adapter import QuantumAnnealingSolver
+
+        problem = generate_paper_testcase(6, 3, seed=1)
+        assert presolve(problem).reduced is not None  # something is annealed
+        tracer = get_tracer()
+        enabled, buffer_size = tracer.enabled, tracer.buffer_size
+        configure_tracer(True, buffer_size=10_000)
+        tracer.drain()
+        QuantumAnnealingSolver.prepared_cache.clear()
+        try:
+            result = ServiceFrontend().submit(
+                SolveRequest(problem=problem, solver="QA", time_budget_ms=40.0, seed=1)
+            )
+            names = [span.name for span in tracer.drain()]
+        finally:
+            configure_tracer(enabled, buffer_size=buffer_size)
+            QuantumAnnealingSolver.prepared_cache.clear()
+        assert result.ok, result.error
+        assert names.count("mqo.prepare") == 1
+        assert names.count("mqo.embed") == 1
