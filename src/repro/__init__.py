@@ -67,10 +67,9 @@ from repro.embedding import (
     TriadEmbedder,
 )
 from repro.core import (
-    DecomposedQuantumMQO,
-    DecompositionResult,
     LogicalMapping,
     LogicalMappingConfig,
+    ParallelDecomposition,
     PhysicalMapping,
     PhysicalMappingConfig,
     QuantumMQO,
@@ -235,8 +234,7 @@ __all__ = [
     "embed_logical_qubo",
     "QuantumMQO",
     "QuantumMQOResult",
-    "DecomposedQuantumMQO",
-    "DecompositionResult",
+    "ParallelDecomposition",
     "capacity_frontier",
     # annealer
     "DWaveSamplerSimulator",

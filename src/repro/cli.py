@@ -507,7 +507,7 @@ def _run_solve_traced(args: argparse.Namespace) -> int:
         from repro.core.decomposition import ParallelDecomposition
 
         decomposition = ParallelDecomposition(max_cluster_size=args.max_cluster_size)
-        outcome = decomposition.solve(
+        outcome = decomposition.decompose(
             problem, time_budget_ms=args.budget_ms, seed=args.seed
         )
         trajectory = outcome.trajectory

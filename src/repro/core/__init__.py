@@ -17,7 +17,7 @@ paper:
 from repro.core.logical import LogicalMapping, LogicalMappingConfig, map_mqo_to_qubo
 from repro.core.physical import PhysicalMapping, PhysicalMappingConfig, embed_logical_qubo
 from repro.core.pipeline import QuantumMQO, QuantumMQOResult
-from repro.core.decomposition import DecomposedQuantumMQO, DecompositionResult
+from repro.core.decomposition import ParallelDecomposition
 from repro.core.complexity import (
     CapacityPoint,
     capacity_frontier,
@@ -36,8 +36,7 @@ __all__ = [
     "embed_logical_qubo",
     "QuantumMQO",
     "QuantumMQOResult",
-    "DecomposedQuantumMQO",
-    "DecompositionResult",
+    "ParallelDecomposition",
     "CapacityPoint",
     "capacity_frontier",
     "clustered_pattern_qubits",

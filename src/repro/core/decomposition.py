@@ -2,30 +2,28 @@
 
 The paper's outlook (Section 9) proposes mapping "one MQO problem
 instance into a series of QUBO problems ... which should in principle
-allow to treat larger problem instances".  This module implements that
-extension twice over:
+allow to treat larger problem instances".  :class:`ParallelDecomposition`
+implements that extension for instances beyond device/QUBO capacity: an
+array-native partition (:mod:`repro.mqo.clustering`), cluster
+sub-problems farmed through a
+:class:`~repro.service.frontend.ServiceFrontend` under a
+dependency-ordered **wave schedule**, and per-cluster selections
+stitched into one monotone anytime trajectory for the whole instance.
+The registry serves it as the ``decomposed_qa`` solver.
 
-* :class:`DecomposedQuantumMQO` — the faithful sequential scheme: one
-  sub-QUBO per cluster on the annealing pipeline, clusters solved in
-  internal-weight order, each conditioned on every selection made before
-  it.
-* :class:`ParallelDecomposition` — the serving-stack fast path for
-  instances beyond device/QUBO capacity: an array-native partition
-  (:mod:`repro.mqo.clustering`), cluster sub-problems farmed through a
-  :class:`~repro.service.frontend.ServiceFrontend` concurrently under a
-  dependency-ordered **wave schedule**, and per-cluster selections
-  stitched into one monotone anytime trajectory for the whole instance.
-
-Wave scheduling preserves the sequential-conditioning semantics where
-they matter: two clusters that share savings never run in the same wave
-(the weaker-sharing one waits and conditions on the stronger one's
-selection), while clusters without any shared savings solve in parallel
-with *zero* loss versus the sequential schedule — conditioning on a
+The wave schedule returns the answer of the fully sequential scheme, in
+which clusters solve one at a time in internal-weight order and each is
+conditioned on every selection made before it, whenever a cluster
+solver's answer depends only on its sub-problem, budget and seed (GREEDY
+and QA; not the wall-clock-budgeted heuristics): two clusters that share
+savings never run in the same wave (the weaker-sharing one waits and
+conditions on the stronger one's selection), while clusters without any
+shared savings solve in parallel with *zero* loss — conditioning on a
 cluster you share nothing with is a no-op.
 
-Both solvers are heuristics — cross-cluster savings are only considered
-greedily in conditioning order — but they remove the hard qubit-budget
-limit of the single-QUBO mapping.
+The decomposition is a heuristic — cross-cluster savings are only
+considered greedily in conditioning order — but it removes the hard
+qubit-budget limit of the single-QUBO mapping.
 """
 
 from __future__ import annotations
@@ -53,12 +51,12 @@ from repro.baselines.anytime import (
     SolverTrajectory,
     TrajectoryRecorder,
 )
-from repro.core.pipeline import QuantumMQO, QuantumMQOResult
 from repro.exceptions import InvalidProblemError, SolverError
 from repro.mqo.clustering import cluster_edges, cluster_queries, internal_weights
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
+from repro.utils.arrays import concat_ranges
 from repro.utils.rng import SeedLike, derive_seed
 
 if TYPE_CHECKING:  # pragma: no cover - service imported lazily (cycle guard)
@@ -67,14 +65,11 @@ if TYPE_CHECKING:  # pragma: no cover - service imported lazily (cycle guard)
 
 __all__ = [
     "ClusterSubproblem",
-    "DecompositionResult",
-    "DecomposedQuantumMQO",
     "WaveSchedule",
     "build_wave_schedule",
     "build_subproblem",
     "ParallelDecomposition",
     "ParallelDecompositionResult",
-    "DecomposedAnytimeSolver",
     "DECOMPOSED_SOLVER_NAME",
     "observe_decomposition_progress",
     "current_progress_observers",
@@ -173,18 +168,6 @@ class ClusterSubproblem:
     plan_map: Dict[int, int]
 
 
-def _multi_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` ranges, vectorised."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    repeats = np.repeat(np.arange(len(starts), dtype=np.int64), counts)
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
-    )
-    return starts[repeats] + offsets
-
-
 def build_subproblem(
     problem: MQOProblem,
     cluster: Sequence[int],
@@ -219,12 +202,12 @@ def build_subproblem(
 
     offsets = arrays.query_offsets
     per_query_counts = (offsets[cluster_array + 1] - offsets[cluster_array]).astype(np.int64)
-    cluster_plans = _multi_arange(offsets[cluster_array], per_query_counts)
+    cluster_plans = concat_ranges(offsets[cluster_array], per_query_counts)
 
     # External savings per cluster plan: segment sums over adjacency rows.
     row_starts = arrays.adj_indptr[cluster_plans]
     row_counts = (arrays.adj_indptr[cluster_plans + 1] - row_starts).astype(np.int64)
-    entries = _multi_arange(row_starts, row_counts)
+    entries = concat_ranges(row_starts, row_counts)
     contributions = np.where(
         external_partner[arrays.adj_indices[entries]], arrays.adj_values[entries], 0.0
     )
@@ -273,8 +256,8 @@ class WaveSchedule:
     ----------
     solve_order:
         Canonical cluster indices in conditioning order — internal
-        weight descending, canonical index on ties (exactly the order
-        the sequential solver uses).
+        weight descending, canonical index on ties (the order of the
+        fully sequential scheme).
     waves:
         Cluster indices grouped into execution waves.  Clusters in one
         wave share no savings with each other, so they can solve
@@ -306,7 +289,7 @@ def build_wave_schedule(
     ``edges`` are cluster pairs that share at least one savings pair
     (:func:`~repro.mqo.clustering.cluster_edges`); ``weights`` the
     per-cluster internal savings.  For every edge, the cluster that the
-    sequential schedule solves *later* (weaker internal sharing) depends
+    sequential scheme solves *later* (weaker internal sharing) depends
     on the earlier one, so it can condition on the earlier selection.
     Waves are the topological levels of that DAG: wave 0 holds every
     independent cluster, wave ``k`` the clusters whose deepest
@@ -330,120 +313,6 @@ def build_wave_schedule(
     for wave in waves:
         wave.sort()
     return WaveSchedule(solve_order=order, waves=waves)
-
-
-# ---------------------------------------------------------------------- #
-# The sequential pipeline solver (paper outlook, faithful scheme)
-# ---------------------------------------------------------------------- #
-@dataclass
-class DecompositionResult:
-    """Outcome of a decomposed solve.
-
-    ``clusters`` holds the canonical clustering — sorted by smallest
-    query index, exactly as :func:`~repro.mqo.clustering.cluster_queries`
-    returned it — while ``solve_order`` records the order the clusters
-    were actually solved in (internal weight descending).
-    ``cluster_results[i]`` is the result of solving
-    ``clusters[solve_order[i]]``.
-    """
-
-    problem: MQOProblem
-    solution: MQOSolution
-    clusters: List[Tuple[int, ...]]
-    solve_order: List[int] = field(default_factory=list)
-    cluster_results: List[QuantumMQOResult] = field(default_factory=list)
-
-    @property
-    def num_clusters(self) -> int:
-        """Number of sub-problems solved."""
-        return len(self.clusters)
-
-    @property
-    def total_device_time_ms(self) -> float:
-        """Accumulated device time over all cluster solves."""
-        return sum(result.device_time_ms for result in self.cluster_results)
-
-    @property
-    def total_preprocessing_time_ms(self) -> float:
-        """Accumulated mapping time over all cluster solves."""
-        return sum(result.preprocessing_time_ms for result in self.cluster_results)
-
-    @property
-    def max_qubits_used(self) -> int:
-        """Largest number of physical qubits any sub-problem needed."""
-        if not self.cluster_results:
-            return 0
-        return max(result.physical_mapping.num_qubits for result in self.cluster_results)
-
-
-class DecomposedQuantumMQO:
-    """Solve MQO problems cluster by cluster on the annealing pipeline.
-
-    Parameters
-    ----------
-    pipeline:
-        The single-QUBO solver used per cluster (a default
-        :class:`QuantumMQO` is created when omitted).
-    max_queries_per_cluster:
-        Upper bound on the cluster size; pick it so the largest cluster's
-        sub-QUBO still fits on the device.
-    """
-
-    def __init__(
-        self,
-        pipeline: QuantumMQO | None = None,
-        max_queries_per_cluster: int = 32,
-    ) -> None:
-        if max_queries_per_cluster <= 0:
-            raise InvalidProblemError(
-                f"max_queries_per_cluster must be positive, got {max_queries_per_cluster}"
-            )
-        self.pipeline = pipeline if pipeline is not None else QuantumMQO()
-        self.max_queries_per_cluster = max_queries_per_cluster
-
-    #: Static alias kept for the public API: sub-problem construction is
-    #: shared with the parallel pipeline.
-    build_subproblem = staticmethod(build_subproblem)
-
-    def solve(
-        self,
-        problem: MQOProblem,
-        num_reads: int | None = None,
-        num_gauges: int | None = None,
-    ) -> DecompositionResult:
-        """Cluster the queries and solve one sub-QUBO per cluster.
-
-        Clusters with the strongest internal sharing solve first so later
-        clusters can condition on as many selected plans as possible; the
-        ordering weights come from one vectorised
-        :func:`~repro.mqo.clustering.internal_weights` pass instead of
-        re-iterating every savings pair once per cluster.
-        """
-        clusters = cluster_queries(problem, max_cluster_size=self.max_queries_per_cluster)
-        weights = internal_weights(problem, clusters)
-        solve_order = sorted(
-            range(len(clusters)), key=lambda index: (-float(weights[index]), index)
-        )
-
-        selected: List[int] = []
-        cluster_results: List[QuantumMQOResult] = []
-        for cluster_index in solve_order:
-            subproblem = build_subproblem(problem, clusters[cluster_index], selected)
-            result = self.pipeline.solve(
-                subproblem.problem, num_reads=num_reads, num_gauges=num_gauges
-            )
-            cluster_results.append(result)
-            for local_plan in result.best_solution.selected_plans:
-                selected.append(subproblem.plan_map[local_plan])
-
-        solution = problem.solution_from_selection(selected)
-        return DecompositionResult(
-            problem=problem,
-            solution=solution,
-            clusters=[tuple(cluster) for cluster in clusters],
-            solve_order=solve_order,
-            cluster_results=cluster_results,
-        )
 
 
 # ---------------------------------------------------------------------- #
@@ -529,7 +398,7 @@ def _realized_with(
         return 0.0
     starts = arrays.adj_indptr[plans]
     counts = (arrays.adj_indptr[plans + 1] - starts).astype(np.int64)
-    entries = _multi_arange(starts, counts)
+    entries = concat_ranges(starts, counts)
     if len(entries) == 0:
         return 0.0
     hit = partner_mask[arrays.adj_indices[entries]]
@@ -546,8 +415,16 @@ def _intra_savings(arrays, plans: np.ndarray, scratch: np.ndarray) -> float:
     return value
 
 
-class ParallelDecomposition:
-    """Partition–solve–stitch pipeline over the service frontend.
+class ParallelDecomposition(AnytimeSolver):
+    """Partition–solve–stitch decomposition over the service frontend.
+
+    Registered as the ``decomposed_qa`` anytime solver, with a
+    ``min_plans`` capability one past the annealer's device capacity, so
+    the portfolio and the server route instances *beyond* embedding
+    capacity here instead of failing, while small instances keep their
+    solver line-up.  :meth:`solve` returns the stitched anytime
+    trajectory; :meth:`decompose` returns the whole
+    :class:`ParallelDecompositionResult`.
 
     Parameters
     ----------
@@ -558,24 +435,24 @@ class ParallelDecomposition:
         cluster solves by canonical hash.
     max_cluster_size:
         Query-count cap per cluster (see
-        :func:`~repro.mqo.clustering.cluster_queries`).
+        :func:`~repro.mqo.clustering.cluster_queries`).  Every solve
+        lowers it to as many queries as keep the worst-case sub-QUBO
+        within the device (:meth:`_cluster_cap`).
     cluster_solvers:
         Solver-name preference per cluster: the first registered solver
         whose capabilities accept the sub-problem runs it (the last name
         is used unconditionally as the fallback).
     max_workers:
         Concurrent cluster solves (defaults to the CPU count); 1 makes
-        the dispatch sequential while keeping the wave conditioning
-        semantics, which is the apples-to-apples baseline the
-        decomposition benchmark compares against.
+        the dispatch sequential on the same wave schedule, which is the
+        baseline the decomposition benchmark compares against.
     cluster_budget_ms:
         Optional fixed per-cluster time budget; by default the solve
         budget is split evenly across waves (deterministic, so cluster
         cache keys are stable across runs).
-    sequential_conditioning:
-        When true, every cluster gets its own wave in conditioning order
-        — the legacy fully-sequential scheme (implies no parallelism).
     """
+
+    name = DECOMPOSED_SOLVER_NAME
 
     #: Default per-cluster solver preference (first supported name wins).
     DEFAULT_CLUSTER_SOLVERS: Tuple[str, ...] = ("QA", "CLIMB")
@@ -591,8 +468,6 @@ class ParallelDecomposition:
         cluster_solvers: Sequence[str] = DEFAULT_CLUSTER_SOLVERS,
         max_workers: int | None = None,
         cluster_budget_ms: float | None = None,
-        sequential_conditioning: bool = False,
-        name: str = DECOMPOSED_SOLVER_NAME,
     ) -> None:
         if max_cluster_size <= 0:
             raise InvalidProblemError(
@@ -607,8 +482,6 @@ class ParallelDecomposition:
         self.cluster_solvers = tuple(cluster_solvers)
         self.max_workers = max_workers if max_workers is not None else (os.cpu_count() or 1)
         self.cluster_budget_ms = cluster_budget_ms
-        self.sequential_conditioning = sequential_conditioning
-        self.name = name
 
     @property
     def frontend(self) -> "ServiceFrontend":
@@ -625,10 +498,28 @@ class ParallelDecomposition:
                 return name
         return self.cluster_solvers[-1]
 
+    def _cluster_cap(self, problem: MQOProblem) -> int:
+        """Largest query count whose worst-case sub-QUBO fits the device."""
+        from repro.service.qa_adapter import QuantumAnnealingSolver
+
+        device_plans = QuantumAnnealingSolver.default_max_plans()
+        widest_query = int(problem.arrays().plans_per_query.max())
+        return max(1, min(self.max_cluster_size, device_plans // max(1, widest_query)))
+
     # ------------------------------------------------------------------ #
     # Solving
     # ------------------------------------------------------------------ #
     def solve(
+        self,
+        problem: MQOProblem,
+        time_budget_ms: float,
+        seed: SeedLike = None,
+    ) -> SolverTrajectory:
+        """Run :meth:`decompose` and return the stitched anytime trajectory."""
+        base_seed = None if seed is None else int(seed)  # SeedLike -> request seed
+        return self.decompose(problem, time_budget_ms=time_budget_ms, seed=base_seed).trajectory
+
+    def decompose(
         self,
         problem: MQOProblem,
         time_budget_ms: float = 1000.0,
@@ -643,8 +534,7 @@ class ParallelDecomposition:
         (its delta is order-independent within a wave), so the final
         merged selection does not depend on completion order.
         """
-        if time_budget_ms <= 0:
-            raise SolverError(f"time budget must be positive, got {time_budget_ms}")
+        self._check_budget(time_budget_ms)
         from repro.service.jobs import SolveRequest
 
         tracer = get_tracer()
@@ -652,18 +542,10 @@ class ParallelDecomposition:
         progress_observers = current_progress_observers()
 
         with tracer.span("mqo.partition", {"plans": problem.num_plans}) as span:
-            clusters = cluster_queries(problem, max_cluster_size=self.max_cluster_size)
+            clusters = cluster_queries(problem, max_cluster_size=self._cluster_cap(problem))
             weights = internal_weights(problem, clusters)
-            if self.sequential_conditioning:
-                order = sorted(
-                    range(len(clusters)), key=lambda i: (-float(weights[i]), i)
-                )
-                schedule = WaveSchedule(
-                    solve_order=order, waves=[[index] for index in order]
-                )
-            else:
-                edges = cluster_edges(problem, clusters)
-                schedule = build_wave_schedule(len(clusters), edges, weights)
+            edges = cluster_edges(problem, clusters)
+            schedule = build_wave_schedule(len(clusters), edges, weights)
             span.set_attribute("clusters", len(clusters))
             span.set_attribute("waves", schedule.num_waves)
         _COMPONENTS.inc(len(clusters))
@@ -705,22 +587,33 @@ class ParallelDecomposition:
 
         def run_cluster(
             cluster_index: int, already: Tuple[int, ...]
-        ) -> Tuple[ClusterSubproblem, "SolveResult"]:
-            subproblem = build_subproblem(problem, clusters[cluster_index], already)
-            request = SolveRequest(
-                problem=subproblem.problem,
-                solver=self._pick_solver(subproblem.problem),
-                time_budget_ms=budget,
-                seed=derive_seed(seed, cluster_index),
-                job_id=f"{self.name}-c{cluster_index}",
-            )
-            return subproblem, self.frontend.submit(request)
+        ) -> Tuple[Optional[ClusterSubproblem], Optional["SolveResult"], Optional[str]]:
+            """Solve one cluster: ``(subproblem, result, error)``, never raising."""
+            try:
+                subproblem = build_subproblem(problem, clusters[cluster_index], already)
+                request = SolveRequest(
+                    problem=subproblem.problem,
+                    solver=self._pick_solver(subproblem.problem),
+                    time_budget_ms=budget,
+                    seed=derive_seed(seed, cluster_index),
+                    job_id=f"{self.name}-c{cluster_index}",
+                )
+                result = self.frontend.submit(request)
+            except Exception as exc:  # noqa: BLE001 — cluster failures
+                # degrade to the baseline selection, never the solve.
+                return None, None, f"{type(exc).__name__}: {exc}"
+            return subproblem, result, result.error
 
-        def merge(cluster_index: int, subproblem: ClusterSubproblem, result) -> None:
+        def merge(
+            cluster_index: int,
+            subproblem: Optional[ClusterSubproblem],
+            result: Optional["SolveResult"],
+            error: Optional[str],
+        ) -> None:
             nonlocal current_cost, completed
             completed += 1
-            if result.error is not None:
-                errors[cluster_index] = result.error
+            if error is not None:
+                errors[cluster_index] = error
                 _notify_progress(progress_observers, self.name, completed, total)
                 return
             cluster_results[cluster_index] = result
@@ -774,31 +667,11 @@ class ParallelDecomposition:
                         executor.submit(run_cluster, index, conditioning): index
                         for index in wave
                     }
-                    for future in as_completed(futures):
-                        cluster_index = futures[future]
-                        try:
-                            subproblem, result = future.result()
-                        except Exception as exc:  # noqa: BLE001 — cluster failures
-                            # degrade to the baseline selection, never the solve.
-                            completed += 1
-                            errors[cluster_index] = f"{type(exc).__name__}: {exc}"
-                            _notify_progress(
-                                progress_observers, self.name, completed, total
-                            )
-                            continue
-                        merge(cluster_index, subproblem, result)
+                    outcomes = ((futures[f], f.result()) for f in as_completed(futures))
                 else:
-                    for cluster_index in wave:
-                        try:
-                            subproblem, result = run_cluster(cluster_index, conditioning)
-                        except Exception as exc:  # noqa: BLE001 — see above
-                            completed += 1
-                            errors[cluster_index] = f"{type(exc).__name__}: {exc}"
-                            _notify_progress(
-                                progress_observers, self.name, completed, total
-                            )
-                            continue
-                        merge(cluster_index, subproblem, result)
+                    outcomes = ((index, run_cluster(index, conditioning)) for index in wave)
+                for cluster_index, outcome in outcomes:
+                    merge(cluster_index, *outcome)
                 # Freeze the conditioning set for the next wave: whatever is
                 # now selected for every finished cluster's queries (the
                 # solver picks, or the baseline where a solve failed).
@@ -832,58 +705,3 @@ class ParallelDecomposition:
             partition_ms=partition_ms,
             errors=errors,
         )
-
-
-class DecomposedAnytimeSolver(AnytimeSolver):
-    """Service-registrable anytime view of the parallel decomposition.
-
-    Registered as ``"decomposed_qa"`` with a ``min_plans`` capability one
-    past the annealer's device capacity, so the portfolio and the server
-    route instances *beyond* embedding capacity here instead of failing —
-    while small instances keep their existing solver line-up untouched.
-    The cluster cap adapts per instance: as many queries per cluster as
-    keep the worst-case sub-QUBO within the device (bounded by
-    ``max_cluster_size``).
-    """
-
-    name = DECOMPOSED_SOLVER_NAME
-
-    def __init__(
-        self,
-        max_cluster_size: int = 32,
-        frontend: "ServiceFrontend | None" = None,
-        max_workers: int | None = None,
-    ) -> None:
-        if max_cluster_size <= 0:
-            raise InvalidProblemError(
-                f"max_cluster_size must be positive, got {max_cluster_size}"
-            )
-        self.max_cluster_size = max_cluster_size
-        self._frontend = frontend
-        self.max_workers = max_workers
-
-    def _cluster_cap(self, problem: MQOProblem) -> int:
-        """Largest query count whose worst-case sub-QUBO fits the device."""
-        from repro.service.qa_adapter import QuantumAnnealingSolver
-
-        device_plans = QuantumAnnealingSolver.default_max_plans()
-        widest_query = int(problem.arrays().plans_per_query.max())
-        return max(1, min(self.max_cluster_size, device_plans // max(1, widest_query)))
-
-    def solve(
-        self,
-        problem: MQOProblem,
-        time_budget_ms: float,
-        seed: SeedLike = None,
-    ) -> SolverTrajectory:
-        """Run the partition–solve–stitch pipeline under ``time_budget_ms``."""
-        self._check_budget(time_budget_ms)
-        pipeline = ParallelDecomposition(
-            frontend=self._frontend,
-            max_cluster_size=self._cluster_cap(problem),
-            max_workers=self.max_workers,
-        )
-        base_seed = None if seed is None else int(seed)  # SeedLike -> request seed
-        return pipeline.solve(
-            problem, time_budget_ms=time_budget_ms, seed=base_seed
-        ).trajectory

@@ -27,10 +27,8 @@ from repro.chimera.defects import DefectModel
 from repro.chimera.hardware import DWAVE_2X
 from repro.chimera.topology import ChimeraGraph
 from repro.core.pipeline import QuantumMQO, QuantumMQOResult
-from repro.exceptions import ReproError
 from repro.experiments.metrics import reference_cost
 from repro.experiments.profiles import ExperimentProfile, get_profile
-from repro.service.frontend import ServiceFrontend
 from repro.utils.rng import SeedLike, ensure_rng, spawn_rng
 from repro.workloads.embedded import (
     EmbeddedTestCase,
@@ -106,13 +104,9 @@ class InstanceResult:
 class ExperimentRunner:
     """Generate instances and run the full solver line-up on them.
 
-    When a :class:`~repro.service.frontend.ServiceFrontend` is supplied,
-    the classical solver sweep is routed through its portfolio scheduler
-    instead of the sequential in-process loop: all baselines race
-    concurrently under the profile's budget and the runner records the
-    per-member trajectories the race returns.  The solver line-up is then
-    resolved *by name* against the frontend's registry, so custom solver
-    instances must be registered there first.
+    The classical solvers run one after the other in this process, each
+    under the profile's wall-clock budget, so no two share the CPU inside
+    the budgets that figures 4-5 plot.
     """
 
     def __init__(
@@ -121,7 +115,6 @@ class ExperimentRunner:
         topology: ChimeraGraph | None = None,
         device: DWaveSamplerSimulator | None = None,
         solvers: Sequence[AnytimeSolver] | None = None,
-        frontend: ServiceFrontend | None = None,
         seed: SeedLike = None,
     ) -> None:
         self.profile = profile or get_profile()
@@ -136,7 +129,6 @@ class ExperimentRunner:
         self.solvers: List[AnytimeSolver] = (
             list(solvers) if solvers is not None else self._default_solvers()
         )
-        self.frontend = frontend
         self.quantum = QuantumAnnealingFrontend(self.device)
 
     # ------------------------------------------------------------------ #
@@ -193,25 +185,12 @@ class ExperimentRunner:
         )
         trajectories[QA_SOLVER_NAME] = qa_trajectory
 
-        if self.frontend is not None:
-            race = self.frontend.race(
+        for solver in self.solvers:
+            trajectories[solver.name] = solver.solve(
                 testcase.problem,
                 time_budget_ms=self.profile.classical_budget_ms,
-                seed=int(self._rng.integers(0, 2**63 - 1)),
-                solvers=[solver.name for solver in self.solvers],
+                seed=self._rng,
             )
-            if race.errors:
-                raise ReproError(
-                    f"portfolio members failed on {testcase.problem.name}: {race.errors}"
-                )
-            trajectories.update(race.trajectories)
-        else:
-            for solver in self.solvers:
-                trajectories[solver.name] = solver.solve(
-                    testcase.problem,
-                    time_budget_ms=self.profile.classical_budget_ms,
-                    seed=self._rng,
-                )
 
         best_known = min(t.best_cost for t in trajectories.values())
         proved = any(

@@ -23,12 +23,7 @@ from repro.mqo.cost_model import (
     TableStats,
     synthesize_plan_costs,
 )
-from repro.mqo.clustering import (
-    cluster_queries,
-    cross_cluster_savings,
-    query_sharing_graph,
-    split_oversized_clusters,
-)
+from repro.mqo.clustering import cluster_queries
 from repro.mqo.serialization import problem_from_dict, problem_to_dict, solution_from_dict, solution_to_dict
 
 __all__ = [
@@ -48,9 +43,6 @@ __all__ = [
     "TableStats",
     "synthesize_plan_costs",
     "cluster_queries",
-    "query_sharing_graph",
-    "split_oversized_clusters",
-    "cross_cluster_savings",
     "problem_to_dict",
     "problem_from_dict",
     "solution_to_dict",

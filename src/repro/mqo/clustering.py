@@ -22,57 +22,28 @@ algorithm's superlinear cost over a Python object graph and took minutes
 at 50k plans; this path is a few milliseconds of NumPy plus an
 O(E log E) Python sweep over the (much smaller) query-edge list.
 
-Two uses inside this library:
-
-* the clustered embedding pattern places one TRIAD per cluster,
-* the decomposition solver (:mod:`repro.core.decomposition`) solves one
-  QUBO per cluster, which is the paper's proposed route to problems that
-  exceed the qubit budget.
-
-:func:`query_sharing_graph` (the networkx view) is kept for inspection
-and compatibility; the clustering itself no longer builds it.
+The decomposition solver (:mod:`repro.core.decomposition`) uses it to
+solve one QUBO per cluster, which is the paper's proposed route to
+problems that exceed the qubit budget.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import InvalidProblemError
 from repro.mqo.problem import MQOProblem
 
-if TYPE_CHECKING:  # pragma: no cover - networkx is an optional dependency
-    import networkx as nx
-
 __all__ = [
-    "query_sharing_graph",
     "query_components",
     "cluster_queries",
     "cluster_edges",
     "internal_weights",
-    "split_oversized_clusters",
     "split_component",
-    "cross_cluster_savings",
 ]
-
-
-def query_sharing_graph(problem: MQOProblem) -> "nx.Graph":
-    """The weighted query-interaction graph (networkx view, for inspection).
-
-    Nodes are query indices; an edge carries the accumulated savings
-    between plans of the two queries.  Requires the optional networkx
-    package.
-    """
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(query.index for query in problem.queries)
-    q1, q2, weight = problem.arrays().query_edges()
-    for a, b, w in zip(q1.tolist(), q2.tolist(), weight.tolist()):
-        graph.add_edge(a, b, weight=w)
-    return graph
 
 
 # ---------------------------------------------------------------------- #
@@ -112,20 +83,6 @@ def query_components(problem: MQOProblem) -> List[List[int]]:
 # ---------------------------------------------------------------------- #
 # Size-capped splitting
 # ---------------------------------------------------------------------- #
-def split_oversized_clusters(
-    clusters: Sequence[Sequence[int]], max_cluster_size: int
-) -> List[List[int]]:
-    """Split clusters larger than ``max_cluster_size`` into contiguous chunks."""
-    if max_cluster_size <= 0:
-        raise InvalidProblemError(f"max_cluster_size must be positive, got {max_cluster_size}")
-    result: List[List[int]] = []
-    for cluster in clusters:
-        members = list(cluster)
-        for start in range(0, len(members), max_cluster_size):
-            result.append(members[start : start + max_cluster_size])
-    return result
-
-
 def split_component(
     members: Sequence[int],
     adjacency: Dict[int, Dict[int, float]],
@@ -206,8 +163,8 @@ def cluster_queries(
     The returned clusters are sorted by their smallest query index
     (the *canonical* cluster order — callers that solve in a different
     order must record that order separately, see
-    :class:`~repro.core.decomposition.DecompositionResult`) and together
-    cover every query exactly once.
+    :class:`~repro.core.decomposition.ParallelDecompositionResult`) and
+    together cover every query exactly once.
     """
     if max_cluster_size is not None and max_cluster_size <= 0:
         raise InvalidProblemError(f"max_cluster_size must be positive, got {max_cluster_size}")
@@ -295,26 +252,3 @@ def cluster_edges(
     return [
         (int(key // len(clusters)), int(key % len(clusters))) for key in keys
     ]
-
-
-def cross_cluster_savings(
-    problem: MQOProblem, clusters: Sequence[Sequence[int]]
-) -> Tuple[float, float]:
-    """Savings volume inside versus across clusters.
-
-    Returns ``(intra, inter)`` — the total savings between plans whose
-    queries share a cluster and the total savings crossing cluster
-    boundaries (pairs touching a query outside every cluster count as
-    crossing).  A good clustering keeps ``inter`` small; the
-    decomposition solver can only realise intra-cluster savings exactly.
-    """
-    arrays = problem.arrays()
-    if arrays.num_savings == 0:
-        return 0.0, 0.0
-    cluster_of = _cluster_of_queries(problem, clusters)
-    qa, qb = arrays.savings_query_pair
-    ca = cluster_of[qa]
-    mask = (ca == cluster_of[qb]) & (ca < len(clusters))
-    intra = float(arrays.savings_value[mask].sum())
-    inter = float(arrays.savings_value[~mask].sum())
-    return intra, inter

@@ -6,11 +6,7 @@ cache together and offers the entry points the outer layers need:
 * :meth:`ServiceFrontend.solve` / :meth:`ServiceFrontend.submit` — one
   problem or prepared request, cache-aware, portfolio or named solver
   (the server runs every job through ``submit``),
-* :meth:`ServiceFrontend.submit_fused` — a fusion window's requests,
-* :meth:`ServiceFrontend.race` — raw portfolio access returning every
-  member's trajectory, which is what
-  :class:`~repro.experiments.runner.ExperimentRunner` uses to run its
-  solver sweep through the service layer.
+* :meth:`ServiceFrontend.submit_fused` — a fusion window's requests.
 
 Many problems go through the solver server, whose worker pool calls
 ``submit`` per job and ``submit_fused`` per fusion window on every
@@ -32,7 +28,7 @@ from repro.service.jobs import (
     SolveResult,
     echo_result_for_duplicate,
 )
-from repro.service.portfolio import PortfolioResult, PortfolioScheduler
+from repro.service.portfolio import PortfolioScheduler
 from repro.service.registry import SolverRegistry, default_registry
 
 __all__ = ["ServiceFrontend"]
@@ -203,17 +199,3 @@ class ServiceFrontend:
                     self._record(requests[index], result)
                     results[index] = result
         return results  # type: ignore[return-value]
-
-    def race(
-        self,
-        problem: MQOProblem,
-        time_budget_ms: float,
-        seed: Optional[int] = None,
-        solvers: Sequence[str] | None = None,
-    ) -> PortfolioResult:
-        """Race the portfolio and return every member's trajectory.
-
-        This bypasses the cache — callers like the experiment runner need
-        the fresh per-solver trajectories, not a flattened cached result.
-        """
-        return self.scheduler.solve(problem, time_budget_ms, seed=seed, solvers=solvers)

@@ -269,11 +269,11 @@ def register_default_solvers(registry: SolverRegistry) -> SolverRegistry:
         ),
     )
 
-    from repro.core.decomposition import DecomposedAnytimeSolver
+    from repro.core.decomposition import ParallelDecomposition
 
     registry.register(
-        DecomposedAnytimeSolver.name,
-        DecomposedAnytimeSolver,
+        ParallelDecomposition.name,
+        ParallelDecomposition,
         SolverCapabilities(
             anytime=True,
             exact=False,

@@ -11,11 +11,10 @@ fixed seed regardless of cluster completion order.
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from oracles import sequential_decomposition
 from repro.core.decomposition import (
-    DecomposedAnytimeSolver,
-    DecomposedQuantumMQO,
     ParallelDecomposition,
     build_wave_schedule,
     current_progress_observers,
@@ -27,6 +26,8 @@ from repro.mqo.generator import generate_clustered_problem, generate_paper_testc
 from repro.mqo.problem import MQOProblem
 from repro.service.cache import ResultCache
 from repro.service.frontend import ServiceFrontend
+from repro.service.registry import default_registry
+from repro.utils.rng import derive_seed
 
 
 @st.composite
@@ -164,7 +165,7 @@ class TestStitchContract:
     @given(stitchable_problems(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_one_plan_per_query_and_exact_cost(self, problem, seed):
-        outcome = _pipeline(max_workers=2).solve(problem, time_budget_ms=500.0, seed=seed)
+        outcome = _pipeline(max_workers=2).decompose(problem, time_budget_ms=500.0, seed=seed)
         solution = outcome.solution
         assert solution.is_valid
         per_query = [problem.plan(p).query_index for p in solution.selected_plans]
@@ -175,7 +176,7 @@ class TestStitchContract:
     @given(stitchable_problems(), st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
     def test_never_exceeds_no_cross_sharing_bound(self, problem, seed):
-        outcome = _pipeline(max_workers=2).solve(problem, time_budget_ms=500.0, seed=seed)
+        outcome = _pipeline(max_workers=2).decompose(problem, time_budget_ms=500.0, seed=seed)
         selected = sorted(outcome.solution.selected_plans)
         bound = sum(
             problem.selection_cost(
@@ -191,7 +192,7 @@ class TestStitchContract:
         selections = []
         costs = []
         for workers in (1, 4, 4):
-            outcome = _pipeline(max_workers=workers).solve(
+            outcome = _pipeline(max_workers=workers).decompose(
                 problem, time_budget_ms=500.0, seed=seed
             )
             selections.append(sorted(outcome.solution.selected_plans))
@@ -208,7 +209,7 @@ class TestStitchContract:
             inter_cluster_density=0.1,
             seed=3,
         )
-        outcome = _pipeline(max_workers=4).solve(problem, time_budget_ms=500.0, seed=9)
+        outcome = _pipeline(max_workers=4).decompose(problem, time_budget_ms=500.0, seed=9)
         costs = [cost for _, cost in outcome.trajectory.points]
         assert costs == sorted(costs, reverse=True)
         assert outcome.trajectory.best_solution is outcome.solution
@@ -223,7 +224,7 @@ class TestStitchContract:
             seed=5,
         )
         pipeline = _pipeline(max_workers=2, cluster_solvers=("no-such-solver",))
-        outcome = pipeline.solve(problem, time_budget_ms=200.0, seed=1)
+        outcome = pipeline.decompose(problem, time_budget_ms=200.0, seed=1)
         assert len(outcome.errors) == outcome.num_clusters
         assert outcome.solution.is_valid
         arrays = problem.arrays()
@@ -240,7 +241,7 @@ class TestParallelDecompositionResult:
             intra_cluster_density=0.9,
             seed=2,
         )
-        outcome = _pipeline(max_workers=2, max_cluster_size=4).solve(
+        outcome = _pipeline(max_workers=2, max_cluster_size=4).decompose(
             problem, time_budget_ms=300.0, seed=0
         )
         assert outcome.clusters == [
@@ -260,7 +261,7 @@ class TestParallelDecompositionResult:
             inter_cluster_density=0.4,
             seed=2,
         )
-        outcome = _pipeline(max_workers=2, max_cluster_size=4).solve(
+        outcome = _pipeline(max_workers=2, max_cluster_size=4).decompose(
             problem, time_budget_ms=300.0, seed=0
         )
         edges = cluster_edges(problem, [list(c) for c in outcome.clusters])
@@ -275,7 +276,7 @@ class TestParallelDecompositionResult:
         with pytest.raises(SolverError):
             ParallelDecomposition(max_workers=0)
         with pytest.raises(SolverError):
-            _pipeline(max_workers=1).solve(
+            _pipeline(max_workers=1).decompose(
                 generate_paper_testcase(3, 2, seed=0), time_budget_ms=0.0
             )
 
@@ -305,7 +306,7 @@ class TestProgressObservers:
             events.append((solver, completed, total))
 
         with observe_decomposition_progress(observer):
-            outcome = _pipeline(max_workers=2).solve(problem, time_budget_ms=300.0, seed=4)
+            outcome = _pipeline(max_workers=2).decompose(problem, time_budget_ms=300.0, seed=4)
         assert len(events) == outcome.num_clusters
         assert [completed for _, completed, _ in events] == list(
             range(1, outcome.num_clusters + 1)
@@ -326,11 +327,16 @@ class TestProgressObservers:
             raise RuntimeError("misbehaving listener")
 
         with observe_decomposition_progress(bad_observer):
-            outcome = _pipeline(max_workers=1).solve(problem, time_budget_ms=200.0, seed=4)
+            outcome = _pipeline(max_workers=1).decompose(problem, time_budget_ms=200.0, seed=4)
         assert outcome.solution.is_valid
 
 
 class TestDecomposedAnytimeSolver:
+    """The registry's ``decomposed_qa`` solver."""
+
+    def test_registry_builds_a_parallel_decomposition(self):
+        assert isinstance(default_registry().create("decomposed_qa"), ParallelDecomposition)
+
     def test_returns_a_named_monotone_trajectory(self):
         problem = generate_clustered_problem(
             num_clusters=3,
@@ -339,9 +345,7 @@ class TestDecomposedAnytimeSolver:
             intra_cluster_density=0.8,
             seed=1,
         )
-        solver = DecomposedAnytimeSolver(
-            frontend=ServiceFrontend(cache=ResultCache(capacity=8))
-        )
+        solver = default_registry().create("decomposed_qa")
         trajectory = solver.solve(problem, time_budget_ms=400.0, seed=6)
         assert trajectory.solver_name == "decomposed_qa"
         assert trajectory.best_solution is not None
@@ -349,30 +353,48 @@ class TestDecomposedAnytimeSolver:
         assert trajectory.best_cost == trajectory.best_solution.cost
 
     def test_cluster_cap_shrinks_with_wide_queries(self):
-        solver = DecomposedAnytimeSolver(max_cluster_size=32)
+        pipeline = ParallelDecomposition(max_cluster_size=32)
         narrow = generate_paper_testcase(6, 2, seed=0)
         wide = generate_paper_testcase(6, 40, seed=0)
-        assert solver._cluster_cap(narrow) == 32
-        assert 1 <= solver._cluster_cap(wide) < 32
+        assert pipeline._cluster_cap(narrow) == 32
+        assert 1 <= pipeline._cluster_cap(wide) < 32
 
 
 class TestSequentialSolverStillAgrees:
-    def test_sequential_conditioning_mode_matches_cluster_count(self):
-        problem = generate_clustered_problem(
-            num_clusters=4,
-            queries_per_cluster=2,
-            plans_per_query=2,
-            intra_cluster_density=0.8,
-            inter_cluster_density=0.3,
-            seed=8,
-        )
-        outcome = _pipeline(
-            max_workers=1, sequential_conditioning=True
-        ).solve(problem, time_budget_ms=300.0, seed=2)
-        assert outcome.num_waves == outcome.num_clusters
-        assert outcome.solution.is_valid
+    """The wave schedule returns the fully sequential scheme's answer.
 
-    def test_legacy_result_records_solve_order(self):
+    Clusters in one wave share no savings, so conditioning each cluster
+    on every earlier wave gives it the sub-problem the sequential scheme
+    builds, and the stitch keeps exactly the picks the sequential scheme
+    keeps.  Integer costs keep every sum exact.
+    """
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @given(stitchable_problems(), st.integers(min_value=0, max_value=2**31 - 1))
+    # Four waves, and the answer changes when later waves condition on
+    # wave 0 alone instead of on every earlier wave.
+    @example(
+        generate_clustered_problem(
+            4, 3, 2, intra_cluster_density=0.9, inter_cluster_density=0.3, seed=0
+        ),
+        0,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_greedy_clusters_match_the_sequential_oracle(self, workers, problem, seed):
+        outcome = _pipeline(max_workers=workers).decompose(
+            problem, time_budget_ms=500.0, seed=seed
+        )
+        greedy = default_registry().create("GREEDY")
+        expected = sequential_decomposition(
+            problem,
+            3,
+            lambda index, sub: greedy.solve(
+                sub, 500.0, seed=derive_seed(seed, index)
+            ).best_solution.selected_plans,
+        )
+        assert (sorted(outcome.solution.selected_plans), outcome.best_cost) == expected
+
+    def test_solve_order_by_weight(self):
         problem = generate_clustered_problem(
             num_clusters=3,
             queries_per_cluster=2,
@@ -380,13 +402,13 @@ class TestSequentialSolverStillAgrees:
             intra_cluster_density=0.9,
             seed=4,
         )
-        result = DecomposedQuantumMQO(max_queries_per_cluster=2).solve(
-            problem, num_reads=30
+        outcome = _pipeline(max_workers=1, max_cluster_size=2).decompose(
+            problem, time_budget_ms=300.0, seed=0
         )
-        assert result.clusters == [
+        assert outcome.clusters == [
             tuple(c) for c in cluster_queries(problem, max_cluster_size=2)
         ]
-        assert sorted(result.solve_order) == list(range(result.num_clusters))
-        weights = internal_weights(problem, [list(c) for c in result.clusters])
-        ordered = [float(weights[i]) for i in result.solve_order]
+        assert sorted(outcome.solve_order) == list(range(outcome.num_clusters))
+        weights = internal_weights(problem, [list(c) for c in outcome.clusters])
+        ordered = [float(weights[i]) for i in outcome.solve_order]
         assert ordered == sorted(ordered, reverse=True)

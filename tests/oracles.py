@@ -12,8 +12,9 @@ device's problem check term by term, and the canonical hash's colour
 refinement on per-plan dictionaries.  The problem model has its forms
 too: the savings dictionary built and checked entry by entry, the
 columnar view built by loops over plans, queries and savings, and the
-format-1 problem dictionary.  They live here, not in ``src/``, so the
-library keeps one implementation.
+format-1 problem dictionary.  The decomposition has its form too: the
+fully sequential series of sub-problems, one cluster at a time.  They
+live here, not in ``src/``, so the library keeps one implementation.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -29,12 +30,14 @@ from repro.annealer.compile import CompiledQUBO, compile_qubo
 from repro.annealer.noise import NoiseModel
 from repro.annealer.schedule import AnnealingSchedule, default_schedule_for
 from repro.chimera.topology import ChimeraGraph
+from repro.core.decomposition import build_subproblem
 from repro.core.logical import LogicalMapping
 from repro.core.physical import PhysicalMapping, PhysicalMappingConfig
 from repro.embedding.base import Embedding
 from repro.embedding.unembed import ChainGather, ChainReadout, resolve_chains
 from repro.exceptions import DeviceCapacityError, DeviceError, EmbeddingError, InvalidProblemError
 from repro.mqo.arrays import ProblemArrays
+from repro.mqo.clustering import cluster_queries, internal_weights
 from repro.mqo.problem import MQOProblem, MQOSolution
 from repro.mqo.serialization import problem_to_dict
 from repro.qubo.ising import IsingModel, ising_to_qubo, qubo_to_ising
@@ -644,3 +647,41 @@ def problem_to_format1_dict(problem: MQOProblem) -> Dict[str, Any]:
             for (p1, p2), value in sorted(problem.interaction_pairs())
         ],
     }
+
+
+# ---------------------------------------------------------------------- #
+# Decomposition
+# ---------------------------------------------------------------------- #
+def sequential_decomposition(
+    problem: MQOProblem,
+    max_cluster_size: int,
+    solve_cluster: Callable[[int, MQOProblem], Iterable[int]],
+) -> Tuple[List[int], float]:
+    """The fully sequential series-of-QUBOs scheme, one cluster at a time.
+
+    Every query starts at its cheapest plan (the first on ties).  The
+    clusters of ``cluster_queries`` are solved in internal-weight order,
+    heaviest first and the smaller index on ties; each cluster's
+    sub-problem is conditioned on the current plans of every earlier
+    cluster, and its pick replaces its queries' plans only when that does
+    not raise the exact global cost.  ``solve_cluster(index, subproblem)``
+    returns the sub-problem plans it selects for canonical cluster
+    ``index``.  Returns the sorted selection and its cost.
+    """
+    clusters = cluster_queries(problem, max_cluster_size=max_cluster_size)
+    weights = internal_weights(problem, clusters)
+    order = sorted(range(len(clusters)), key=lambda index: (-float(weights[index]), index))
+    current = {
+        query.index: min(query.plan_indices, key=problem.plan_cost) for query in problem.queries
+    }
+    for position, index in enumerate(order):
+        earlier = [current[query] for other in order[:position] for query in clusters[other]]
+        sub = build_subproblem(problem, clusters[index], earlier)
+        candidate = dict(current)
+        for local in solve_cluster(index, sub.problem):
+            plan = sub.plan_map[local]
+            candidate[problem.plan(plan).query_index] = plan
+        if problem.selection_cost(candidate.values()) <= problem.selection_cost(current.values()):
+            current = candidate
+    selection = sorted(current.values())
+    return selection, problem.selection_cost(selection)

@@ -1,12 +1,7 @@
-"""Tests for the ServiceFrontend facade and its experiment-runner hookup."""
+"""Tests for the ServiceFrontend facade."""
 
 import pytest
 
-from repro.baselines.hillclimb import IteratedHillClimbing
-from repro.baselines.ilp_mqo import IntegerProgrammingMQOSolver
-from repro.chimera.topology import ChimeraGraph
-from repro.experiments.profiles import ExperimentProfile
-from repro.experiments.runner import QA_SOLVER_NAME, ExperimentRunner
 from repro.mqo.generator import generate_paper_testcase
 from repro.mqo.problem import MQOProblem
 from repro.service.cache import ResultCache
@@ -44,11 +39,6 @@ class TestSolve:
         assert warm.from_cache
         assert warm.best_cost == cold.best_cost
         assert warm.selected_plans == cold.selected_plans
-
-    def test_race_bypasses_cache(self, frontend, problem):
-        frontend.solve(problem, time_budget_ms=100.0, seed=3)
-        race = frontend.race(problem, time_budget_ms=100.0, seed=3)
-        assert sorted(race.trajectories) == ["CLIMB", "LIN-MQO"]
 
     def test_submit_honours_default_lineup(self, frontend, problem):
         result = frontend.submit(SolveRequest(problem=problem, time_budget_ms=100.0, seed=3))
@@ -119,37 +109,3 @@ class TestSubmitCache:
         assert (second.selected_plans, second.best_cost, second.from_cache) == ([1, 2], 2.5, False)
         renamed = MQOProblem([[1.0, 5.0], [2.0, 3.0]], {(0, 2): 0.5, (1, 3): 4.5}, name="other")
         assert frontend.submit(_exact_request(renamed)).from_cache
-
-
-class TestRunnerIntegration:
-    @pytest.fixture(scope="class")
-    def mini_profile(self):
-        return ExperimentProfile(
-            name="mini-service",
-            query_scale=0.25,
-            num_instances=1,
-            classical_budget_ms=150.0,
-            checkpoints_ms=(1.0, 10.0, 150.0),
-            num_reads=30,
-            num_gauges=3,
-            sa_sweeps=40,
-            chimera_rows=4,
-            chimera_cols=4,
-            include_slow_solvers=False,
-        )
-
-    def test_runner_sweep_through_portfolio(self, mini_profile):
-        runner = ExperimentRunner(
-            profile=mini_profile,
-            topology=ChimeraGraph(4, 4),
-            solvers=[IntegerProgrammingMQOSolver(), IteratedHillClimbing()],
-            frontend=ServiceFrontend(),
-            seed=7,
-        )
-        test_class = runner.test_classes((2,))[0]
-        (result,) = runner.run_class(test_class)
-        assert sorted(result.trajectories) == ["CLIMB", "LIN-MQO", QA_SOLVER_NAME]
-        for name, trajectory in result.trajectories.items():
-            assert trajectory.best_solution is not None, name
-            assert trajectory.best_solution.is_valid
-        assert result.best_known_cost <= result.quantum_trajectory().best_cost
